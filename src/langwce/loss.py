@@ -1,61 +1,26 @@
-"""Cross-entropy and language-weighted cross-entropy over batches of sentences.
+"""The language-weighted cross-entropy kernel the model trains on.
 
-A sentence is a [T x V] logit matrix plus T integer labels and a language id.
-Padded positions carry ``IGNORE_LABEL`` and contribute neither loss nor
-gradient. The batch loss is the mean over sentences of the per-sentence loss
-scaled by the weight of that sentence's language (unlisted languages weigh 1),
-so with all weights at 1 it reduces to the plain batch mean.
+A batch is one [N x V] frame-logit matrix with N frame labels, cut into
+consecutive utterance segments of ``sizes[j]`` frames each; there is no
+padding. An utterance's loss is the mean over its frames of the negative
+log-likelihood of the true label. The batch loss is the mean over utterances
+of each utterance loss scaled by the weight of its language (unlisted
+languages weigh 1), so with all weights at 1 it reduces to the plain batch
+mean, and its gradient w.r.t. frame f of utterance j is
 
-Everything here is pure, double precision, and hand-differentiated; there is
-no autodiff framework underneath.
+    w(lang_j) / (B * F_j) * (softmax(logits_f) - onehot(label_f)).
+
+``model`` computes every loss and gradient through ``segment_nll`` and
+``logit_gradient``. Everything here is double precision and
+hand-differentiated; there is no autodiff framework underneath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-IGNORE_LABEL = -1
-
-
-class ReductionMode(Enum):
-    """Per-sentence reduction: plain sum over scored tokens, or mean (sum / N)."""
-
-    SUM_TOKENS = "sum_tokens"
-    MEAN_TOKENS = "mean_tokens"
-
-
-@dataclass(frozen=True)
-class SentenceSample:
-    """One scored sentence: logits [T x V], labels [T], and its language id."""
-
-    logits: np.ndarray
-    labels: np.ndarray
-    language: int
-
-    def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
-        if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
-            raise ValueError(f"logits must be [T x V] with T >= 1, V >= 2, got shape {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits contain non-finite entries")
-        if labels.shape != (logits.shape[0],):
-            raise ValueError(f"labels length {labels.shape} does not match T={logits.shape[0]}")
-        scored = labels != IGNORE_LABEL
-        if not scored.any():
-            raise ValueError("sentence has no scored positions (all labels IGNORE)")
-        if np.any((labels[scored] < 0) | (labels[scored] >= logits.shape[1])):
-            raise ValueError("labels out of range [0, V)")
-
-    @property
-    def n_scored(self) -> int:
-        return int(np.count_nonzero(self.labels != IGNORE_LABEL))
 
 
 @dataclass(frozen=True)
@@ -87,39 +52,47 @@ class BatchLoss:
     applied_weight: float = 1.0
 
 
-def log_softmax(row: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Numerically stable log-softmax of a single logit row.
+def segment_nll(logits: np.ndarray, labels: np.ndarray, sizes: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-utterance mean NLL and per-frame softmax probabilities.
 
-    output[i] = row[i] - max(row) - ln(sum_j exp(row[j] - max(row))), so the
-    exponentials of the output sum to 1 and large logits cannot overflow.
+    ``logits`` is [N x V], ``labels`` holds N ints in [0, V), and ``sizes``
+    the frame count of each consecutive utterance segment, summing to N. The
+    log-softmax subtracts each row's maximum first, so large logits cannot
+    overflow. Returns (losses [B], probs [N x V]).
     """
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size < 1:
-        raise ValueError(f"expected a 1-D logit row, got shape {row.shape}")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("logit row contains non-finite entries")
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def _log_softmax_2d(logits: np.ndarray) -> np.ndarray:
+    sizes = np.asarray(sizes)
+    n_frames, n_classes = logits.shape
+    if len(labels) != n_frames or sizes.sum() != n_frames or sizes.min() < 1:
+        raise ValueError(f"{len(labels)} labels and segment sizes {sizes.tolist()} do not cut {n_frames} frames")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels out of range [0, {n_classes})")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    probs = exp / denom
+    nll = np.log(denom[:, 0]) - shifted[np.arange(n_frames), labels]
+    bounds = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return np.add.reduceat(nll, bounds) / sizes, probs
 
 
-def sentence_cross_entropy(sample: SentenceSample, mode: ReductionMode = ReductionMode.MEAN_TOKENS) -> float:
-    """Negative log-likelihood of the true labels over scored positions.
+def logit_gradient(
+    probs: np.ndarray,
+    labels: np.ndarray,
+    sizes: Sequence[int] | np.ndarray,
+    languages: Sequence[int],
+    weights: LanguageWeights,
+) -> np.ndarray:
+    """Gradient of the weighted batch mean w.r.t. the frame logits.
 
-    SUM_TOKENS returns the plain sum; MEAN_TOKENS divides by the number of
-    scored (non-IGNORE) positions.
+    Row f of utterance j is w(lang_j) / (B * F_j) * (probs[f] - onehot(labels[f])),
+    with ``probs`` as returned by ``segment_nll``, which is left unchanged.
     """
-    ls = _log_softmax_2d(sample.logits)
-    scored = sample.labels != IGNORE_LABEL
-    rows = np.nonzero(scored)[0]
-    total = -float(ls[rows, sample.labels[rows]].sum())
-    if mode is ReductionMode.MEAN_TOKENS:
-        return total / len(rows)
-    return total
+    sizes = np.asarray(sizes)
+    grad = probs.copy()
+    grad[np.arange(len(labels)), labels] -= 1.0
+    scale = np.array([weights.get(k) for k in languages]) / (len(sizes) * sizes)
+    grad *= np.repeat(scale, sizes)[:, None]
+    return grad
 
 
 def per_language_average(pairs: Iterable[tuple[int, float]]) -> dict[int, float]:
@@ -155,48 +128,3 @@ def combine_sentence_losses(
         weighted_mean=float(weighted) / len(per_sentence),
         applied_weight=1.0 if tracked_language is None else weights.get(tracked_language),
     )
-
-
-def weighted_batch_loss(
-    batch: Sequence[SentenceSample],
-    weights: LanguageWeights,
-    mode: ReductionMode = ReductionMode.MEAN_TOKENS,
-    tracked_language: int | None = None,
-) -> BatchLoss:
-    """Language-weighted cross-entropy of a batch.
-
-    weighted_mean = (1/B) * sum_j w(lang_j) * loss_j, with unweighted
-    per-sentence losses and unweighted per-language averages kept alongside.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    losses = [sentence_cross_entropy(s, mode) for s in batch]
-    langs = [s.language for s in batch]
-    return combine_sentence_losses(losses, langs, weights, tracked_language)
-
-
-def loss_gradient(
-    batch: Sequence[SentenceSample],
-    weights: LanguageWeights,
-    mode: ReductionMode = ReductionMode.MEAN_TOKENS,
-) -> list[np.ndarray]:
-    """Gradient of weighted_batch_loss(...).weighted_mean w.r.t. each sentence's logits.
-
-    For a scored position the row is (w_k / (B * norm)) * (softmax(row) - onehot),
-    norm being 1 for SUM_TOKENS and the scored count for MEAN_TOKENS; IGNORE
-    positions get zero rows.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    out = []
-    for sample in batch:
-        probs = np.exp(_log_softmax_2d(sample.logits))
-        grad = probs
-        scored = sample.labels != IGNORE_LABEL
-        rows = np.nonzero(scored)[0]
-        grad[rows, sample.labels[rows]] -= 1.0
-        grad[~scored, :] = 0.0
-        norm = len(rows) if mode is ReductionMode.MEAN_TOKENS else 1
-        grad *= weights.get(sample.language) / (len(batch) * norm)
-        out.append(grad)
-    return out

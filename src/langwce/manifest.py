@@ -1,6 +1,7 @@
 """JSONL corpus manifests.
 
-One record per line: {"id", "lang", "text", "wav", "split", "augmented"}.
+One record per line: {"id", "lang", "text", "wav", "split", "augmented"}, all
+strings except the boolean "augmented".
 WAV paths are stored relative to the manifest file's directory.
 """
 
@@ -12,7 +13,12 @@ from pathlib import Path
 
 from .util import DataFormatError
 
-FIELDS = ("id", "lang", "text", "wav", "split", "augmented")
+FIELDS = {"id": str, "lang": str, "text": str, "wav": str, "split": str, "augmented": bool}
+_JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "number", float: "number", list: "array", dict: "object"}
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else _JSON_TYPE_NAMES[type(value)]
 
 
 @dataclass(frozen=True)
@@ -37,9 +43,16 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(rec, dict):
+                raise DataFormatError(f"{path}:{lineno}: record must be an object, got {_json_type(rec)}")
             missing = [k for k in FIELDS if k not in rec]
             if missing:
                 raise DataFormatError(f"{path}:{lineno}: missing fields {missing}")
+            for k, kind in FIELDS.items():
+                if not isinstance(rec[k], kind):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(rec[k])}"
+                    )
             entries.append(ManifestEntry(**{k: rec[k] for k in FIELDS}))
     if not entries:
         raise DataFormatError(f"{path}: empty manifest")

@@ -5,10 +5,12 @@ concatenated with a one-hot language vector:
 
     logits = W2' * tanh(W1' * input + b1) + b2
 
-Training is plain SGD on the language-weighted batch loss. Gradients are
-derived by hand (softmax-minus-onehot through the tanh layer), which the test
-suite pins against central finite differences. Everything runs in double
-precision, single-threaded, and is deterministic given the seeds.
+Training is plain SGD on the language-weighted batch loss. The loss and its
+gradient w.r.t. the logits come from ``loss.segment_nll`` and
+``loss.logit_gradient``; the rest of the backward pass through the tanh layer
+is derived by hand here, and the test suite pins it against central finite
+differences. Everything runs in double precision, single-threaded, and is
+deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from .loss import BatchLoss, LanguageWeights
-from .schedule import Branch, Weighting
+from .schedule import Weighting
 from .synthlang import FrameExample, LanguageSpec, load_corpus_meta, load_examples
 from .util import DataFormatError, DivergenceError, derive_seed
 
@@ -144,17 +146,6 @@ def forward(model: AcousticModel, features: np.ndarray, language: int) -> np.nda
     return hidden @ model.W2 + model.b2
 
 
-def _frame_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame negative log-likelihood and softmax probabilities."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    probs = exp / denom
-    rows = np.arange(len(labels))
-    nll = np.log(denom[:, 0]) - shifted[rows, labels]
-    return nll, probs
-
-
 @dataclass
 class _BatchForward:
     x_all: np.ndarray
@@ -175,19 +166,12 @@ def _forward_batch(model: AcousticModel, batch: list[FrameExample]) -> _BatchFor
     labels_all = np.concatenate([ex.labels for ex in batch])
     hidden = np.tanh(x_all @ model.W1 + model.b1)
     logits = hidden @ model.W2 + model.b2
-    nll, probs = _frame_nll(logits, labels_all)
-    bounds = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    per_sentence = np.add.reduceat(nll, bounds) / sizes
+    per_sentence, probs = loss_mod.segment_nll(logits, labels_all, sizes)
     return _BatchForward(x_all, sizes, [ex.lang for ex in batch], hidden, probs, labels_all, per_sentence)
 
 
 def _gradients_from_forward(model: AcousticModel, fwd: _BatchForward, weights: LanguageWeights) -> dict[str, np.ndarray]:
-    # d(weighted_mean)/dlogits = w_j / (B * F_j) * (softmax - onehot) per frame
-    dlogits = fwd.probs
-    dlogits[np.arange(len(fwd.labels_all)), fwd.labels_all] -= 1.0
-    batch_size = len(fwd.sizes)
-    scale = np.repeat(np.array([weights.get(k) for k in fwd.langs]) / (batch_size * fwd.sizes), fwd.sizes)
-    dlogits *= scale[:, None]
+    dlogits = loss_mod.logit_gradient(fwd.probs, fwd.labels_all, fwd.sizes, fwd.langs, weights)
     d_hidden = dlogits @ model.W2.T
     d_z = d_hidden * (1.0 - fwd.hidden**2)
     return {
@@ -196,25 +180,6 @@ def _gradients_from_forward(model: AcousticModel, fwd: _BatchForward, weights: L
         "W2": fwd.hidden.T @ dlogits,
         "b2": dlogits.sum(axis=0),
     }
-
-
-def batch_gradients(
-    model: AcousticModel,
-    batch: list[FrameExample],
-    weights: LanguageWeights,
-    tracked_language: int | None = None,
-) -> tuple[dict[str, np.ndarray], BatchLoss]:
-    """Weighted batch loss and its gradient w.r.t. every parameter.
-
-    Per-utterance losses are mean-over-frames cross-entropy; the batch loss
-    scales each utterance by its language weight and divides by the batch
-    size. Gradients flow through softmax minus onehot and the tanh layer.
-    """
-    fwd = _forward_batch(model, batch)
-    batch_loss = loss_mod.combine_sentence_losses(
-        fwd.per_sentence.tolist(), fwd.langs, weights, tracked_language=tracked_language
-    )
-    return _gradients_from_forward(model, fwd, weights), batch_loss
 
 
 def train_step(
@@ -281,8 +246,9 @@ def train_step(
 
 def utterance_loss(model: AcousticModel, example: FrameExample) -> float:
     """Mean-over-frames cross-entropy of one utterance under the current model."""
-    nll, _ = _frame_nll(forward(model, example.features, example.lang), example.labels)
-    return float(nll.mean())
+    logits = forward(model, example.features, example.lang)
+    losses, _ = loss_mod.segment_nll(logits, example.labels, [len(example.labels)])
+    return float(losses[0])
 
 
 def validation_losses(model: AcousticModel, examples: list[FrameExample]) -> dict[int, float]:
@@ -315,8 +281,15 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
 
 
 def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
-    """Versioned JSON checkpoint; float round-trip is exact."""
+    """Versioned JSON checkpoint; float round-trip is exact.
+
+    Raises ``ValueError``, and writes nothing, when a parameter is non-finite:
+    JSON has no NaN or infinity.
+    """
     path = Path(path)
+    for name, arr in model.parameters().items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: cannot save checkpoint: {name} contains non-finite values")
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -324,7 +297,7 @@ def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
         "params": {name: arr.tolist() for name, arr in model.parameters().items()},
         "meta": meta,
     }
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload, allow_nan=False))
     return path
 
 

@@ -100,12 +100,11 @@ def make_languages(n: int, low_id: int, seed: int) -> list[LanguageSpec]:
     ]
 
 
-def synthesize_utterance(spec: LanguageSpec, text: str, seed: int = 0, sample_rate: int = 16000, symbol_ms: int = 100) -> AudioClip:
+def synthesize_utterance(spec: LanguageSpec, text: str, sample_rate: int = 16000, symbol_ms: int = 100) -> AudioClip:
     """Concatenated fixed-duration sine segments, one per symbol.
 
     Each segment is a 0.3-amplitude tone at the language's frequency for that
-    symbol, with 5 ms raised-cosine onset/offset ramps. ``seed`` is reserved
-    for randomized synthesis variants and currently unused.
+    symbol, with 5 ms raised-cosine onset/offset ramps.
     """
     if not text:
         raise ValueError("text must be non-empty")
@@ -201,18 +200,6 @@ def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[Languag
 
 # ---------------------------------------------------------------------------
 # featurization
-
-
-def goertzel_power(samples: np.ndarray, freq: float, sample_rate: int) -> float:
-    """Spectral energy |X(freq)|^2 via the Goertzel recurrence."""
-    omega = 2.0 * np.pi * freq / sample_rate
-    coeff = 2.0 * np.cos(omega)
-    s1 = s2 = 0.0
-    for x in np.asarray(samples, dtype=np.float64):
-        s0 = x + coeff * s1 - s2
-        s2 = s1
-        s1 = s0
-    return float(s1 * s1 + s2 * s2 - coeff * s1 * s2)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Shared plumbing: error types, seed derivation, file digests."""
+"""Shared plumbing: error types and seed derivation."""
 
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
 
 
 class UsageError(Exception):
@@ -45,11 +44,3 @@ def derive_seed(base: int, *tokens) -> int:
         h.update(b"\x1f")
         h.update(str(tok).encode())
     return int.from_bytes(h.digest()[:8], "little") >> 1
-
-
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

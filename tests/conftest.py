@@ -2,15 +2,6 @@ import pytest
 
 from langwce.synthlang import CorpusConfig, generate_corpus
 
-
-@pytest.fixture(scope="session")
-def default_corpus(tmp_path_factory):
-    """The full default benchmark corpus; built once per session (sizeable)."""
-    root = tmp_path_factory.mktemp("corpus-default")
-    generate_corpus(CorpusConfig(seed=1234), root)
-    return root
-
-
 TINY = CorpusConfig(
     n_langs=3,
     low_lang=2,

@@ -1,8 +1,9 @@
 """Shared test utilities: tone synthesis and spectrum analysis oracles.
 
 The analysis here deliberately avoids the package's own DSP: dominant
-frequency comes from a plain FFT so transform tests check against an
-independent measurement.
+frequency comes from a plain FFT and bin energy from a per-sample Goertzel
+recurrence, so transform and featurization tests check against independent
+measurements.
 """
 
 import numpy as np
@@ -32,3 +33,15 @@ def dominant_frequency(clip, fmin=50.0):
     freqs = np.fft.rfftfreq(len(seg), 1.0 / clip.sample_rate)
     keep = freqs >= fmin
     return float(freqs[keep][np.argmax(spectrum[keep])])
+
+
+def goertzel_power(samples, freq, sample_rate):
+    """Spectral energy |X(freq)|^2 via the Goertzel recurrence, one sample at a time."""
+    omega = 2.0 * np.pi * freq / sample_rate
+    coeff = 2.0 * np.cos(omega)
+    s1 = s2 = 0.0
+    for x in np.asarray(samples, dtype=np.float64):
+        s0 = x + coeff * s1 - s2
+        s2 = s1
+        s1 = s0
+    return float(s1 * s1 + s2 * s2 - coeff * s1 * s2)

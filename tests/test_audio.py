@@ -340,3 +340,22 @@ class TestManifest:
         path.write_text("{not json\n")
         with pytest.raises(DataFormatError):
             read_manifest(path)
+
+    def test_mistyped_fields_rejected(self, tmp_path):
+        good = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test", "augmented": False}
+        bad = {"id": 1, "lang": None, "text": "AB", "wav": 3, "split": "test", "augmented": "no"}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:2: field 'id' must be a string, got number"):
+            read_manifest(path)
+        for field, value, got in [("lang", None, "null"), ("wav", 3, "number"), ("augmented", "no", "string")]:
+            path.write_text(json.dumps({**good, field: value}) + "\n")
+            kind = "boolean" if field == "augmented" else "string"
+            with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1: field '{field}' must be a {kind}, got {got}"):
+                read_manifest(path)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:1: record must be an object, got array"):
+            read_manifest(path)

@@ -1,104 +1,99 @@
-"""Tests for cross-entropy, language weighting, and the hand-derived gradients."""
+"""Tests for the loss kernel, language weighting, and the hand-derived logit gradient."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langwce.loss import (
-    IGNORE_LABEL,
     BatchLoss,
     LanguageWeights,
-    ReductionMode,
-    SentenceSample,
-    log_softmax,
-    loss_gradient,
+    combine_sentence_losses,
+    logit_gradient,
     per_language_average,
-    sentence_cross_entropy,
-    weighted_batch_loss,
+    segment_nll,
 )
 
-SUM = ReductionMode.SUM_TOKENS
-MEAN = ReductionMode.MEAN_TOKENS
+
+def nll(logits, labels):
+    """Loss of a single utterance through the kernel."""
+    logits = np.asarray(logits, dtype=np.float64)
+    losses, _ = segment_nll(logits, np.asarray(labels), [len(labels)])
+    return float(losses[0])
 
 
-def random_batch(rng, n_sentences=4, n_langs=2, max_t=8, max_v=10, with_ignore=False):
-    batch = []
+def random_batch(rng, n_sentences=4, n_langs=2, max_t=8, max_v=10):
+    """(logits [N x V], labels [N], sizes [B], languages [B]) for a random batch."""
     v = int(rng.integers(2, max_v + 1))
-    for _ in range(n_sentences):
-        t = int(rng.integers(1, max_t + 1))
-        logits = rng.uniform(-2.0, 2.0, size=(t, v))
-        labels = rng.integers(0, v, size=t)
-        if with_ignore and t > 1:
-            n_pad = int(rng.integers(0, t))  # keep at least one scored position
-            if n_pad:
-                labels[t - n_pad:] = IGNORE_LABEL
-        batch.append(SentenceSample(logits, labels, language=int(rng.integers(0, n_langs))))
-    return batch
+    sizes = rng.integers(1, max_t + 1, size=n_sentences)
+    logits = rng.uniform(-2.0, 2.0, size=(int(sizes.sum()), v))
+    labels = rng.integers(0, v, size=int(sizes.sum()))
+    languages = [int(k) for k in rng.integers(0, n_langs, size=n_sentences)]
+    return logits, labels, sizes, languages
+
+
+def weighted_loss(logits, labels, sizes, languages, weights):
+    losses, _ = segment_nll(logits, labels, sizes)
+    return combine_sentence_losses(losses.tolist(), languages, weights)
 
 
 class TestLogSoftmax:
     def test_two_way_symmetry(self):
-        out = log_softmax([0.0, 0.0])
-        np.testing.assert_allclose(out, [-math.log(2)] * 2, rtol=0, atol=1e-15)
+        losses, probs = segment_nll(np.zeros((1, 2)), np.array([0]), [1])
+        assert losses[0] == pytest.approx(math.log(2), abs=1e-15)
+        np.testing.assert_array_equal(probs, [[0.5, 0.5]])
 
     def test_shift_invariance(self):
         for c in (-7.5, 0.0, 3.25, 1e6):
-            out = log_softmax([c, c, c, c])
-            np.testing.assert_allclose(out, [-math.log(4)] * 4, rtol=0, atol=1e-9)
+            assert nll(np.full((3, 4), c), [0, 1, 3]) == pytest.approx(math.log(4), abs=1e-9)
 
     def test_extreme_logits_do_not_overflow(self):
-        out = log_softmax([1000.0, 0.0])
-        assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(0.0, abs=1e-12)
-        assert out[1] == pytest.approx(-1000.0, abs=1e-9)
+        losses, probs = segment_nll(np.array([[1000.0, 0.0], [1000.0, 0.0]]), np.array([0, 1]), [1, 1])
+        assert np.all(np.isfinite(losses)) and np.all(np.isfinite(probs))
+        assert losses[0] == pytest.approx(0.0, abs=1e-12)
+        assert losses[1] == pytest.approx(1000.0, abs=1e-9)
 
     def test_exponentials_form_distribution(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            row = rng.uniform(-50, 50, size=int(rng.integers(2, 12)))
-            assert abs(np.exp(log_softmax(row)).sum() - 1.0) < 1e-12
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            log_softmax([1.0, float("nan")])
-        with pytest.raises(ValueError):
-            log_softmax([1.0, float("inf")])
+            logits = rng.uniform(-50, 50, size=(3, int(rng.integers(2, 12))))
+            _, probs = segment_nll(logits, np.zeros(3, dtype=int), [3])
+            assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestSentenceCrossEntropy:
-    def test_uniform_logits_sum(self):
-        sample = SentenceSample(np.zeros((3, 4)), [0, 1, 2], language=0)
-        assert sentence_cross_entropy(sample, SUM) == pytest.approx(3 * math.log(4), abs=1e-12)
-
     def test_uniform_logits_mean(self):
-        sample = SentenceSample(np.zeros((3, 4)), [0, 1, 2], language=0)
-        assert sentence_cross_entropy(sample, MEAN) == pytest.approx(math.log(4), abs=1e-12)
+        assert nll(np.zeros((3, 4)), [0, 1, 2]) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_extended_precision_formula(self):
-        # single position, logits [2, 0, 0], true label 0: loss = -log(e^2 / (e^2 + 2))
-        sample = SentenceSample(np.array([[2.0, 0.0, 0.0]]), [0], language=0)
+        # one frame with logits [2, 0, 0] and true label 0, then one with
+        # logits [0, 1, -1] and label 2: loss = mean of -log softmax
+        logits = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
         with mpmath.workdps(50):
-            expected = -mpmath.log(mpmath.e**2 / (mpmath.e**2 + 2))
-        assert sentence_cross_entropy(sample, MEAN) == pytest.approx(float(expected), abs=1e-14)
-
-    def test_ignore_positions_are_skipped(self):
-        logits = np.array([[2.0, 0.0, 0.0], [50.0, -9.0, 1.0]])
-        full = SentenceSample(logits[:1], [0], language=0)
-        padded = SentenceSample(logits, [0, IGNORE_LABEL], language=0)
-        assert sentence_cross_entropy(padded, SUM) == pytest.approx(sentence_cross_entropy(full, SUM))
-        assert padded.n_scored == 1
-
-    def test_all_ignore_rejected(self):
-        with pytest.raises(ValueError):
-            SentenceSample(np.zeros((2, 3)), [IGNORE_LABEL, IGNORE_LABEL], language=0)
+            e = mpmath.e
+            first = -mpmath.log(e**2 / (e**2 + 2))
+            second = -mpmath.log(e**-1 / (1 + e + e**-1))
+            expected = [first, (first + second) / 2]
+        losses, _ = segment_nll(np.concatenate([logits[:1], logits]), np.array([0, 0, 2]), [1, 2])
+        assert losses[0] == pytest.approx(float(expected[0]), abs=1e-14)
+        assert losses[1] == pytest.approx(float(expected[1]), abs=1e-14)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            (sample,) = random_batch(rng, n_sentences=1, with_ignore=True)
-            assert sentence_cross_entropy(sample, MEAN) >= 0.0
+            logits, labels, sizes, _ = random_batch(rng, n_sentences=3)
+            assert np.all(segment_nll(logits, labels, sizes)[0] >= 0.0)
+
+    def test_bad_segmentation_rejected(self):
+        logits, labels = np.zeros((4, 3)), np.array([0, 1, 2, 0])
+        for sizes in ([1, 2], [5], [4, 0]):
+            with pytest.raises(ValueError, match="do not cut 4 frames"):
+                segment_nll(logits, labels, sizes)
+        with pytest.raises(ValueError, match="out of range"):
+            segment_nll(logits, np.array([0, 1, 3, 0]), [4])
 
 
 class TestPerLanguageAverage:
@@ -125,60 +120,58 @@ class TestWeightedBatchLoss:
     def test_unit_weights_reduce_to_plain_mean(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            batch = random_batch(rng, n_sentences=int(rng.integers(1, 7)), n_langs=3, with_ignore=True)
-            out = weighted_batch_loss(batch, LanguageWeights(), MEAN)
-            plain = np.mean([sentence_cross_entropy(s, MEAN) for s in batch])
-            assert abs(out.weighted_mean - plain) < 1e-12
+            batch = random_batch(rng, n_sentences=int(rng.integers(1, 7)), n_langs=3)
+            out = weighted_loss(*batch, LanguageWeights())
+            assert abs(out.weighted_mean - np.mean(out.per_sentence)) < 1e-12
 
     def test_single_sentence_weight_three(self):
         # two-way logits [ln p, ln(1-p)] with p = e^-0.5 give loss exactly 0.5
         p = math.exp(-0.5)
-        sample = SentenceSample(np.array([[math.log(p), math.log(1 - p)]]), [0], language=4)
-        out = weighted_batch_loss([sample], LanguageWeights({4: 3.0}), MEAN)
+        logits = np.array([[math.log(p), math.log(1 - p)]])
+        out = weighted_loss(logits, np.array([0]), [1], [4], LanguageWeights({4: 3.0}))
         assert out.weighted_mean == pytest.approx(1.5, abs=1e-12)
         assert out.per_sentence[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_accumulation_oracle(self):
         rng = np.random.default_rng(17)
         weights = LanguageWeights({0: 2.5, 1: 1.25})
-        batch = random_batch(rng, n_sentences=4, n_langs=2)
-        out = weighted_batch_loss(batch, weights, MEAN)
-        acc = 0.0
-        for s in batch:
-            acc += weights.get(s.language) * sentence_cross_entropy(s, MEAN) / len(batch)
+        logits, labels, sizes, languages = random_batch(rng, n_sentences=4, n_langs=2)
+        out = weighted_loss(logits, labels, sizes, languages, weights)
+        acc, start = 0.0, 0
+        for size, lang in zip(sizes, languages):
+            acc += weights.get(lang) * nll(logits[start : start + size], labels[start : start + size]) / len(sizes)
+            start += size
         assert out.weighted_mean == pytest.approx(acc, abs=1e-12)
 
     def test_per_language_avg_is_unweighted(self):
         rng = np.random.default_rng(19)
-        batch = random_batch(rng, n_sentences=6, n_langs=2)
-        out = weighted_batch_loss(batch, LanguageWeights({0: 9.0}), MEAN)
-        expected = per_language_average((s.language, sentence_cross_entropy(s, MEAN)) for s in batch)
-        assert out.per_language_avg == pytest.approx(expected)
+        logits, labels, sizes, languages = random_batch(rng, n_sentences=6, n_langs=2)
+        out = weighted_loss(logits, labels, sizes, languages, LanguageWeights({0: 9.0}))
+        losses, _ = segment_nll(logits, labels, sizes)
+        assert out.per_language_avg == pytest.approx(per_language_average(zip(languages, losses)))
 
     def test_linear_in_each_language_weight(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            batch = random_batch(rng, n_sentences=5, n_langs=3)
+            logits, labels, sizes, languages = random_batch(rng, n_sentences=5, n_langs=3)
             lang = int(rng.integers(0, 3))
             w, c = 1.5, 4.0
-            base = weighted_batch_loss(batch, LanguageWeights({lang: w}), MEAN).weighted_mean
-            scaled = weighted_batch_loss(batch, LanguageWeights({lang: c * w}), MEAN).weighted_mean
-            contrib = sum(
-                sentence_cross_entropy(s, MEAN) for s in batch if s.language == lang
-            ) / len(batch)
+            base = weighted_loss(logits, labels, sizes, languages, LanguageWeights({lang: w})).weighted_mean
+            scaled = weighted_loss(logits, labels, sizes, languages, LanguageWeights({lang: c * w})).weighted_mean
+            losses, _ = segment_nll(logits, labels, sizes)
+            contrib = sum(l for l, k in zip(losses, languages) if k == lang) / len(sizes)
             assert scaled - base == pytest.approx((c - 1) * w * contrib, abs=1e-12)
 
     def test_tracked_language_sets_applied_weight(self):
-        rng = np.random.default_rng(29)
-        batch = random_batch(rng, n_sentences=3, n_langs=2)
-        out = weighted_batch_loss(batch, LanguageWeights({1: 2.75}), MEAN, tracked_language=1)
-        assert out.applied_weight == 2.75
-        out = weighted_batch_loss(batch, LanguageWeights(), MEAN, tracked_language=1)
+        losses, languages = [0.5, 1.0, 2.0], [0, 1, 1]
+        out = combine_sentence_losses(losses, languages, LanguageWeights({1: 2.75}), tracked_language=1)
+        assert isinstance(out, BatchLoss) and out.applied_weight == 2.75
+        out = combine_sentence_losses(losses, languages, LanguageWeights(), tracked_language=1)
         assert out.applied_weight == 1.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            weighted_batch_loss([], LanguageWeights(), MEAN)
+            combine_sentence_losses([], [], LanguageWeights())
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -187,64 +180,104 @@ class TestWeightedBatchLoss:
             LanguageWeights({0: -1.0})
 
 
-def finite_difference_gradient(batch, weights, mode, h=1e-5):
-    """Central finite differences of weighted_batch_loss over every logit entry."""
-    grads = []
-    for j, sample in enumerate(batch):
-        g = np.zeros_like(sample.logits)
-        for idx in np.ndindex(sample.logits.shape):
-            def perturbed(delta, j=j, idx=idx):
-                rebuilt = []
-                for jj, s in enumerate(batch):
-                    logits = s.logits.copy()
-                    if jj == j:
-                        logits[idx] += delta
-                    rebuilt.append(SentenceSample(logits, s.labels, s.language))
-                return weighted_batch_loss(rebuilt, weights, mode).weighted_mean
-
-            g[idx] = (perturbed(h) - perturbed(-h)) / (2 * h)
-        grads.append(g)
-    return grads
+def finite_difference_gradient(logits, labels, sizes, languages, weights, h=1e-5):
+    """Central finite differences of the weighted batch mean over every logit entry."""
+    g = np.zeros_like(logits)
+    for idx in np.ndindex(logits.shape):
+        up, down = logits.copy(), logits.copy()
+        up[idx] += h
+        down[idx] -= h
+        g[idx] = (
+            weighted_loss(up, labels, sizes, languages, weights).weighted_mean
+            - weighted_loss(down, labels, sizes, languages, weights).weighted_mean
+        ) / (2 * h)
+    return g
 
 
-def max_relative_error(analytic, numeric):
-    err = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-        err = max(err, float((np.abs(a - n) / denom).max()))
-    return err
+def gradient(logits, labels, sizes, languages, weights):
+    _, probs = segment_nll(logits, labels, sizes)
+    return logit_gradient(probs, labels, sizes, languages, weights)
 
 
 class TestLossGradient:
     def test_confident_prediction_has_tiny_gradient(self):
-        logits = np.array([[30.0, 0.0, 0.0]])
-        sample = SentenceSample(logits, [0], language=0)
-        (g,) = loss_gradient([sample], LanguageWeights(), MEAN)
+        g = gradient(np.array([[30.0, 0.0, 0.0]]), np.array([0]), [1], [0], LanguageWeights())
         assert np.abs(g).max() < 1e-6
 
     def test_gradient_linear_in_weight(self):
         rng = np.random.default_rng(31)
-        batch = random_batch(rng, n_sentences=3, n_langs=2)
-        g1 = loss_gradient(batch, LanguageWeights({0: 1.5}), MEAN)
-        g2 = loss_gradient(batch, LanguageWeights({0: 3.0}), MEAN)
-        for a, b, s in zip(g1, g2, batch):
-            factor = 2.0 if s.language == 0 else 1.0
-            np.testing.assert_allclose(b, factor * a, rtol=0, atol=1e-15)
+        logits, labels, sizes, languages = random_batch(rng, n_sentences=3, n_langs=2)
+        g1 = gradient(logits, labels, sizes, languages, LanguageWeights({0: 1.5}))
+        g2 = gradient(logits, labels, sizes, languages, LanguageWeights({0: 3.0}))
+        factor = np.repeat([2.0 if k == 0 else 1.0 for k in languages], sizes)[:, None]
+        np.testing.assert_allclose(g2, factor * g1, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("mode", [SUM, MEAN])
-    def test_matches_finite_differences(self, mode):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(37)
         for _ in range(5):
-            batch = random_batch(rng, n_sentences=3, n_langs=2, max_t=8, max_v=10, with_ignore=True)
+            batch = random_batch(rng, n_sentences=3, n_langs=2, max_t=8, max_v=10)
             weights = LanguageWeights({0: float(rng.uniform(1, 5))})
-            analytic = loss_gradient(batch, weights, mode)
-            numeric = finite_difference_gradient(batch, weights, mode)
-            assert max_relative_error(analytic, numeric) < 1e-4
+            analytic = gradient(*batch, weights)
+            numeric = finite_difference_gradient(*batch, weights)
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+            assert float((np.abs(analytic - numeric) / denom).max()) < 1e-4
 
     def test_scored_rows_sum_to_zero(self):
         rng = np.random.default_rng(41)
-        batch = random_batch(rng, n_sentences=4, n_langs=2, with_ignore=True)
-        for g, s in zip(loss_gradient(batch, LanguageWeights({1: 2.0}), MEAN), batch):
-            scored = s.labels != IGNORE_LABEL
-            assert np.abs(g[scored].sum(axis=1)).max() < 1e-12
-            assert np.all(g[~scored] == 0.0)
+        g = gradient(*random_batch(rng, n_sentences=4, n_langs=2), LanguageWeights({1: 2.0}))
+        assert np.abs(g.sum(axis=1)).max() < 1e-12
+
+    def test_probs_left_unchanged(self):
+        rng = np.random.default_rng(43)
+        logits, labels, sizes, languages = random_batch(rng)
+        _, probs = segment_nll(logits, labels, sizes)
+        before = probs.copy()
+        logit_gradient(probs, labels, sizes, languages, LanguageWeights())
+        assert np.array_equal(probs, before)
+
+
+# ---------------------------------------------------------------------------
+# properties over random batches
+
+finite_logit = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def utterances(draw, max_utts=6):
+    """A list of (logits [F x V], labels [F], language) sharing one V."""
+    v = draw(st.integers(2, 8))
+    out = []
+    for _ in range(draw(st.integers(1, max_utts))):
+        f = draw(st.integers(1, 6))
+        logits = np.array(draw(st.lists(finite_logit, min_size=f * v, max_size=f * v))).reshape(f, v)
+        labels = np.array(draw(st.lists(st.integers(0, v - 1), min_size=f, max_size=f)))
+        out.append((logits, labels, draw(st.integers(0, 2))))
+    return out
+
+
+def stack(utts):
+    logits = np.concatenate([u[0] for u in utts])
+    labels = np.concatenate([u[1] for u in utts])
+    return logits, labels, [len(u[1]) for u in utts], [u[2] for u in utts]
+
+
+class TestKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(utts=utterances(), data=st.data())
+    def test_loss_independent_of_batch_and_order(self, utts, data):
+        order = data.draw(st.permutations(range(len(utts))))
+        batched, _ = segment_nll(*stack([utts[i] for i in order])[:3])
+        for pos, i in enumerate(order):
+            assert batched[pos] == nll(utts[i][0], utts[i][1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(utts=utterances(), weight=st.floats(1.0, 50.0))
+    def test_gradient_rows_sum_to_zero(self, utts, weight):
+        g = gradient(*stack(utts), LanguageWeights({0: weight}))
+        assert np.abs(g.sum(axis=1)).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(utts=utterances())
+    def test_losses_non_negative(self, utts):
+        losses, _ = segment_nll(*stack(utts)[:3])
+        assert np.all(losses >= 0.0)

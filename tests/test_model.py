@@ -2,18 +2,17 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import TINY
 from langwce import loss as loss_mod
-from langwce.loss import LanguageWeights, ReductionMode, SentenceSample
+from langwce.loss import LanguageWeights
 from langwce.model import (
-    AcousticModel,
     ModelConfig,
     TrainConfig,
-    batch_gradients,
     build_inputs,
     decode,
     forward,
@@ -198,15 +197,20 @@ class TestTrainStep:
         cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2,
                           weighting=Weighting(WeightMode.CONSTANT, constant=3.0))
         bl = train_step(m, batch, 1, cfg, low_lang=2)
-        samples = [
-            SentenceSample(forward(frozen, ex.features, ex.lang), ex.labels, ex.lang) for ex in batch
-        ]
-        ref = loss_mod.weighted_batch_loss(
-            samples, LanguageWeights({2: 3.0}), ReductionMode.MEAN_TOKENS, tracked_language=2
-        )
-        np.testing.assert_allclose(bl.per_sentence, ref.per_sentence, rtol=0, atol=1e-12)
-        assert bl.weighted_mean == pytest.approx(ref.weighted_mean, abs=1e-12)
-        assert bl.applied_weight == ref.applied_weight
+        # straight-line reference: per-frame log-softmax, mean over frames,
+        # weight 3 on language 2, divided by the batch size
+        per_sentence = []
+        for ex in batch:
+            logits = forward(frozen, ex.features, ex.lang)
+            frame_nll = [
+                math.log(sum(math.exp(z - max(row)) for z in row)) - (row[label] - max(row))
+                for row, label in zip(logits.tolist(), ex.labels)
+            ]
+            per_sentence.append(sum(frame_nll) / len(frame_nll))
+        weighted = sum((3.0 if ex.lang == 2 else 1.0) * l for ex, l in zip(batch, per_sentence)) / len(batch)
+        np.testing.assert_allclose(bl.per_sentence, per_sentence, rtol=0, atol=1e-12)
+        assert bl.weighted_mean == pytest.approx(weighted, abs=1e-12)
+        assert bl.applied_weight == 3.0
 
     @pytest.mark.parametrize("mode", sorted(WEIGHTINGS))
     def test_gradients_match_finite_differences(self, mode):
@@ -220,17 +224,17 @@ class TestTrainStep:
             assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_single_low_utterance_update_scales_with_weight(self):
-        # SGD update = lr * gradient, and the gradient is exactly linear in the
-        # language weight; power-of-two weights keep the scaling bit-exact
+        # the logit gradient train_step backpropagates is exactly linear in
+        # the language weight; power-of-two weights keep the scaling bit-exact
         rng = np.random.default_rng(31)
         ex = fake_example(rng, lang=2)
         base = init_model(TINY_MODEL, seed=11)
-        lr = 0.1
-        g1, _ = batch_gradients(base, [ex], LanguageWeights({2: 1.0}))
-        g2, _ = batch_gradients(base, [ex], LanguageWeights({2: 2.0}))
-        for name in g1:
-            assert np.array_equal(g2[name], 2.0 * g1[name])
-            assert np.array_equal(lr * g2[name], 2.0 * (lr * g1[name]))
+        sizes = [len(ex.labels)]
+        _, probs = loss_mod.segment_nll(forward(base, ex.features, ex.lang), ex.labels, sizes)
+        g1 = loss_mod.logit_gradient(probs, ex.labels, sizes, [2], LanguageWeights({2: 1.0}))
+        for w in (0.25, 2.0, 8.0):
+            g = loss_mod.logit_gradient(probs, ex.labels, sizes, [2], LanguageWeights({2: w}))
+            assert np.array_equal(g, w * g1)
 
     def test_divergence_raises(self):
         rng = np.random.default_rng(33)
@@ -370,10 +374,20 @@ class TestCheckpoint:
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)
-        m.W1[0, 0] = np.nan
         path = save_checkpoint(m, {}, tmp_path / "ckpt.json")
+        text, n = re.subn(r'("W1": \[\[)[^,\]]+', r"\1NaN", path.read_text(), count=1)
+        assert n == 1
+        path.write_text(text)
         with pytest.raises(DataFormatError, match=r"ckpt\.json.*W1 contains non-finite values"):
             load_checkpoint(path)
+
+    def test_non_finite_parameter_not_saved(self, tmp_path):
+        m = init_model(TINY_MODEL, seed=19)
+        m.b2[3] = np.inf
+        path = tmp_path / "run" / "ckpt.json"
+        with pytest.raises(ValueError, match=r"ckpt\.json: cannot save checkpoint: b2 contains non-finite values"):
+            save_checkpoint(m, {}, path)
+        assert not path.exists()
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langwce.schedule import (
     Branch,
@@ -177,3 +179,30 @@ class TestWeighting:
     def test_missing_schedule_rejected(self):
         with pytest.raises(ValueError):
             Weighting(WeightMode.LINEAR)
+
+
+class TestScheduleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 20.0),
+        cap_margin=st.floats(1e-6, 30.0),
+        avg_low=st.floats(0.0, 1e6),
+        avg_high=st.floats(0.0, 1e6),
+    )
+    def test_dynamic_weight_is_one_or_within_alpha_and_cap(self, alpha, cap_margin, avg_low, avg_high):
+        s = DynamicSchedule(alpha=alpha, weight_cap=alpha + cap_margin)
+        w = dynamic_weight(s, avg_low, avg_high).value
+        assert w == 1.0 or s.alpha <= w <= s.weight_cap
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha_ini=st.floats(1.0, 20.0),
+        rise=st.floats(0.0, 20.0),
+        t_min=st.integers(0, 10_000),
+        span=st.integers(1, 10_000),
+        data=st.data(),
+    )
+    def test_linear_weight_non_decreasing_on_ramp(self, alpha_ini, rise, t_min, span, data):
+        s = LinearSchedule(alpha_ini=alpha_ini, alpha_fin=alpha_ini + rise, t_min=t_min, t_total=t_min + span)
+        t = data.draw(st.integers(t_min, s.t_total - 1))
+        assert linear_weight(s, t).value <= linear_weight(s, t + 1).value

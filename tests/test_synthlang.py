@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import dominant_frequency
+from helpers import dominant_frequency, goertzel_power
 
 from conftest import TINY
 from langwce.audio import AudioClip
@@ -18,7 +18,6 @@ from langwce.synthlang import (
     featurize,
     frame_labels,
     generate_corpus,
-    goertzel_power,
     load_examples,
     make_languages,
     planned_counts,
