@@ -258,7 +258,6 @@ def augment_dataset(
     manifest_in: str | Path,
     out_dir: str | Path,
     spec: AugmentSpec,
-    seed: int | None = None,
     languages: set[str] | None = None,
     splits: set[str] | None = None,
     multiplier: int = 1,
@@ -268,13 +267,12 @@ def augment_dataset(
     Selection is by language and split (None means no filtering on that axis).
     The output manifest lists every original entry (paths re-relativized to
     out_dir) followed by the augmented entries. Each file's seed is derived
-    from (seed, entry id), so reruns are byte-identical regardless of order.
+    from (spec.seed, entry id), so reruns are byte-identical regardless of order.
     Unreadable inputs are recorded as failures and skipped.
     """
     manifest_in = Path(manifest_in)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = spec.seed if seed is None else seed
     entries = read_manifest(manifest_in)
 
     out_entries = []
@@ -298,7 +296,7 @@ def augment_dataset(
             continue
         for copy in range(1, multiplier + 1):
             aug_id = f"{e.id}-aug{copy}"
-            out = augment_clip(clip, spec, derive_seed(base_seed, aug_id))
+            out = augment_clip(clip, spec, derive_seed(spec.seed, aug_id))
             wav_rel = Path(e.split) / e.lang / f"{aug_id}.wav"
             write_wav(out_dir / wav_rel, out)
             augmented.append(

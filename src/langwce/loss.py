@@ -4,50 +4,35 @@ A batch is one [N x V] frame-logit matrix with N frame labels, cut into
 consecutive utterance segments of ``sizes[j]`` frames each; there is no
 padding. An utterance's loss is the mean over its frames of the negative
 log-likelihood of the true label. The batch loss is the mean over utterances
-of each utterance loss scaled by the weight of its language (unlisted
-languages weigh 1), so with all weights at 1 it reduces to the plain batch
-mean, and its gradient w.r.t. frame f of utterance j is
+of each utterance loss scaled by its weight ``utt_weights[j]`` (the step
+weight w_t for a low-resource utterance, 1 for any other), so with all
+weights at 1 it reduces to the plain batch mean, and its gradient w.r.t.
+frame f of utterance j is
 
-    w(lang_j) / (B * F_j) * (softmax(logits_f) - onehot(label_f)).
+    utt_weights[j] / (B * F_j) * (softmax(logits_f) - onehot(label_f)).
 
-``model`` computes every loss and gradient through ``segment_nll`` and
-``logit_gradient``. Everything here is double precision and
-hand-differentiated; there is no autodiff framework underneath.
+``model`` computes every loss and gradient through ``segment_nll``,
+``combine_sentence_losses`` and ``logit_gradient``. Everything here is double
+precision and hand-differentiated; there is no autodiff framework underneath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LanguageWeights:
-    """Positive per-language loss weights; languages not listed default to 1."""
-
-    weights: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for lang, w in self.weights.items():
-            if not (np.isfinite(w) and w > 0):
-                raise ValueError(f"weight for language {lang} must be positive and finite, got {w}")
-
-    def get(self, language: int) -> float:
-        return float(self.weights.get(language, 1.0))
 
 
 @dataclass
 class BatchLoss:
     """Unweighted per-sentence losses plus the weighted batch mean.
 
-    ``applied_weight`` records the weight in force for the tracked (low-resource)
-    language this step; 1.0 when no language is tracked.
+    ``applied_weight`` is the step weight on the low-resource language; 1.0
+    when the batch holds none of its utterances.
     """
 
     per_sentence: list[float]
-    per_language_avg: dict[int, float]
     weighted_mean: float
     applied_weight: float = 1.0
 
@@ -79,18 +64,17 @@ def logit_gradient(
     probs: np.ndarray,
     labels: np.ndarray,
     sizes: Sequence[int] | np.ndarray,
-    languages: Sequence[int],
-    weights: LanguageWeights,
+    utt_weights: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """Gradient of the weighted batch mean w.r.t. the frame logits.
 
-    Row f of utterance j is w(lang_j) / (B * F_j) * (probs[f] - onehot(labels[f])),
+    Row f of utterance j is utt_weights[j] / (B * F_j) * (probs[f] - onehot(labels[f])),
     with ``probs`` as returned by ``segment_nll``, which is left unchanged.
     """
     sizes = np.asarray(sizes)
     grad = probs.copy()
     grad[np.arange(len(labels)), labels] -= 1.0
-    scale = np.array([weights.get(k) for k in languages]) / (len(sizes) * sizes)
+    scale = np.asarray(utt_weights) / (len(sizes) * sizes)
     grad *= np.repeat(scale, sizes)[:, None]
     return grad
 
@@ -107,24 +91,14 @@ def per_language_average(pairs: Iterable[tuple[int, float]]) -> dict[int, float]
     return {lang: sums[lang] / counts[lang] for lang in sums}
 
 
-def combine_sentence_losses(
-    per_sentence: Sequence[float],
-    languages: Sequence[int],
-    weights: LanguageWeights,
-    tracked_language: int | None = None,
-) -> BatchLoss:
-    """Assemble a BatchLoss from already-computed per-sentence losses.
+def combine_sentence_losses(per_sentence: Sequence[float], utt_weights: Sequence[float] | np.ndarray) -> float:
+    """Weighted batch mean of already-computed per-sentence losses.
 
-    The weighted mean divides by the batch size, not the weight sum.
+    It divides by the batch size, not the weight sum.
     """
     if len(per_sentence) == 0:
         raise ValueError("empty batch")
-    if len(per_sentence) != len(languages):
-        raise ValueError("per_sentence and languages length mismatch")
-    weighted = sum(weights.get(k) * l for k, l in zip(languages, per_sentence))
-    return BatchLoss(
-        per_sentence=[float(l) for l in per_sentence],
-        per_language_avg=per_language_average(zip(languages, per_sentence)),
-        weighted_mean=float(weighted) / len(per_sentence),
-        applied_weight=1.0 if tracked_language is None else weights.get(tracked_language),
-    )
+    if len(per_sentence) != len(utt_weights):
+        raise ValueError("per_sentence and utt_weights length mismatch")
+    weighted = sum(w * l for w, l in zip(utt_weights, per_sentence))
+    return float(weighted) / len(per_sentence)

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import loss as loss_mod
-from .loss import BatchLoss, LanguageWeights
-from .schedule import Weighting
+from .loss import BatchLoss
+from .schedule import WeightMode, Weighting
 from .synthlang import FrameExample, LanguageSpec, load_corpus_meta, load_examples
 from .util import DataFormatError, DivergenceError, derive_seed
 
@@ -93,12 +93,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.total_steps < self.eval_every:
             raise ValueError("total_steps must be >= eval_every")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 so a batch can mix languages")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        w = self.weighting
+        if w.mode is WeightMode.LINEAR and w.linear.t_total < self.total_steps:
+            raise ValueError(
+                f"the linear schedule ends at t_total={w.linear.t_total}, before total_steps={self.total_steps}"
+            )
 
 
 def init_model(config: ModelConfig, seed: int) -> AcousticModel:
@@ -146,42 +153,6 @@ def forward(model: AcousticModel, features: np.ndarray, language: int) -> np.nda
     return hidden @ model.W2 + model.b2
 
 
-@dataclass
-class _BatchForward:
-    x_all: np.ndarray
-    sizes: np.ndarray
-    langs: list[int]
-    hidden: np.ndarray
-    probs: np.ndarray
-    labels_all: np.ndarray
-    per_sentence: np.ndarray
-
-
-def _forward_batch(model: AcousticModel, batch: list[FrameExample]) -> _BatchForward:
-    if not batch:
-        raise ValueError("empty batch")
-    xs = [build_inputs(model.config, ex.features, ex.lang) for ex in batch]
-    sizes = np.array([len(x) for x in xs])
-    x_all = np.concatenate(xs, axis=0)
-    labels_all = np.concatenate([ex.labels for ex in batch])
-    hidden = np.tanh(x_all @ model.W1 + model.b1)
-    logits = hidden @ model.W2 + model.b2
-    per_sentence, probs = loss_mod.segment_nll(logits, labels_all, sizes)
-    return _BatchForward(x_all, sizes, [ex.lang for ex in batch], hidden, probs, labels_all, per_sentence)
-
-
-def _gradients_from_forward(model: AcousticModel, fwd: _BatchForward, weights: LanguageWeights) -> dict[str, np.ndarray]:
-    dlogits = loss_mod.logit_gradient(fwd.probs, fwd.labels_all, fwd.sizes, fwd.langs, weights)
-    d_hidden = dlogits @ model.W2.T
-    d_z = d_hidden * (1.0 - fwd.hidden**2)
-    return {
-        "W1": fwd.x_all.T @ d_z,
-        "b1": d_z.sum(axis=0),
-        "W2": fwd.hidden.T @ dlogits,
-        "b2": dlogits.sum(axis=0),
-    }
-
-
 def train_step(
     model: AcousticModel,
     batch: list[FrameExample],
@@ -193,8 +164,9 @@ def train_step(
 
     When the batch contains the low-resource language the scheduler is
     consulted for the step weight (the dynamic scheduler sees this batch's
-    unweighted language averages, treated as constants); otherwise weighting
-    is a no-op and the recorded applied weight is 1.
+    unweighted language averages, treated as constants), and each
+    low-resource utterance's loss is scaled by it; otherwise weighting is a
+    no-op and the recorded applied weight is 1.
 
     Raises ``DivergenceError`` on a non-finite loss, on an unweighted mean
     utterance loss above ``LOSS_EXPLOSION_FACTOR * ln(n_symbols)``, or when the
@@ -202,8 +174,16 @@ def train_step(
     the scheduler sees them. In every case the model is left as it was before
     the failing step.
     """
-    fwd = _forward_batch(model, batch)
-    mean_loss = float(fwd.per_sentence.mean())
+    if not batch:
+        raise ValueError("empty batch")
+    xs = [build_inputs(model.config, ex.features, ex.lang) for ex in batch]
+    sizes = np.array([len(x) for x in xs])
+    x_all = np.concatenate(xs, axis=0)
+    labels = np.concatenate([ex.labels for ex in batch])
+    hidden = np.tanh(x_all @ model.W1 + model.b1)
+    per_sentence, probs = loss_mod.segment_nll(hidden @ model.W2 + model.b2, labels, sizes)
+
+    mean_loss = float(per_sentence.mean())
     if not math.isfinite(mean_loss):
         raise DivergenceError(f"step {t}: non-finite loss: unweighted mean utterance loss {mean_loss} (must be finite)")
     n_symbols = model.config.n_symbols
@@ -214,22 +194,24 @@ def train_step(
             f"the bound {bound:.6g} = {LOSS_EXPLOSION_FACTOR:g} * ln({n_symbols})"
         )
 
-    if low_lang in fwd.langs:
-        low_losses = fwd.per_sentence[[k == low_lang for k in fwd.langs]]
-        high_losses = fwd.per_sentence[[k != low_lang for k in fwd.langs]]
+    is_low = np.array([ex.lang == low_lang for ex in batch])
+    utt_weights = np.ones(len(batch))
+    applied_weight = 1.0
+    if is_low.any():
+        high_losses = per_sentence[~is_low]
         avg_high = float(high_losses.mean()) if len(high_losses) else 0.0
-        decision = config.weighting.decide(t, avg_low=float(low_losses.mean()), avg_high=avg_high)
-        weights = LanguageWeights({low_lang: decision.value})
-    else:
-        weights = LanguageWeights()
+        decision = config.weighting.decide(t, avg_low=float(per_sentence[is_low].mean()), avg_high=avg_high)
+        applied_weight = float(decision.value)
+        utt_weights[is_low] = applied_weight
 
-    batch_loss = loss_mod.combine_sentence_losses(
-        fwd.per_sentence.tolist(), fwd.langs, weights, tracked_language=low_lang
-    )
-    if not math.isfinite(batch_loss.weighted_mean):
-        raise DivergenceError(f"step {t}: non-finite loss: weighted batch loss {batch_loss.weighted_mean} (must be finite)")
+    losses = per_sentence.tolist()
+    weighted_mean = loss_mod.combine_sentence_losses(losses, utt_weights)
+    if not math.isfinite(weighted_mean):
+        raise DivergenceError(f"step {t}: non-finite loss: weighted batch loss {weighted_mean} (must be finite)")
 
-    grads = _gradients_from_forward(model, fwd, weights)
+    dlogits = loss_mod.logit_gradient(probs, labels, sizes, utt_weights)
+    d_z = (dlogits @ model.W2.T) * (1.0 - hidden**2)
+    grads = {"W1": x_all.T @ d_z, "b1": d_z.sum(axis=0), "W2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
     lr = config.learning_rate
     updated = {name: getattr(model, name) - lr * grad for name, grad in grads.items()}
     for name, value in updated.items():
@@ -241,7 +223,7 @@ def train_step(
             )
     for name, value in updated.items():
         getattr(model, name)[...] = value
-    return batch_loss
+    return BatchLoss(losses, weighted_mean, applied_weight)
 
 
 def utterance_loss(model: AcousticModel, example: FrameExample) -> float:
@@ -259,14 +241,17 @@ def validation_losses(model: AcousticModel, examples: list[FrameExample]) -> dic
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
     """Majority-vote transcription assuming the clean 10-frames-per-symbol geometry.
 
+    Raises ``ValueError`` unless the frame count is a positive multiple of
+    ``FRAMES_PER_SYMBOL``: other counts (time-stretched audio, say) break the
+    geometry, and guessing the symbol count would insert or drop symbols.
     Ties within a block resolve to the lowest symbol index.
     """
     from .synthlang import SYMBOLS
 
     n_frames = np.asarray(features).shape[0]
-    if n_frames < FRAMES_PER_SYMBOL:
-        raise ValueError(f"too few frames to decode: {n_frames} < {FRAMES_PER_SYMBOL}")
-    n_symbols = max(1, round(n_frames / FRAMES_PER_SYMBOL))
+    if n_frames < FRAMES_PER_SYMBOL or n_frames % FRAMES_PER_SYMBOL:
+        raise ValueError(f"cannot decode {n_frames} frames: need a positive multiple of {FRAMES_PER_SYMBOL}")
+    n_symbols = n_frames // FRAMES_PER_SYMBOL
     frame_syms = forward(model, features, language).argmax(axis=1)
     out = []
     for j in range(n_symbols):

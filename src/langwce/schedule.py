@@ -3,14 +3,18 @@
 Three strategies produce the step weight w_t applied to low-resource
 sentences in the weighted batch loss:
 
-* constant: w_t = w for every step (w = 1 recovers unweighted training);
+* constant: w_t = w >= 1 for every step (w = 1, the default, recovers
+  unweighted training);
 * linear progressive: w_t = 1 before ``t_min``, then a linear ramp from
   ``alpha_ini`` at ``t_min`` to ``alpha_fin`` at ``t_total``;
 * dynamic loss-ratio: w_t follows the ratio r of the low-resource average
   batch loss to the high-resource average, thresholded at 1 when r * alpha < 1
   and floored at alpha otherwise, with a configurable safety cap.
 
-Schedules are immutable values and weight computation is pure.
+``Weighting`` bundles the chosen strategy with its parameters and checks them
+when it is built. Schedules are immutable values and weight computation is
+pure; ``model.train_step`` spreads the step weight over the batch's
+low-resource utterances.
 """
 
 from __future__ import annotations
@@ -104,15 +108,7 @@ def dynamic_weight(s: DynamicSchedule, avg_low: float, avg_high: float) -> Weigh
     return WeightDecision(s.alpha, Branch.ALPHA_FLOOR)
 
 
-def constant_weight(w: float) -> WeightDecision:
-    """Fixed weight, the baseline scheduler; w = 1 means unweighted training."""
-    if not (math.isfinite(w) and w >= 1):
-        raise ValueError(f"constant weight must be >= 1, got {w}")
-    return WeightDecision(float(w), Branch.CONSTANT)
-
-
 class WeightMode(Enum):
-    NONE = "none"
     CONSTANT = "constant"
     LINEAR = "linear"
     DYNAMIC = "dynamic"
@@ -120,14 +116,19 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True)
 class Weighting:
-    """Weighting strategy for a training run; bundles the mode with its parameters."""
+    """Weighting strategy for a training run; bundles the mode with its parameters.
 
-    mode: WeightMode = WeightMode.NONE
+    The default, CONSTANT with weight 1, is unweighted training.
+    """
+
+    mode: WeightMode = WeightMode.CONSTANT
     constant: float = 1.0
     linear: LinearSchedule | None = None
     dynamic: DynamicSchedule | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.constant) and self.constant >= 1):
+            raise ValueError(f"constant weight must be >= 1, got {self.constant}")
         if self.mode is WeightMode.LINEAR and self.linear is None:
             raise ValueError("LINEAR weighting requires a LinearSchedule")
         if self.mode is WeightMode.DYNAMIC and self.dynamic is None:
@@ -135,45 +136,10 @@ class Weighting:
 
     def decide(self, t: int, avg_low: float | None = None, avg_high: float | None = None) -> WeightDecision:
         """Weight for step t. DYNAMIC requires the current batch's language averages."""
-        if self.mode is WeightMode.NONE:
-            return WeightDecision(1.0, Branch.CONSTANT)
         if self.mode is WeightMode.CONSTANT:
-            return constant_weight(self.constant)
+            return WeightDecision(float(self.constant), Branch.CONSTANT)
         if self.mode is WeightMode.LINEAR:
             return linear_weight(self.linear, t)
         if avg_low is None or avg_high is None:
             raise ValueError("DYNAMIC weighting needs avg_low and avg_high for the batch")
         return dynamic_weight(self.dynamic, avg_low, avg_high)
-
-    def to_dict(self) -> dict:
-        out: dict = {"mode": self.mode.value}
-        if self.mode is WeightMode.CONSTANT:
-            out["constant"] = self.constant
-        elif self.mode is WeightMode.LINEAR:
-            s = self.linear
-            out.update(alpha_ini=s.alpha_ini, alpha_fin=s.alpha_fin, t_min=s.t_min, t_total=s.t_total)
-        elif self.mode is WeightMode.DYNAMIC:
-            out.update(alpha=self.dynamic.alpha, weight_cap=self.dynamic.weight_cap)
-        return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "Weighting":
-        mode = WeightMode(d["mode"])
-        if mode is WeightMode.CONSTANT:
-            return Weighting(mode, constant=float(d.get("constant", 1.0)))
-        if mode is WeightMode.LINEAR:
-            return Weighting(
-                mode,
-                linear=LinearSchedule(
-                    alpha_ini=float(d["alpha_ini"]),
-                    alpha_fin=float(d["alpha_fin"]),
-                    t_min=int(d["t_min"]),
-                    t_total=int(d["t_total"]),
-                ),
-            )
-        if mode is WeightMode.DYNAMIC:
-            return Weighting(
-                mode,
-                dynamic=DynamicSchedule(alpha=float(d["alpha"]), weight_cap=float(d.get("weight_cap", 10.0))),
-            )
-        return Weighting(mode)

@@ -267,7 +267,7 @@ class TestAugmentDataset:
     def test_doubles_selected_entries(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
         result = augment_dataset(
-            manifest, tmp_path / "aug", AugmentSpec(), seed=5, languages={"L0"}, splits={"finetune"}
+            manifest, tmp_path / "aug", AugmentSpec(seed=5), languages={"L0"}, splits={"finetune"}
         )
         assert result.n_originals == 4
         assert result.n_augmented == 2
@@ -282,7 +282,7 @@ class TestAugmentDataset:
 
     def test_empty_selection_keeps_manifest_content(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
-        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(), seed=5, languages={"ZZ"})
+        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=5), languages={"ZZ"})
         entries = read_manifest(result.manifest_path)
         originals = read_manifest(manifest)
         assert [e.id for e in entries] == [e.id for e in originals]
@@ -292,11 +292,11 @@ class TestAugmentDataset:
 
     def test_rerun_is_byte_identical_and_order_independent(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
-        r1 = augment_dataset(manifest, tmp_path / "a", AugmentSpec(), seed=9, languages={"L0"})
+        r1 = augment_dataset(manifest, tmp_path / "a", AugmentSpec(seed=9), languages={"L0"})
         # rewrite the manifest with lines reversed, then rerun with the same seed
         shuffled = read_manifest(manifest)[::-1]
         manifest2 = write_manifest(tmp_path / "corpus" / "manifest.jsonl", shuffled)
-        r2 = augment_dataset(manifest2, tmp_path / "b", AugmentSpec(), seed=9, languages={"L0"})
+        r2 = augment_dataset(manifest2, tmp_path / "b", AugmentSpec(seed=9), languages={"L0"})
         for e in read_manifest(r1.manifest_path):
             if e.augmented:
                 a = resolve_wav(r1.manifest_path, e).read_bytes()
@@ -308,13 +308,13 @@ class TestAugmentDataset:
         entries = read_manifest(manifest)
         entries.append(ManifestEntry(id="ghost", lang="L0", text="A", wav="finetune/L0/ghost.wav", split="finetune"))
         write_manifest(manifest, entries)
-        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(), seed=1, languages={"L0"})
+        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=1), languages={"L0"})
         assert [f[0] for f in result.failures] == ["ghost"]
         assert result.n_augmented == 3
 
     def test_multiplier(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT[:1])
-        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(), seed=2, multiplier=3)
+        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=3)
         assert result.n_augmented == 3
         assert {e.id for e in read_manifest(result.manifest_path) if e.augmented} == {
             "ft-L0-0-aug1",

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langwce.loss import (
-    BatchLoss,
-    LanguageWeights,
     combine_sentence_losses,
     logit_gradient,
     per_language_average,
@@ -35,9 +33,14 @@ def random_batch(rng, n_sentences=4, n_langs=2, max_t=8, max_v=10):
     return logits, labels, sizes, languages
 
 
+def utt_weights(languages, weights):
+    """Per-utterance weights from a {language: weight} map; unlisted languages weigh 1."""
+    return np.array([weights.get(k, 1.0) for k in languages])
+
+
 def weighted_loss(logits, labels, sizes, languages, weights):
     losses, _ = segment_nll(logits, labels, sizes)
-    return combine_sentence_losses(losses.tolist(), languages, weights)
+    return combine_sentence_losses(losses.tolist(), utt_weights(languages, weights))
 
 
 class TestLogSoftmax:
@@ -121,34 +124,26 @@ class TestWeightedBatchLoss:
         rng = np.random.default_rng(13)
         for _ in range(100):
             batch = random_batch(rng, n_sentences=int(rng.integers(1, 7)), n_langs=3)
-            out = weighted_loss(*batch, LanguageWeights())
-            assert abs(out.weighted_mean - np.mean(out.per_sentence)) < 1e-12
+            losses, _ = segment_nll(*batch[:3])
+            assert abs(weighted_loss(*batch, {}) - np.mean(losses)) < 1e-12
 
     def test_single_sentence_weight_three(self):
         # two-way logits [ln p, ln(1-p)] with p = e^-0.5 give loss exactly 0.5
         p = math.exp(-0.5)
         logits = np.array([[math.log(p), math.log(1 - p)]])
-        out = weighted_loss(logits, np.array([0]), [1], [4], LanguageWeights({4: 3.0}))
-        assert out.weighted_mean == pytest.approx(1.5, abs=1e-12)
-        assert out.per_sentence[0] == pytest.approx(0.5, abs=1e-12)
+        assert weighted_loss(logits, np.array([0]), [1], [4], {4: 3.0}) == pytest.approx(1.5, abs=1e-12)
+        assert nll(logits, [0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_accumulation_oracle(self):
         rng = np.random.default_rng(17)
-        weights = LanguageWeights({0: 2.5, 1: 1.25})
+        weights = {0: 2.5, 1: 1.25}
         logits, labels, sizes, languages = random_batch(rng, n_sentences=4, n_langs=2)
         out = weighted_loss(logits, labels, sizes, languages, weights)
         acc, start = 0.0, 0
         for size, lang in zip(sizes, languages):
-            acc += weights.get(lang) * nll(logits[start : start + size], labels[start : start + size]) / len(sizes)
+            acc += weights[lang] * nll(logits[start : start + size], labels[start : start + size]) / len(sizes)
             start += size
-        assert out.weighted_mean == pytest.approx(acc, abs=1e-12)
-
-    def test_per_language_avg_is_unweighted(self):
-        rng = np.random.default_rng(19)
-        logits, labels, sizes, languages = random_batch(rng, n_sentences=6, n_langs=2)
-        out = weighted_loss(logits, labels, sizes, languages, LanguageWeights({0: 9.0}))
-        losses, _ = segment_nll(logits, labels, sizes)
-        assert out.per_language_avg == pytest.approx(per_language_average(zip(languages, losses)))
+        assert out == pytest.approx(acc, abs=1e-12)
 
     def test_linear_in_each_language_weight(self):
         rng = np.random.default_rng(23)
@@ -156,28 +151,15 @@ class TestWeightedBatchLoss:
             logits, labels, sizes, languages = random_batch(rng, n_sentences=5, n_langs=3)
             lang = int(rng.integers(0, 3))
             w, c = 1.5, 4.0
-            base = weighted_loss(logits, labels, sizes, languages, LanguageWeights({lang: w})).weighted_mean
-            scaled = weighted_loss(logits, labels, sizes, languages, LanguageWeights({lang: c * w})).weighted_mean
+            base = weighted_loss(logits, labels, sizes, languages, {lang: w})
+            scaled = weighted_loss(logits, labels, sizes, languages, {lang: c * w})
             losses, _ = segment_nll(logits, labels, sizes)
             contrib = sum(l for l, k in zip(losses, languages) if k == lang) / len(sizes)
             assert scaled - base == pytest.approx((c - 1) * w * contrib, abs=1e-12)
 
-    def test_tracked_language_sets_applied_weight(self):
-        losses, languages = [0.5, 1.0, 2.0], [0, 1, 1]
-        out = combine_sentence_losses(losses, languages, LanguageWeights({1: 2.75}), tracked_language=1)
-        assert isinstance(out, BatchLoss) and out.applied_weight == 2.75
-        out = combine_sentence_losses(losses, languages, LanguageWeights(), tracked_language=1)
-        assert out.applied_weight == 1.0
-
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            combine_sentence_losses([], [], LanguageWeights())
-
-    def test_non_positive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LanguageWeights({0: 0.0})
-        with pytest.raises(ValueError):
-            LanguageWeights({0: -1.0})
+            combine_sentence_losses([], [])
 
 
 def finite_difference_gradient(logits, labels, sizes, languages, weights, h=1e-5):
@@ -188,27 +170,26 @@ def finite_difference_gradient(logits, labels, sizes, languages, weights, h=1e-5
         up[idx] += h
         down[idx] -= h
         g[idx] = (
-            weighted_loss(up, labels, sizes, languages, weights).weighted_mean
-            - weighted_loss(down, labels, sizes, languages, weights).weighted_mean
+            weighted_loss(up, labels, sizes, languages, weights) - weighted_loss(down, labels, sizes, languages, weights)
         ) / (2 * h)
     return g
 
 
 def gradient(logits, labels, sizes, languages, weights):
     _, probs = segment_nll(logits, labels, sizes)
-    return logit_gradient(probs, labels, sizes, languages, weights)
+    return logit_gradient(probs, labels, sizes, utt_weights(languages, weights))
 
 
 class TestLossGradient:
     def test_confident_prediction_has_tiny_gradient(self):
-        g = gradient(np.array([[30.0, 0.0, 0.0]]), np.array([0]), [1], [0], LanguageWeights())
+        g = gradient(np.array([[30.0, 0.0, 0.0]]), np.array([0]), [1], [0], {})
         assert np.abs(g).max() < 1e-6
 
     def test_gradient_linear_in_weight(self):
         rng = np.random.default_rng(31)
         logits, labels, sizes, languages = random_batch(rng, n_sentences=3, n_langs=2)
-        g1 = gradient(logits, labels, sizes, languages, LanguageWeights({0: 1.5}))
-        g2 = gradient(logits, labels, sizes, languages, LanguageWeights({0: 3.0}))
+        g1 = gradient(logits, labels, sizes, languages, {0: 1.5})
+        g2 = gradient(logits, labels, sizes, languages, {0: 3.0})
         factor = np.repeat([2.0 if k == 0 else 1.0 for k in languages], sizes)[:, None]
         np.testing.assert_allclose(g2, factor * g1, rtol=0, atol=1e-15)
 
@@ -216,7 +197,7 @@ class TestLossGradient:
         rng = np.random.default_rng(37)
         for _ in range(5):
             batch = random_batch(rng, n_sentences=3, n_langs=2, max_t=8, max_v=10)
-            weights = LanguageWeights({0: float(rng.uniform(1, 5))})
+            weights = {0: float(rng.uniform(1, 5))}
             analytic = gradient(*batch, weights)
             numeric = finite_difference_gradient(*batch, weights)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
@@ -224,7 +205,7 @@ class TestLossGradient:
 
     def test_scored_rows_sum_to_zero(self):
         rng = np.random.default_rng(41)
-        g = gradient(*random_batch(rng, n_sentences=4, n_langs=2), LanguageWeights({1: 2.0}))
+        g = gradient(*random_batch(rng, n_sentences=4, n_langs=2), {1: 2.0})
         assert np.abs(g.sum(axis=1)).max() < 1e-12
 
     def test_probs_left_unchanged(self):
@@ -232,7 +213,7 @@ class TestLossGradient:
         logits, labels, sizes, languages = random_batch(rng)
         _, probs = segment_nll(logits, labels, sizes)
         before = probs.copy()
-        logit_gradient(probs, labels, sizes, languages, LanguageWeights())
+        logit_gradient(probs, labels, sizes, np.ones(len(sizes)))
         assert np.array_equal(probs, before)
 
 
@@ -273,7 +254,7 @@ class TestKernelProperties:
     @settings(max_examples=200, deadline=None)
     @given(utts=utterances(), weight=st.floats(1.0, 50.0))
     def test_gradient_rows_sum_to_zero(self, utts, weight):
-        g = gradient(*stack(utts), LanguageWeights({0: weight}))
+        g = gradient(*stack(utts), {0: weight})
         assert np.abs(g.sum(axis=1)).max() <= 1e-12
 
     @settings(max_examples=200, deadline=None)

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langwce.metrics import (
     EditCounts,
@@ -79,6 +81,33 @@ class TestEditDistance:
             a = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
             b = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
             assert edit_distance(a, b).total == edit_distance(b, a).total
+
+
+tokens = st.text(alphabet="ABX", max_size=8)
+non_empty = st.text(alphabet="ABX", min_size=1, max_size=8)
+
+
+class TestEditDistanceProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(a=non_empty, b=non_empty)
+    def test_total_symmetric(self, a, b):
+        assert edit_distance(a, b).total == edit_distance(b, a).total
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref=non_empty, hyp=tokens)
+    def test_total_bounded_by_lengths(self, ref, hyp):
+        assert abs(len(ref) - len(hyp)) <= edit_distance(ref, hyp).total <= max(len(ref), len(hyp))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref=non_empty, hyp=tokens)
+    def test_zero_exactly_when_equal(self, ref, hyp):
+        assert (edit_distance(ref, hyp).total == 0) == (ref == hyp)
+        assert edit_distance(ref, ref).total == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=non_empty, b=non_empty, c=tokens)
+    def test_triangle_inequality(self, a, b, c):
+        assert edit_distance(a, c).total <= edit_distance(a, b).total + edit_distance(b, c).total
 
 
 class TestWer:

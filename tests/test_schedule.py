@@ -10,8 +10,8 @@ from langwce.schedule import (
     DynamicSchedule,
     LinearSchedule,
     WeightMode,
+    WeightDecision,
     Weighting,
-    constant_weight,
     dynamic_weight,
     linear_weight,
 )
@@ -136,26 +136,30 @@ class TestDynamicWeight:
             DynamicSchedule(alpha=2.0, weight_cap=2.0)
 
 
+def constant(w):
+    return Weighting(WeightMode.CONSTANT, constant=w)
+
+
 class TestConstantWeight:
     def test_one_is_unweighted(self):
-        assert constant_weight(1.0).value == 1.0
+        assert constant(1.0).decide(1).value == 1.0
 
     def test_any_step_same_value(self):
-        assert constant_weight(5.0).value == 5.0
+        assert constant(5.0).decide(7).value == 5.0
 
     def test_identical_across_steps(self):
-        decisions = {constant_weight(2.5) for _ in range(8000)}
-        assert decisions == {constant_weight(2.5)}
+        w = constant(2.5)
+        assert {w.decide(t) for t in range(8000)} == {WeightDecision(2.5, Branch.CONSTANT)}
 
     def test_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            constant_weight(0.99)
+        for w in (0.99, 0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="constant weight must be >= 1"):
+                constant(w)
 
 
 class TestWeighting:
-    def test_none_mode_is_unit(self):
-        d = Weighting(WeightMode.NONE).decide(123)
-        assert d.value == 1.0
+    def test_default_is_unit(self):
+        assert Weighting().decide(123) == WeightDecision(1.0, Branch.CONSTANT)
 
     def test_linear_mode_dispatch(self):
         w = Weighting(WeightMode.LINEAR, linear=PLAIN)
@@ -166,15 +170,6 @@ class TestWeighting:
         with pytest.raises(ValueError):
             w.decide(1)
         assert w.decide(1, avg_low=2.0, avg_high=1.0).value == 2.0
-
-    def test_round_trip_serialization(self):
-        for w in [
-            Weighting(WeightMode.NONE),
-            Weighting(WeightMode.CONSTANT, constant=2.0),
-            Weighting(WeightMode.LINEAR, linear=AUGMENTED),
-            Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5, weight_cap=8.0)),
-        ]:
-            assert Weighting.from_dict(w.to_dict()) == w
 
     def test_missing_schedule_rejected(self):
         with pytest.raises(ValueError):
