@@ -256,8 +256,8 @@ def write_tables(tables: ResultTables, out_dir: str | Path, baseline: str) -> di
 def report(
     runs_dir: str | Path,
     out_dir: str | Path,
+    low_lang: str,
     baseline: str = "WS-FT",
-    low_lang: str | None = None,
     run_order: Sequence[str] | None = None,
     pretrain_run: str | None = "WS",
 ) -> dict[str, Path]:
@@ -269,17 +269,6 @@ def report(
             run_wers[run_dir.name] = collect_run_wers(run_dir)
     if not run_wers:
         raise DataFormatError(f"{runs_dir}: no run directories with evaluations")
-    if low_lang is None:
-        low_lang = _low_lang_from_configs(runs_dir)
     tables = build_tables(run_wers, low_lang=low_lang, baseline=baseline, run_order=run_order, pretrain_run=pretrain_run)
     return write_tables(tables, out_dir, baseline)
 
-
-def _low_lang_from_configs(runs_dir: Path) -> str:
-    import json
-
-    for cfg_path in sorted(runs_dir.glob("*/config.json")):
-        cfg = json.loads(cfg_path.read_text())
-        if "low_lang" in cfg:
-            return str(cfg["low_lang"])
-    raise DataFormatError(f"{runs_dir}: cannot determine the low-resource language (no config.json with low_lang)")

@@ -5,6 +5,13 @@ concatenated with a one-hot language vector:
 
     logits = W2' * tanh(W1' * input + b1) + b2
 
+Training, validation and decoding share one input path: ``build_inputs``
+turns a batch of utterances into one [frames x d_in] matrix, with each
+utterance's frames in order and no padding between them, and ``_layers``
+applies the tanh and output layers to it. A train step and a whole
+validation split are each one such batch; ``forward`` and ``decode`` are a
+batch of one utterance.
+
 Training is plain SGD on the language-weighted batch loss. The loss and its
 gradient w.r.t. the logits come from ``loss.segment_nll`` and
 ``loss.logit_gradient``; the rest of the backward pass through the tanh layer
@@ -19,13 +26,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
-from .synthlang import FrameExample, LanguageSpec, load_corpus_meta, load_examples
+from .synthlang import SYMBOLS, FrameExample, load_corpus_meta, load_examples
 from .util import DataFormatError, DivergenceError, derive_seed
 
 CHECKPOINT_VERSION = 1
@@ -122,35 +130,55 @@ def init_model(config: ModelConfig, seed: int) -> AcousticModel:
     )
 
 
-def build_inputs(config: ModelConfig, features: np.ndarray, language: int) -> np.ndarray:
-    """Per-frame input: (2C+1)-frame context window plus language one-hot.
+def build_inputs(
+    config: ModelConfig, features: Sequence[np.ndarray], languages: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model inputs of a batch of utterances, one row per frame.
 
-    Edge frames replicate the boundary frame.
+    ``features[j]`` is utterance j's [frames x n_features] matrix and
+    ``languages[j]`` its language id. Each row holds the (2C+1)-frame context
+    window around its frame, then the language one-hot. A window position
+    before an utterance's first frame or after its last takes that boundary
+    frame of the same utterance, never a neighbouring utterance's frame.
+    Returns (inputs [N x d_in], sizes [B]): the utterances' rows in order and
+    each utterance's frame count.
     """
-    if not 0 <= language < config.n_langs:
-        raise ValueError(f"unknown language id {language}; model has {config.n_langs} languages")
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != config.n_features or feats.shape[0] < 1:
-        raise ValueError(f"features must be [frames x {config.n_features}], got {feats.shape}")
-    n_frames = feats.shape[0]
+    if len(features) == 0:
+        raise ValueError("empty batch")
+    if len(features) != len(languages):
+        raise ValueError(f"{len(features)} feature matrices but {len(languages)} languages")
+    feats = [np.asarray(f, dtype=np.float64) for f in features]
+    for f in feats:
+        if f.ndim != 2 or f.shape[1] != config.n_features or f.shape[0] < 1:
+            raise ValueError(f"features must be [frames x {config.n_features}], got {f.shape}")
+    langs = np.asarray(languages)
+    if langs.dtype.kind not in "iu" or langs.min() < 0 or langs.max() >= config.n_langs:
+        raise ValueError(f"unknown language id in {langs.tolist()}; model has {config.n_langs} languages")
+    sizes = np.array([f.shape[0] for f in feats])
+    frames = np.concatenate(feats)
+    n_frames = len(frames)
+    ends = np.cumsum(sizes)
+    first = np.repeat(ends - sizes, sizes)[:, None]
+    last = np.repeat(ends - 1, sizes)[:, None]
     c = config.context
+    window = np.clip(np.arange(n_frames)[:, None] + np.arange(-c, c + 1), first, last)
+    n_context = config.n_features * (2 * c + 1)
     x = np.zeros((n_frames, config.d_in))
-    if c:
-        padded = np.pad(feats, ((c, c), (0, 0)), mode="edge")
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n_frames, axis=0)
-        # windows: [2c+1, n_features, n_frames] -> [n_frames, (2c+1)*n_features]
-        x[:, : config.n_features * (2 * c + 1)] = windows.transpose(2, 0, 1).reshape(n_frames, -1)
-    else:
-        x[:, : config.n_features] = feats
-    x[:, config.n_features * (2 * c + 1) + language] = 1.0
-    return x
+    x[:, :n_context] = frames[window].reshape(n_frames, n_context)
+    x[np.arange(n_frames), n_context + np.repeat(langs, sizes)] = 1.0
+    return x, sizes
+
+
+def _layers(model: AcousticModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and frame logits of the inputs ``x``."""
+    hidden = np.tanh(x @ model.W1 + model.b1)
+    return hidden, hidden @ model.W2 + model.b2
 
 
 def forward(model: AcousticModel, features: np.ndarray, language: int) -> np.ndarray:
-    """Frame logits [frames x n_symbols]."""
-    x = build_inputs(model.config, features, language)
-    hidden = np.tanh(x @ model.W1 + model.b1)
-    return hidden @ model.W2 + model.b2
+    """Frame logits [frames x n_symbols] of one utterance."""
+    x, _ = build_inputs(model.config, [features], [language])
+    return _layers(model, x)[1]
 
 
 def train_step(
@@ -174,14 +202,10 @@ def train_step(
     the scheduler sees them. In every case the model is left as it was before
     the failing step.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    xs = [build_inputs(model.config, ex.features, ex.lang) for ex in batch]
-    sizes = np.array([len(x) for x in xs])
-    x_all = np.concatenate(xs, axis=0)
+    x_all, sizes = build_inputs(model.config, [ex.features for ex in batch], [ex.lang for ex in batch])
     labels = np.concatenate([ex.labels for ex in batch])
-    hidden = np.tanh(x_all @ model.W1 + model.b1)
-    per_sentence, probs = loss_mod.segment_nll(hidden @ model.W2 + model.b2, labels, sizes)
+    hidden, logits = _layers(model, x_all)
+    per_sentence, probs = loss_mod.segment_nll(logits, labels, sizes)
 
     mean_loss = float(per_sentence.mean())
     if not math.isfinite(mean_loss):
@@ -226,16 +250,12 @@ def train_step(
     return BatchLoss(losses, weighted_mean, applied_weight)
 
 
-def utterance_loss(model: AcousticModel, example: FrameExample) -> float:
-    """Mean-over-frames cross-entropy of one utterance under the current model."""
-    logits = forward(model, example.features, example.lang)
-    losses, _ = loss_mod.segment_nll(logits, example.labels, [len(example.labels)])
-    return float(losses[0])
-
-
 def validation_losses(model: AcousticModel, examples: list[FrameExample]) -> dict[int, float]:
-    """Per-language mean utterance loss."""
-    return loss_mod.per_language_average((ex.lang, utterance_loss(model, ex)) for ex in examples)
+    """Per-language mean utterance loss, the split run as one batch."""
+    languages = [ex.lang for ex in examples]
+    x, sizes = build_inputs(model.config, [ex.features for ex in examples], languages)
+    losses, _ = loss_mod.segment_nll(_layers(model, x)[1], np.concatenate([ex.labels for ex in examples]), sizes)
+    return loss_mod.per_language_average(zip(languages, losses))
 
 
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
@@ -246,19 +266,12 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
     geometry, and guessing the symbol count would insert or drop symbols.
     Ties within a block resolve to the lowest symbol index.
     """
-    from .synthlang import SYMBOLS
-
     n_frames = np.asarray(features).shape[0]
     if n_frames < FRAMES_PER_SYMBOL or n_frames % FRAMES_PER_SYMBOL:
         raise ValueError(f"cannot decode {n_frames} frames: need a positive multiple of {FRAMES_PER_SYMBOL}")
-    n_symbols = n_frames // FRAMES_PER_SYMBOL
-    frame_syms = forward(model, features, language).argmax(axis=1)
-    out = []
-    for j in range(n_symbols):
-        block = frame_syms[j * FRAMES_PER_SYMBOL : (j + 1) * FRAMES_PER_SYMBOL]
-        votes = np.bincount(block, minlength=model.config.n_symbols)
-        out.append(SYMBOLS[int(votes.argmax())])
-    return "".join(out)
+    blocks = forward(model, features, language).argmax(axis=1).reshape(-1, FRAMES_PER_SYMBOL)
+    votes = (blocks[:, :, None] == np.arange(model.config.n_symbols)).sum(axis=1)
+    return "".join(SYMBOLS[i] for i in votes.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +328,13 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
 @dataclass
 class PhaseResult:
     model: AcousticModel
-    metrics: list[dict]  # rows: step, split, language, loss, applied_weight
-    final_step: int
+    metrics: list[dict]  # rows: step, split, language, loss; train rows also applied_weight
 
 
 def run_phase(
     phase: str,
     corpus_dir: str | Path,
     config: TrainConfig,
-    model_cfg: ModelConfig | None = None,
     start_model: AcousticModel | None = None,
     dataset: dict[str, list[FrameExample]] | None = None,
 ) -> PhaseResult:
@@ -332,7 +343,8 @@ def run_phase(
     Pretraining starts from a fresh initialization; fine-tuning requires the
     shared pretrain model. Batches are sampled uniformly with replacement from
     the phase split, deterministically in ``config.seed``. ``dataset`` may
-    supply preloaded featurized splits keyed by split name.
+    supply preloaded featurized splits keyed by split name; a split it holds
+    is used as given, and an empty one raises ``DataFormatError``.
     """
     if phase not in ("pretrain", "finetune"):
         raise ValueError(f"phase must be 'pretrain' or 'finetune', got {phase!r}")
@@ -341,14 +353,16 @@ def run_phase(
     lang_names = {l.id: l.name for l in languages}
 
     dataset = dataset or {}
-    train_examples = dataset.get(phase) or load_examples(corpus_dir, phase, languages)
-    valid_examples = dataset.get("valid") or load_examples(corpus_dir, "valid", languages)
+    for split in (phase, "valid"):
+        if split in dataset and not dataset[split]:
+            raise DataFormatError(f"preloaded split {split!r} has no utterances")
+    train_examples = dataset[phase] if phase in dataset else load_examples(corpus_dir, phase, languages)
+    valid_examples = dataset["valid"] if "valid" in dataset else load_examples(corpus_dir, "valid", languages)
 
     if phase == "pretrain":
         if start_model is not None:
             raise ValueError("pretraining starts from scratch; do not pass a starting model")
-        model_cfg = model_cfg or ModelConfig(n_langs=len(languages))
-        model = init_model(model_cfg, seed=derive_seed(config.seed, "init"))
+        model = init_model(ModelConfig(n_langs=len(languages)), seed=derive_seed(config.seed, "init"))
     else:
         if start_model is None:
             raise ValueError("fine-tuning requires the shared pretrain model")
@@ -375,13 +389,5 @@ def run_phase(
         )
         if t % config.eval_every == 0:
             for lang_id, vloss in sorted(validation_losses(model, valid_examples).items()):
-                rows.append(
-                    {
-                        "step": t,
-                        "split": "valid",
-                        "language": lang_names[lang_id],
-                        "loss": vloss,
-                        "applied_weight": batch_loss.applied_weight,
-                    }
-                )
-    return PhaseResult(model=model, metrics=rows, final_step=config.total_steps)
+                rows.append({"step": t, "split": "valid", "language": lang_names[lang_id], "loss": vloss})
+    return PhaseResult(model=model, metrics=rows)

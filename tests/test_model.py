@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY
 from langwce import loss as loss_mod
@@ -21,11 +23,10 @@ from langwce.model import (
     run_phase,
     save_checkpoint,
     train_step,
-    utterance_loss,
     validation_losses,
 )
 from langwce.schedule import DynamicSchedule, LinearSchedule, WeightMode, Weighting
-from langwce.synthlang import FrameExample
+from langwce.synthlang import FrameExample, load_examples
 from langwce.util import DataFormatError, DivergenceError
 
 TINY_MODEL = ModelConfig(n_features=8, context=1, hidden=4, n_symbols=8, n_langs=3)
@@ -115,11 +116,66 @@ class TestForward:
 
     def test_edge_frames_replicate_boundary(self):
         feats = np.arange(16, dtype=float).reshape(2, 8)
-        x = build_inputs(TINY_MODEL, feats, 0)
+        x, _ = build_inputs(TINY_MODEL, [feats], [0])
         # frame 0 context: [f0, f0, f1]
         np.testing.assert_array_equal(x[0, :8], feats[0])
         np.testing.assert_array_equal(x[0, 8:16], feats[0])
         np.testing.assert_array_equal(x[0, 16:24], feats[1])
+
+
+@st.composite
+def input_batches(draw):
+    """(config, features, languages): 1-5 utterances of 1-7 frames, context 0-3, mixed languages."""
+    config = ModelConfig(n_features=3, context=draw(st.integers(0, 3)), hidden=2, n_symbols=2, n_langs=3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    languages = draw(st.lists(st.integers(0, 2), min_size=len(sizes), max_size=len(sizes)))
+    return config, [rng.normal(size=(n, 3)) for n in sizes], languages
+
+
+class TestBuildInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=input_batches())
+    def test_rows_match_per_frame_oracle(self, batch):
+        config, features, languages = batch
+        x, sizes = build_inputs(config, features, languages)
+        expected = []
+        for feats, lang in zip(features, languages):
+            last = len(feats) - 1
+            for f in range(len(feats)):
+                row = []
+                for offset in range(-config.context, config.context + 1):
+                    row.extend(feats[min(max(f + offset, 0), last)])
+                row.extend(1.0 if i == lang else 0.0 for i in range(config.n_langs))
+                expected.append(row)
+        assert sizes.tolist() == [len(f) for f in features]
+        assert np.array_equal(x, np.array(expected))
+
+    @pytest.mark.parametrize(
+        "features, languages, message",
+        [
+            ([], [], "empty batch"),
+            ([np.zeros((4, 8))], [0, 1], "1 feature matrices but 2 languages"),
+            ([np.zeros((4, 8)), np.zeros((4, 7))], [0, 1], r"features must be \[frames x 8\], got \(4, 7\)"),
+            ([np.zeros((0, 8))], [0], r"got \(0, 8\)"),
+            ([np.zeros(8)], [0], r"got \(8,\)"),
+            ([np.zeros((4, 8)), np.zeros((4, 8))], [0, 3], "unknown language id"),
+            ([np.zeros((4, 8))], [-1], "unknown language id"),
+            ([np.zeros((4, 8))], [0.0], "unknown language id"),
+        ],
+    )
+    def test_bad_batch_rejected(self, features, languages, message):
+        with pytest.raises(ValueError, match=message):
+            build_inputs(TINY_MODEL, features, languages)
+
+
+def oracle_utterance_loss(model, ex):
+    """Mean over frames of a per-frame log-softmax NLL, written out in Python."""
+    frame_nll = [
+        math.log(sum(math.exp(z - max(row)) for z in row)) - (row[label] - max(row))
+        for row, label in zip(forward(model, ex.features, ex.lang).tolist(), ex.labels)
+    ]
+    return sum(frame_nll) / len(frame_nll)
 
 
 def weighted_objective(model, batch, weights):
@@ -129,7 +185,7 @@ def weighted_objective(model, batch, weights):
     """
     total = 0.0
     for ex in batch:
-        total += weights.get(ex.lang, 1.0) * utterance_loss(model, ex)
+        total += weights.get(ex.lang, 1.0) * oracle_utterance_loss(model, ex)
     return total / len(batch)
 
 
@@ -199,14 +255,7 @@ class TestTrainStep:
         bl = train_step(m, batch, 1, cfg, low_lang=2)
         # straight-line reference: per-frame log-softmax, mean over frames,
         # weight 3 on language 2, divided by the batch size
-        per_sentence = []
-        for ex in batch:
-            logits = forward(frozen, ex.features, ex.lang)
-            frame_nll = [
-                math.log(sum(math.exp(z - max(row)) for z in row)) - (row[label] - max(row))
-                for row, label in zip(logits.tolist(), ex.labels)
-            ]
-            per_sentence.append(sum(frame_nll) / len(frame_nll))
+        per_sentence = [oracle_utterance_loss(frozen, ex) for ex in batch]
         weighted = sum((3.0 if ex.lang == 2 else 1.0) * l for ex, l in zip(batch, per_sentence)) / len(batch)
         np.testing.assert_allclose(bl.per_sentence, per_sentence, rtol=0, atol=1e-12)
         assert bl.weighted_mean == pytest.approx(weighted, abs=1e-12)
@@ -446,10 +495,37 @@ class TestRunPhase:
         assert {r["step"] for r in valid_rows} == {30, 60}
 
     def test_validation_losses_shape(self, tiny_corpus):
-        from langwce.synthlang import load_examples
-
         examples = load_examples(tiny_corpus, "valid")
         m = init_model(ModelConfig(n_langs=3), seed=1)
         losses = validation_losses(m, examples)
         assert sorted(losses) == [0, 1, 2]
         assert all(v > 0 for v in losses.values())
+
+    def test_validation_losses_match_one_utterance_forward(self, tiny_corpus):
+        rng = np.random.default_rng(47)
+        examples = load_examples(tiny_corpus, "valid")
+        examples = [examples[i] for i in rng.permutation(len(examples))]
+        m = init_model(ModelConfig(n_langs=3), seed=3)
+        sums, counts = {}, {}
+        for ex in examples:
+            losses, _ = loss_mod.segment_nll(forward(m, ex.features, ex.lang), ex.labels, [len(ex.labels)])
+            sums[ex.lang] = sums.get(ex.lang, 0.0) + float(losses[0])
+            counts[ex.lang] = counts.get(ex.lang, 0) + 1
+        assert validation_losses(m, examples) == {lang: sums[lang] / counts[lang] for lang in sums}
+
+    @pytest.mark.parametrize("split", ["pretrain", "valid"])
+    def test_empty_preloaded_split_rejected(self, tiny_corpus, split):
+        data = {name: load_examples(tiny_corpus, name) for name in ("pretrain", "valid")}
+        data[split] = []
+        with pytest.raises(DataFormatError, match=f"preloaded split '{split}' has no utterances"):
+            run_phase("pretrain", tiny_corpus, self.CFG, dataset=data)
+
+    def test_validation_rows_carry_no_weight(self, tiny_corpus):
+        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=4, batch_size=4, eval_every=4, seed=41))
+        dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
+        cfg = TrainConfig(total_steps=4, batch_size=4, eval_every=2, seed=41, weighting=dynamic)
+        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
+        valid_rows = [r for r in out.metrics if r["split"] == "valid"]
+        assert len(valid_rows) == 6
+        assert all("applied_weight" not in r for r in valid_rows)
+        assert all("applied_weight" in r for r in out.metrics if r["split"] == "train")
