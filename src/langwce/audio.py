@@ -11,6 +11,7 @@ depend on processing order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import wave
 from dataclasses import dataclass, field, replace
@@ -45,6 +46,10 @@ class AudioClip:
         return len(self.samples)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AugmentSpec:
     """Parameter ranges for one augmentation pass; one value per transform is drawn per clip."""
@@ -56,14 +61,22 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the bounds time_stretch and pitch_shift accept, checked here so that a bad
+        # spec fails before augment_dataset writes anything
         for name in ("stretch_range", "gain_range_db", "pitch_range_semitones", "noise_sigma_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name}: bounds must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-        if self.stretch_range[0] <= 0:
-            raise ValueError("stretch rates must be positive")
+        if not (0.5 <= self.stretch_range[0] and self.stretch_range[1] <= 2.0):
+            raise ValueError(f"stretch_range: rates must lie in [0.5, 2.0], got {self.stretch_range}")
+        if not all(_is_int(v) for v in self.pitch_range_semitones):
+            raise ValueError(f"pitch_range_semitones: bounds must be integers, got {self.pitch_range_semitones}")
+        if not (-12 <= self.pitch_range_semitones[0] and self.pitch_range_semitones[1] <= 12):
+            raise ValueError(f"pitch_range_semitones: must lie in [-12, 12], got {self.pitch_range_semitones}")
         if self.noise_sigma_range[0] < 0:
-            raise ValueError("noise sigma must be non-negative")
+            raise ValueError(f"noise_sigma_range: sigma must be non-negative, got {self.noise_sigma_range}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +145,16 @@ def _hann(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * (m + 0.5) / length)
 
 
-def _best_analysis_position(x: np.ndarray, nominal: int, ideal: int, cmp_len: int, tol: int) -> int:
+def _best_analysis_position(
+    x: np.ndarray, norms: np.ndarray, nominal: int, ideal: int, cmp_len: int, tol: int
+) -> int:
     """Analysis start near ``nominal`` whose waveform best continues the previous frame.
 
     Scores candidates by normalized cross-correlation against the ideal
     continuation segment; ties resolve toward the nominal position so timing
-    stays faithful and the search is deterministic.
+    stays faithful and the search is deterministic. ``norms[i]`` must be the
+    Euclidean norm of ``x[i : i + cmp_len]`` for every start ``i`` in
+    ``[0, len(x) - cmp_len]``; ``time_stretch`` computes them once per call.
     """
     n = len(x)
     if n < cmp_len or tol <= 0:
@@ -146,8 +163,7 @@ def _best_analysis_position(x: np.ndarray, nominal: int, ideal: int, cmp_len: in
     lo = max(0, anchor - tol)
     hi = min(n - cmp_len, anchor + tol)
     template = x[max(0, min(ideal, n - cmp_len)) :][:cmp_len]
-    candidates = np.lib.stride_tricks.sliding_window_view(x, cmp_len)[lo : hi + 1]
-    scores = candidates @ template / (np.sqrt((candidates**2).sum(axis=1)) + 1e-12)
+    scores = np.correlate(x[lo : hi + cmp_len], template, "valid") / (norms[lo : hi + 1] + 1e-12)
     best = scores.max()
     good = np.nonzero(scores >= best - 1e-9 * max(1.0, abs(best)))[0]
     return int(lo + good[np.argmin(np.abs(good + lo - nominal))])
@@ -161,7 +177,10 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     window, with the accumulated window sum normalizing each output sample.
     Re-spacing alone would scramble the phase of periodic content, so each
     analysis position is refined by a bounded waveform-similarity search
-    against the continuation of the previously placed frame.
+    against the continuation of the previously placed frame. The norm of
+    every ``frame``-sample analysis window is computed once, up front, as
+    the square root of a pairwise sum of squares per window; running sums
+    are avoided because their cancellation misstates near-silent windows.
     """
     if not 0.5 <= rate <= 2.0:
         raise ValueError(f"stretch rate must be in [0.5, 2.0], got {rate}")
@@ -180,6 +199,8 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     acc = np.zeros(buf_len)
     norm = np.zeros(buf_len)
     x = clip.samples
+    # a clip shorter than one frame is never searched (every frame is a tail frame)
+    norms = np.sqrt(np.lib.stride_tricks.sliding_window_view(x * x, frame).sum(axis=1)) if n >= frame else None
     prev_ana = prev_syn = 0
     for k in range(n_frames):
         syn = round(k * syn_hop)
@@ -193,7 +214,7 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
             ana = nominal
         else:
             ideal = prev_ana + (syn - prev_syn)
-            ana = _best_analysis_position(x, nominal, ideal, frame, tol)
+            ana = _best_analysis_position(x, norms, nominal, ideal, frame, tol)
         chunk = x[ana : ana + frame]
         if len(chunk) < frame:
             chunk = np.pad(chunk, (0, frame - len(chunk)))
@@ -270,6 +291,8 @@ def augment_dataset(
     from (spec.seed, entry id), so reruns are byte-identical regardless of order.
     Unreadable inputs are recorded as failures and skipped.
     """
+    if not _is_int(multiplier) or multiplier < 1:
+        raise ValueError(f"multiplier must be a positive integer, got {multiplier!r}")
     manifest_in = Path(manifest_in)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,9 @@
 The analysis here deliberately avoids the package's own DSP: dominant
 frequency comes from a plain FFT and bin energy from a per-sample Goertzel
 recurrence, so transform and featurization tests check against independent
-measurements.
+measurements. The one exception is ``oracle_best_analysis_position``, the
+waveform-similarity search of ``audio.time_stretch`` in its first,
+per-candidate form, kept as the reference the fast search must reproduce.
 """
 
 import numpy as np
@@ -45,3 +47,19 @@ def goertzel_power(samples, freq, sample_rate):
         s2 = s1
         s1 = s0
     return float(s1 * s1 + s2 * s2 - coeff * s1 * s2)
+
+
+def oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol):
+    """The time-stretch search with every candidate window's norm recomputed on each call."""
+    n = len(x)
+    if n < cmp_len or tol <= 0:
+        return max(0, min(nominal, n - 1))
+    anchor = max(0, min(nominal, n - cmp_len))
+    lo = max(0, anchor - tol)
+    hi = min(n - cmp_len, anchor + tol)
+    template = x[max(0, min(ideal, n - cmp_len)) :][:cmp_len]
+    candidates = np.lib.stride_tricks.sliding_window_view(x, cmp_len)[lo : hi + 1]
+    scores = candidates @ template / (np.sqrt((candidates**2).sum(axis=1)) + 1e-12)
+    best = scores.max()
+    good = np.nonzero(scores >= best - 1e-9 * max(1.0, abs(best)))[0]
+    return int(lo + good[np.argmin(np.abs(good + lo - nominal))])

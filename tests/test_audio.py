@@ -1,14 +1,20 @@
 """Tests for WAV I/O, the four augmentation transforms, and the dataset pipeline."""
 
+import hashlib
 import json
+import math
 import struct
 import wave
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dominant_frequency, make_tone
+from helpers import dominant_frequency, make_tone, oracle_best_analysis_position
 
+from langwce import audio
 from langwce.audio import (
     AudioClip,
     AugmentSpec,
@@ -22,6 +28,7 @@ from langwce.audio import (
     write_wav,
 )
 from langwce.manifest import ManifestEntry, read_manifest, resolve_wav, write_manifest
+from langwce.synthlang import make_languages, synthesize_utterance
 from langwce.util import DataFormatError
 
 FRAME = 400  # 25 ms at 16 kHz
@@ -180,6 +187,53 @@ class TestTimeStretch:
         assert np.abs(time_stretch(clip, 0.8).samples).max() <= 1.0
 
 
+def oracle_time_stretch(clip, rate):
+    """time_stretch with its search replaced by the per-candidate oracle, which ignores the precomputed norms."""
+
+    def search(x, norms, nominal, ideal, cmp_len, tol):
+        return oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol)
+
+    with mock.patch.object(audio, "_best_analysis_position", search):
+        return time_stretch(clip, rate)
+
+
+@st.composite
+def tones_with_silence(draw):
+    """A loud tone, then a near-silent one, each followed by a run of digital silence.
+
+    The quiet tone after the loud one is where norms from running sums of
+    squares go wrong: cancellation leaves an error of about eps times the loud
+    energy, which is large against the quiet windows' own energy.
+    """
+    parts = []
+    for lo_exp, hi_exp in ((-1.0, 0.0), (-7.0, -3.0)):
+        n = draw(st.integers(1, 4000))
+        amplitude = 10.0 ** draw(st.floats(lo_exp, hi_exp))
+        freq = draw(st.floats(100.0, 2000.0))
+        phase = draw(st.floats(0.0, 2 * math.pi))
+        parts.append(amplitude * np.sin(2 * np.pi * freq * np.arange(n) / 16000 + phase))
+        parts.append(np.zeros(draw(st.integers(0, 1000))))
+    x = np.concatenate(parts)
+    if draw(st.booleans()):
+        x = np.rint(x * 32767) / 32768  # quantized to 16 bits
+    return AudioClip(16000, x)
+
+
+class TestStretchSearchOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(clip=tones_with_silence(), rate=st.floats(0.5, 2.0))
+    def test_bit_identical_to_per_candidate_search(self, clip, rate):
+        assert np.array_equal(time_stretch(clip, rate).samples, oracle_time_stretch(clip, rate).samples)
+
+    @pytest.mark.parametrize("n", [1, 399, 400, 401])
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
+    def test_clips_around_one_frame(self, n, rate):
+        clip = make_tone(700, seconds=n / 16000)
+        out = time_stretch(clip, rate)
+        assert len(out) == max(1, round(n / rate))
+        assert np.array_equal(out.samples, oracle_time_stretch(clip, rate).samples)
+
+
 class TestPitchShift:
     def test_zero_semitones_identity(self):
         clip = make_tone(500)
@@ -244,6 +298,57 @@ class TestAugmentClip:
         for seed in range(5):
             out = augment_clip(clip, AugmentSpec(), sample_seed=seed)
             assert np.abs(out.samples).max() <= 1.0
+
+
+class TestAugmentGoldenBytes:
+    """The bytes write_wav stores for augment_clip's output, pinned: 6 languages x 2 seeds per spec."""
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (AugmentSpec(), "58933782eb12796ee9591e91c0bd15523fc7a58ceb5993ed9cc2f66225a5c9ec"),
+            (AugmentSpec(pitch_range_semitones=(1, 2)), "0e3f59929a9eead5d78d8234d64e541d6f56f1ae21cf0f687f016280389b4da7"),
+        ],
+        ids=["default", "pitch-1-2"],
+    )
+    def test_wav_bytes_pinned(self, tmp_path, spec, expected):
+        h = hashlib.sha256()
+        for lang in make_languages(6, low_id=5, seed=1):
+            clip = synthesize_utterance(lang, "ABCDEFG")
+            for seed in (1, 2):
+                path = tmp_path / f"{lang.name}-{seed}.wav"
+                write_wav(path, augment_clip(clip, spec, sample_seed=seed))
+                h.update(path.read_bytes())
+        assert h.hexdigest() == expected
+
+
+class TestAugmentSpec:
+    @pytest.mark.parametrize(
+        "field_name, bounds",
+        [
+            ("stretch_range", (0.3, 3.0)),
+            ("stretch_range", (0.4, 1.0)),
+            ("stretch_range", (1.0, 2.5)),
+            ("stretch_range", (math.nan, 1.0)),
+            ("pitch_range_semitones", (-13, 13)),
+            ("pitch_range_semitones", (0, 13)),
+            ("pitch_range_semitones", (0.5, 1.5)),
+            ("pitch_range_semitones", (-2.0, 2.0)),
+            ("gain_range_db", (-6.0, math.inf)),
+            ("gain_range_db", (math.nan, 6.0)),
+            ("gain_range_db", (6.0, -6.0)),
+            ("noise_sigma_range", (0.0, math.nan)),
+            ("noise_sigma_range", (-0.1, 0.1)),
+        ],
+    )
+    def test_bad_bounds_rejected_naming_the_field(self, field_name, bounds):
+        with pytest.raises(ValueError, match=field_name):
+            AugmentSpec(**{field_name: bounds})
+
+    def test_widest_bounds_accepted(self):
+        spec = AugmentSpec(stretch_range=(0.5, 2.0), pitch_range_semitones=(np.int64(-12), 12))
+        out = augment_clip(make_tone(500, seconds=0.1), spec, sample_seed=3)
+        assert np.all(np.isfinite(out.samples))
 
 
 def build_tiny_corpus(root, layout):
@@ -321,6 +426,13 @@ class TestAugmentDataset:
             "ft-L0-0-aug2",
             "ft-L0-0-aug3",
         }
+
+    @pytest.mark.parametrize("multiplier", [0, -1])
+    def test_non_positive_multiplier_rejected_before_writing(self, tmp_path, multiplier):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT[:1])
+        with pytest.raises(ValueError, match="multiplier"):
+            augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=multiplier)
+        assert not (tmp_path / "aug").exists()
 
 
 class TestManifest:
