@@ -289,20 +289,19 @@ def augment_dataset(
     The output manifest lists every original entry (paths re-relativized to
     out_dir) followed by the augmented entries. Each file's seed is derived
     from (spec.seed, entry id), so reruns are byte-identical regardless of order.
-    Unreadable inputs are recorded as failures and skipped.
+    Unreadable inputs are recorded as failures and skipped. An unreadable or
+    malformed manifest raises ``DataFormatError`` before ``out_dir`` is created.
     """
     if not _is_int(multiplier) or multiplier < 1:
         raise ValueError(f"multiplier must be a positive integer, got {multiplier!r}")
     manifest_in = Path(manifest_in)
+    entries = read_manifest(manifest_in)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = read_manifest(manifest_in)
 
-    out_entries = []
-    for e in entries:
-        # originals keep pointing at their source files, re-relativized to out_dir
-        rel = os.path.relpath(resolve_wav(manifest_in, e), out_dir.resolve())
-        out_entries.append(replace(e, wav=rel))
+    # originals keep pointing at their source files, re-relativized to out_dir
+    out_root = out_dir.resolve()
+    out_entries = [replace(e, wav=os.path.relpath(resolve_wav(manifest_in, e), out_root)) for e in entries]
 
     selected = [
         e

@@ -32,28 +32,33 @@ class ManifestEntry:
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Every record of a manifest; ``DataFormatError`` naming the file (and line) if any is bad or it cannot be read."""
     path = Path(path)
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataFormatError(f"{path}: cannot read manifest: {e}") from e
     entries = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if not isinstance(rec, dict):
-                raise DataFormatError(f"{path}:{lineno}: record must be an object, got {_json_type(rec)}")
-            missing = [k for k in FIELDS if k not in rec]
-            if missing:
-                raise DataFormatError(f"{path}:{lineno}: missing fields {missing}")
-            for k, kind in FIELDS.items():
-                if not isinstance(rec[k], kind):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(rec[k])}"
-                    )
-            entries.append(ManifestEntry(**{k: rec[k] for k in FIELDS}))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {e}") from e
+        if not isinstance(rec, dict):
+            raise DataFormatError(f"{path}:{lineno}: record must be an object, got {_json_type(rec)}")
+        missing = [k for k in FIELDS if k not in rec]
+        if missing:
+            raise DataFormatError(f"{path}:{lineno}: missing fields {missing}")
+        for k, kind in FIELDS.items():
+            if not isinstance(rec[k], kind):
+                raise DataFormatError(
+                    f"{path}:{lineno}: field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(rec[k])}"
+                )
+        entries.append(ManifestEntry(**{k: rec[k] for k in FIELDS}))
     if not entries:
         raise DataFormatError(f"{path}: empty manifest")
     return entries

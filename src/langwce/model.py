@@ -10,7 +10,11 @@ turns a batch of utterances into one [frames x d_in] matrix, with each
 utterance's frames in order and no padding between them, and ``_layers``
 applies the tanh and output layers to it. A train step and a whole
 validation split are each one such batch; ``forward`` and ``decode`` are a
-batch of one utterance.
+batch of one utterance. ``run_phase`` builds its training split's and its
+validation split's inputs once each, with one ``build_inputs`` call per split;
+every step then gathers its batch's rows and labels from the training split's
+arrays with one index array, and every evaluation reuses the validation
+split's.
 
 Training is plain SGD on the language-weighted batch loss. The loss and its
 gradient w.r.t. the logits come from ``loss.segment_nll`` and
@@ -169,6 +173,35 @@ def build_inputs(
     return x, sizes
 
 
+def _example_inputs(config: ModelConfig, examples: Sequence[FrameExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inputs, labels, sizes) of examples, from one ``build_inputs`` call."""
+    x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
+    return x, np.concatenate([ex.labels for ex in examples]), sizes
+
+
+class _SplitInputs:
+    """A split's model inputs, built once; a batch of its utterances is cut from them.
+
+    ``inputs`` is the split's ``_example_inputs`` and ``starts[j]`` the first
+    row of its utterance j. Every row depends only on its own utterance, so
+    the rows ``gather`` cuts for a batch equal what ``build_inputs`` builds
+    for it.
+    """
+
+    def __init__(self, config: ModelConfig, examples: Sequence[FrameExample]):
+        self.inputs = _example_inputs(config, examples)
+        sizes = self.inputs[2]
+        self.starts = np.cumsum(sizes) - sizes
+
+    def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(inputs, labels, sizes) of the utterances ``idx``, in that order, with one row gather."""
+        x, labels, sizes = self.inputs
+        batch_sizes = sizes[idx]
+        offsets = np.cumsum(batch_sizes) - batch_sizes
+        rows = np.arange(offsets[-1] + batch_sizes[-1]) + np.repeat(self.starts[idx] - offsets, batch_sizes)
+        return x[rows], labels[rows], batch_sizes
+
+
 def _layers(model: AcousticModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and frame logits of the inputs ``x``."""
     hidden = np.tanh(x @ model.W1 + model.b1)
@@ -187,8 +220,13 @@ def train_step(
     t: int,
     config: TrainConfig,
     low_lang: int,
+    inputs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> BatchLoss:
     """One SGD step on a batch of utterances; updates the model in place.
+
+    ``inputs`` is the batch's (inputs, labels, sizes) when the caller has
+    them already; they must equal ``_example_inputs`` of the batch. Without
+    them the step builds them from the batch.
 
     When the batch contains the low-resource language the scheduler is
     consulted for the step weight (the dynamic scheduler sees this batch's
@@ -202,8 +240,9 @@ def train_step(
     the scheduler sees them. In every case the model is left as it was before
     the failing step.
     """
-    x_all, sizes = build_inputs(model.config, [ex.features for ex in batch], [ex.lang for ex in batch])
-    labels = np.concatenate([ex.labels for ex in batch])
+    x_all, labels, sizes = _example_inputs(model.config, batch) if inputs is None else inputs
+    if len(sizes) != len(batch):
+        raise ValueError(f"inputs hold {len(sizes)} utterances but the batch has {len(batch)}")
     hidden, logits = _layers(model, x_all)
     per_sentence, probs = loss_mod.segment_nll(logits, labels, sizes)
 
@@ -250,12 +289,21 @@ def train_step(
     return BatchLoss(losses, weighted_mean, applied_weight)
 
 
-def validation_losses(model: AcousticModel, examples: list[FrameExample]) -> dict[int, float]:
-    """Per-language mean utterance loss, the split run as one batch."""
-    languages = [ex.lang for ex in examples]
-    x, sizes = build_inputs(model.config, [ex.features for ex in examples], languages)
-    losses, _ = loss_mod.segment_nll(_layers(model, x)[1], np.concatenate([ex.labels for ex in examples]), sizes)
-    return loss_mod.per_language_average(zip(languages, losses))
+def validation_losses(
+    model: AcousticModel,
+    examples: list[FrameExample],
+    inputs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> dict[int, float]:
+    """Per-language mean utterance loss, the split run as one batch.
+
+    ``inputs`` is the split's (inputs, labels, sizes) when the caller has
+    them already, as ``train_step`` takes them.
+    """
+    x, labels, sizes = _example_inputs(model.config, examples) if inputs is None else inputs
+    if len(sizes) != len(examples):
+        raise ValueError(f"inputs hold {len(sizes)} utterances but the split has {len(examples)}")
+    losses, _ = loss_mod.segment_nll(_layers(model, x)[1], labels, sizes)
+    return loss_mod.per_language_average(zip([ex.lang for ex in examples], losses))
 
 
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
@@ -372,12 +420,15 @@ def run_phase(
             f"model expects {model.config.n_langs} languages but corpus has {len(languages)}"
         )
 
+    train_split = _SplitInputs(model.config, train_examples)
+    valid_inputs = _example_inputs(model.config, valid_examples)
     rng = np.random.default_rng(derive_seed(config.seed, "batches", phase))
     n = len(train_examples)
     rows = []
     for t in range(1, config.total_steps + 1):
-        batch = [train_examples[i] for i in rng.integers(0, n, size=config.batch_size)]
-        batch_loss = train_step(model, batch, t, config, low_lang)
+        idx = rng.integers(0, n, size=config.batch_size)
+        batch = [train_examples[i] for i in idx]
+        batch_loss = train_step(model, batch, t, config, low_lang, inputs=train_split.gather(idx))
         rows.append(
             {
                 "step": t,
@@ -388,6 +439,6 @@ def run_phase(
             }
         )
         if t % config.eval_every == 0:
-            for lang_id, vloss in sorted(validation_losses(model, valid_examples).items()):
+            for lang_id, vloss in sorted(validation_losses(model, valid_examples, inputs=valid_inputs).items()):
                 rows.append({"step": t, "split": "valid", "language": lang_names[lang_id], "loss": vloss})
     return PhaseResult(model=model, metrics=rows)

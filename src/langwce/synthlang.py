@@ -13,6 +13,7 @@ energy at each grid frequency, mean-variance normalized per utterance.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, read_wav, write_wav
-from .manifest import ManifestEntry, read_manifest, resolve_wav, write_manifest
+from .manifest import ManifestEntry, read_manifest, write_manifest
 from .util import DataFormatError, derive_seed
 
 SYMBOLS = "ABCDEFGH"
@@ -213,10 +214,15 @@ class FrameFeatures:
         return self.values.shape[0]
 
 
+@functools.lru_cache(maxsize=None)
 def _filterbank_basis(sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """[FRAME_SAMPLES x grid] cosine and sine projections, built once per sample rate (read-only)."""
     n = np.arange(FRAME_SAMPLES)[:, None]
     omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / sample_rate
-    return np.cos(n * omega), np.sin(n * omega)
+    basis = np.cos(n * omega), np.sin(n * omega)
+    for arr in basis:
+        arr.setflags(write=False)
+    return basis
 
 
 def featurize(clip: AudioClip, normalize: bool = True) -> FrameFeatures:
@@ -245,13 +251,20 @@ def frame_labels(text: str, n_frames: int) -> np.ndarray:
     """Proportional frame-to-symbol alignment: label[f] = text[floor(f * len / n)].
 
     Works for time-stretched audio where frames per symbol are not constant.
+    Raises ``ValueError`` for an empty text, a symbol outside ``SYMBOLS``, or
+    more symbols than frames, where some symbols would get no frame.
     """
     if not text:
         raise ValueError("text must be non-empty")
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    positions = (np.arange(n_frames) * len(text)) // n_frames
-    return np.array([SYMBOLS.index(text[p]) for p in positions], dtype=np.int64)
+    unknown = sorted(set(text) - set(SYMBOLS))
+    if unknown:
+        raise ValueError(f"unknown symbols {unknown} in text; alphabet is {SYMBOLS}")
+    if len(text) > n_frames:
+        raise ValueError(f"text has {len(text)} symbols but the audio only {n_frames} frames")
+    symbols = np.array([SYMBOLS.index(s) for s in text], dtype=np.int64)
+    return symbols[(np.arange(n_frames) * len(text)) // n_frames]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +283,12 @@ class FrameExample:
 
 
 def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSpec] | None = None) -> list[FrameExample]:
-    """Read, featurize, and label every manifest entry of one split."""
+    """Read, featurize, and label every manifest entry of one split.
+
+    An entry whose WAV cannot be read, whose text is empty or holds a symbol
+    outside ``SYMBOLS``, or whose text has more symbols than its audio has
+    frames raises ``DataFormatError`` naming the manifest and the entry id.
+    """
     corpus_dir = Path(corpus_dir)
     if languages is None:
         _, languages = load_corpus_meta(corpus_dir)
@@ -281,15 +299,20 @@ def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSp
         if entry.split != split:
             continue
         if entry.lang not in by_name:
-            raise DataFormatError(f"{entry.id}: unknown language {entry.lang!r}")
-        feats = featurize(read_wav(resolve_wav(manifest_path, entry)))
+            raise DataFormatError(f"{manifest_path}: entry {entry.id!r}: unknown language {entry.lang!r}")
+        try:
+            # the path the OS opens is the one resolve_wav would name; resolving it costs a stat per component
+            feats = featurize(read_wav(corpus_dir / entry.wav))
+            labels = frame_labels(entry.text, feats.n_frames)
+        except (DataFormatError, OSError, ValueError) as e:
+            raise DataFormatError(f"{manifest_path}: entry {entry.id!r}: {e}") from e
         examples.append(
             FrameExample(
                 utt_id=entry.id,
                 lang=by_name[entry.lang],
                 text=entry.text,
                 features=feats.values,
-                labels=frame_labels(entry.text, feats.n_frames),
+                labels=labels,
             )
         )
     if not examples:

@@ -3,14 +3,17 @@
 The analysis here deliberately avoids the package's own DSP: dominant
 frequency comes from a plain FFT and bin energy from a per-sample Goertzel
 recurrence, so transform and featurization tests check against independent
-measurements. The one exception is ``oracle_best_analysis_position``, the
+measurements. The two exceptions are references that a faster form in the
+package must reproduce bit for bit: ``oracle_best_analysis_position``, the
 waveform-similarity search of ``audio.time_stretch`` in its first,
-per-candidate form, kept as the reference the fast search must reproduce.
+per-candidate form, and ``oracle_featurize``, ``synthlang.featurize`` with
+its filterbank basis built inline on every call.
 """
 
 import numpy as np
 
 from langwce.audio import AudioClip
+from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID
 
 
 def make_tone(freq, seconds=1.0, sample_rate=16000, amplitude=0.5, ramp_ms=5.0):
@@ -63,3 +66,16 @@ def oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol):
     best = scores.max()
     good = np.nonzero(scores >= best - 1e-9 * max(1.0, abs(best)))[0]
     return int(lo + good[np.argmin(np.abs(good + lo - nominal))])
+
+
+def oracle_featurize(clip, normalize=True):
+    """``featurize``'s values, with the cosine and sine basis built inline for this clip."""
+    n_frames = len(clip) // FRAME_SAMPLES
+    frames = clip.samples[: n_frames * FRAME_SAMPLES].reshape(n_frames, FRAME_SAMPLES)
+    n = np.arange(FRAME_SAMPLES)[:, None]
+    omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / clip.sample_rate
+    values = np.log1p((frames @ np.cos(n * omega)) ** 2 + (frames @ np.sin(n * omega)) ** 2)
+    if normalize:
+        std = values.std(axis=0)
+        values = (values - values.mean(axis=0)) / np.where(std > 1e-12, std, 1.0)
+    return values

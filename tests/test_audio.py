@@ -434,6 +434,11 @@ class TestAugmentDataset:
             augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=multiplier)
         assert not (tmp_path / "aug").exists()
 
+    def test_missing_manifest_rejected_before_writing(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"nope/manifest\.jsonl: cannot read manifest"):
+            augment_dataset(tmp_path / "nope" / "manifest.jsonl", tmp_path / "outdir", AugmentSpec())
+        assert not (tmp_path / "outdir").exists()
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -471,3 +476,10 @@ class TestManifest:
         path.write_text("[1, 2]\n")
         with pytest.raises(DataFormatError, match=r"bad\.jsonl:1: record must be an object, got array"):
             read_manifest(path)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path / "missing.jsonl", tmp_path, binary):
+            with pytest.raises(DataFormatError, match=rf"{path.name}: cannot read manifest: "):
+                read_manifest(path)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import TINY
 from langwce import loss as loss_mod
 from langwce.model import (
+    _example_inputs,
+    _SplitInputs,
     ModelConfig,
     TrainConfig,
     build_inputs,
@@ -27,7 +29,7 @@ from langwce.model import (
 )
 from langwce.schedule import DynamicSchedule, LinearSchedule, WeightMode, Weighting
 from langwce.synthlang import FrameExample, load_examples
-from langwce.util import DataFormatError, DivergenceError
+from langwce.util import DataFormatError, DivergenceError, derive_seed
 
 TINY_MODEL = ModelConfig(n_features=8, context=1, hidden=4, n_symbols=8, n_langs=3)
 
@@ -167,6 +169,43 @@ class TestBuildInputs:
     def test_bad_batch_rejected(self, features, languages, message):
         with pytest.raises(ValueError, match=message):
             build_inputs(TINY_MODEL, features, languages)
+
+
+@st.composite
+def split_draws(draw):
+    """(config, split, idx): a split of 1-8 utterances of 1-9 frames, context 0-3, and 1-12 indices into it."""
+    config = ModelConfig(n_features=3, context=draw(st.integers(0, 3)), hidden=2, n_symbols=4, n_langs=3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    split = [
+        FrameExample(f"u{j}", int(rng.integers(0, 3)), "A", rng.normal(size=(n, 3)), rng.integers(0, 4, size=n))
+        for j, n in enumerate(sizes)
+    ]
+    idx = draw(st.lists(st.integers(0, len(split) - 1), min_size=1, max_size=12))
+    return config, split, np.array(idx)
+
+
+class TestSplitInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(draw=split_draws())
+    def test_gather_equals_build_inputs_on_the_batch(self, draw):
+        config, split, idx = draw
+        x, labels, sizes = _SplitInputs(config, split).gather(idx)
+        batch = [split[i] for i in idx]
+        want_x, want_sizes = build_inputs(config, [ex.features for ex in batch], [ex.lang for ex in batch])
+        want_labels = np.concatenate([ex.labels for ex in batch])
+        for got, want in ((x, want_x), (labels, want_labels), (sizes, want_sizes)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_inputs_of_another_batch_rejected(self):
+        rng = np.random.default_rng(53)
+        batch = fake_batch(rng, [0, 1, 2])
+        cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2)
+        m = init_model(TINY_MODEL, seed=5)
+        with pytest.raises(ValueError, match="inputs hold 2 utterances but the batch has 3"):
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=_example_inputs(TINY_MODEL, batch[:2]))
+        with pytest.raises(ValueError, match="inputs hold 2 utterances but the split has 3"):
+            validation_losses(m, batch, inputs=_example_inputs(TINY_MODEL, batch[:2]))
 
 
 def oracle_utterance_loss(model, ex):
@@ -529,3 +568,28 @@ class TestRunPhase:
         assert len(valid_rows) == 6
         assert all("applied_weight" not in r for r in valid_rows)
         assert all("applied_weight" in r for r in out.metrics if r["split"] == "train")
+
+    def test_matches_replay_through_train_step(self, tiny_corpus):
+        # run_phase gathers each batch's rows from its split's inputs; the replay
+        # draws the same batches and lets train_step and validation_losses build them
+        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41))
+        dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
+        cfg = TrainConfig(total_steps=40, batch_size=5, eval_every=10, seed=43, weighting=dynamic)
+        replay = copy.deepcopy(pre.model)
+        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
+
+        train, valid = load_examples(tiny_corpus, "finetune"), load_examples(tiny_corpus, "valid")
+        rng = np.random.default_rng(derive_seed(cfg.seed, "batches", "finetune"))
+        rows = []
+        for t in range(1, cfg.total_steps + 1):
+            batch = [train[i] for i in rng.integers(0, len(train), size=cfg.batch_size)]
+            bl = train_step(replay, batch, t, cfg, TINY.low_lang)
+            rows.append({"step": t, "split": "train", "language": "all", "loss": bl.weighted_mean,
+                         "applied_weight": bl.applied_weight})
+            if t % cfg.eval_every == 0:
+                for lang, vloss in sorted(validation_losses(replay, valid).items()):
+                    rows.append({"step": t, "split": "valid", "language": f"L{lang}", "loss": vloss})
+        assert any(r.get("applied_weight", 1.0) > 1.0 for r in rows)
+        assert out.metrics == rows
+        for name, value in replay.parameters().items():
+            assert np.array_equal(getattr(out.model, name), value)

@@ -1,16 +1,18 @@
 """Tests for the tone-language corpus generator and Goertzel featurization."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import dominant_frequency, goertzel_power
+from helpers import dominant_frequency, goertzel_power, oracle_featurize
 
 from conftest import TINY
-from langwce.audio import AudioClip
-from langwce.manifest import read_manifest
+from langwce.audio import AudioClip, write_wav
+from langwce.manifest import ManifestEntry, read_manifest, write_manifest
 from langwce.synthlang import (
+    _filterbank_basis,
     FRAME_SAMPLES,
     FREQ_GRID,
     SYMBOLS,
@@ -23,6 +25,7 @@ from langwce.synthlang import (
     planned_counts,
     synthesize_utterance,
 )
+from langwce.util import DataFormatError
 
 
 class TestMakeLanguages:
@@ -134,6 +137,26 @@ class TestFeaturize:
                 assert hit >= 0.99
 
 
+    def test_matches_inline_basis_oracle_at_two_rates(self):
+        # both rates in one test: a basis cached under the wrong rate would show here
+        rng = np.random.default_rng(8)
+        lang = make_languages(3, 2, seed=1)[1]
+        for rate in (8000, 16000, 8000):
+            tone = synthesize_utterance(lang, "HACEB", sample_rate=rate)
+            noise = AudioClip(rate, rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
+            for clip in (tone, noise):
+                for normalize in (True, False):
+                    assert np.array_equal(featurize(clip, normalize).values, oracle_featurize(clip, normalize))
+
+    def test_cached_basis_is_read_only(self):
+        cos_b, sin_b = _filterbank_basis(16000)
+        assert _filterbank_basis(16000)[0] is cos_b
+        for basis in (cos_b, sin_b):
+            with pytest.raises(ValueError, match="read-only"):
+                basis[0, 0] = 1.0
+        assert cos_b[0, 0] == 1.0 and sin_b[0, 0] == 0.0
+
+
 class TestFrameLabels:
     def test_two_symbols_twenty_frames(self):
         labels = frame_labels("AB", 20)
@@ -163,6 +186,20 @@ class TestFrameLabels:
             frame_labels("", 5)
         with pytest.raises(ValueError):
             frame_labels("AB", 0)
+        with pytest.raises(ValueError, match=r"unknown symbols \['Z', 'a'\]"):
+            frame_labels("AZBa", 40)
+        with pytest.raises(ValueError, match="text has 21 symbols but the audio only 20 frames"):
+            frame_labels("A" * 21, 20)
+
+    def test_matches_per_frame_lookup(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            text = "".join(SYMBOLS[i] for i in rng.integers(0, 8, size=rng.integers(1, 13)))
+            n = int(rng.integers(len(text), 130))
+            positions = (np.arange(n) * len(text)) // n
+            expected = np.array([SYMBOLS.index(text[p]) for p in positions], dtype=np.int64)
+            labels = frame_labels(text, n)
+            assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
 
 class TestPlannedCounts:
@@ -223,3 +260,25 @@ class TestLoadExamples:
 
         with pytest.raises(DataFormatError):
             load_examples(tiny_corpus, "nope")
+
+    # case -> (the bad entry's text, whether its WAV exists (2 symbols, 20 frames), what the error says)
+    BAD_ENTRIES = {
+        "unknown-symbol": ("ABZ", True, r"unknown symbols \['Z'\]"),
+        "empty-text": ("", True, "text must be non-empty"),
+        "missing-wav": ("AB", False, "No such file"),
+        "more-symbols-than-frames": ("AB" * 108, True, "text has 216 symbols but the audio only 20 frames"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+    def test_bad_entry_names_manifest_and_id(self, tmp_path, tiny_corpus, case):
+        text, has_wav, message = self.BAD_ENTRIES[case]
+        (tmp_path / "corpus.json").write_bytes((tiny_corpus / "corpus.json").read_bytes())
+        lang = make_languages(TINY.n_langs, TINY.low_lang, TINY.seed)[0]
+        good = ManifestEntry(id="ok-0", lang="L0", text="AB", wav="ok.wav", split="test")
+        write_wav(tmp_path / "ok.wav", synthesize_utterance(lang, "AB"))
+        if has_wav:
+            write_wav(tmp_path / "bad.wav", synthesize_utterance(lang, "AB"))
+        bad = ManifestEntry(id=f"bad-{case}", lang="L0", text=text, wav="bad.wav", split="test")
+        manifest = write_manifest(tmp_path / "manifest.jsonl", [good, bad])
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(manifest))}: entry 'bad-{case}': .*{message}"):
+            load_examples(tmp_path, "test")
