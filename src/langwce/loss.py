@@ -12,8 +12,11 @@ frame f of utterance j is
     utt_weights[j] / (B * F_j) * (softmax(logits_f) - onehot(label_f)).
 
 ``model`` computes every loss and gradient through ``segment_nll``,
-``combine_sentence_losses`` and ``logit_gradient``. Everything here is double
-precision and hand-differentiated; there is no autodiff framework underneath.
+``combine_sentence_losses`` and ``logit_gradient``. ``segment_nll`` takes the
+row maxima in one sweep over the V columns and exponentiates and normalises
+one fresh ``probs`` in place, which ``logit_gradient`` leaves unchanged.
+Everything here is double precision and hand-differentiated; there is no
+autodiff framework underneath.
 """
 
 from __future__ import annotations
@@ -51,11 +54,16 @@ def segment_nll(logits: np.ndarray, labels: np.ndarray, sizes: Sequence[int] | n
         raise ValueError(f"{len(labels)} labels and segment sizes {sizes.tolist()} do not cut {n_frames} frames")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels out of range [0, {n_classes})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    probs = exp / denom
-    nll = np.log(denom[:, 0]) - shifted[np.arange(n_frames), labels]
+    # max(axis=1) reduces each short row on its own; a sweep over columns is faster
+    row_max = logits[:, 0].copy()
+    for k in range(1, n_classes):
+        np.maximum(row_max, logits[:, k], out=row_max)
+    shifted = logits - row_max[:, None]
+    picked = shifted[np.arange(n_frames), labels]
+    probs = np.exp(shifted, out=shifted)
+    denom = probs.sum(axis=1, keepdims=True)
+    probs /= denom
+    nll = np.log(denom[:, 0]) - picked
     bounds = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     return np.add.reduceat(nll, bounds) / sizes, probs
 

@@ -48,20 +48,21 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     if len(ref) == 0:
         raise ValueError("reference must be non-empty")
     n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        ri = ref[i - 1]
-        row, prev = dist[i], dist[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(
-                prev[j - 1] + (ri != hyp[j - 1]),
-                row[j - 1] + 1,
-                prev[j] + 1,
-            )
+    dist = [list(range(m + 1))]
+    for i, ri in enumerate(ref, 1):
+        prev = dist[-1]
+        row = [i]
+        cell = i
+        # row[j] = min(prev[j - 1] + (ri != hyp[j - 1]), row[j - 1] + 1, prev[j] + 1)
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            left = cell + 1
+            cell = diag if ri == h else diag + 1
+            if left < cell:
+                cell = left
+            if up + 1 < cell:
+                cell = up + 1
+            row.append(cell)
+        dist.append(row)
     # backtrace with fixed preference: substitution/match, then insertion, then deletion
     s = d = ins = 0
     i, j = n, m

@@ -14,7 +14,9 @@ batch of one utterance. ``run_phase`` builds its training split's and its
 validation split's inputs once each, with one ``build_inputs`` call per split;
 every step then gathers its batch's rows and labels from the training split's
 arrays with one index array, and every evaluation reuses the validation
-split's.
+split's. The forward and backward passes make each batch-sized array once
+and add the biases, apply ``tanh`` and scale by its derivative in place;
+``decode`` counts every block's votes with one ``np.bincount``.
 
 Training is plain SGD on the language-weighted batch loss. The loss and its
 gradient w.r.t. the logits come from ``loss.segment_nll`` and
@@ -111,8 +113,8 @@ class TrainConfig:
             raise ValueError("total_steps must be >= eval_every")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 so a batch can mix languages")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         w = self.weighting
         if w.mode is WeightMode.LINEAR and w.linear.t_total < self.total_steps:
             raise ValueError(
@@ -165,10 +167,12 @@ def build_inputs(
     first = np.repeat(ends - sizes, sizes)[:, None]
     last = np.repeat(ends - 1, sizes)[:, None]
     c = config.context
-    window = np.clip(np.arange(n_frames)[:, None] + np.arange(-c, c + 1), first, last)
+    window = np.arange(n_frames)[:, None] + np.arange(-c, c + 1)
+    np.maximum(window, first, out=window)
+    np.minimum(window, last, out=window)
     n_context = config.n_features * (2 * c + 1)
     x = np.zeros((n_frames, config.d_in))
-    x[:, :n_context] = frames[window].reshape(n_frames, n_context)
+    x[:, :n_context] = np.take(frames, window, axis=0).reshape(n_frames, n_context)
     x[np.arange(n_frames), n_context + np.repeat(langs, sizes)] = 1.0
     return x, sizes
 
@@ -199,13 +203,17 @@ class _SplitInputs:
         batch_sizes = sizes[idx]
         offsets = np.cumsum(batch_sizes) - batch_sizes
         rows = np.arange(offsets[-1] + batch_sizes[-1]) + np.repeat(self.starts[idx] - offsets, batch_sizes)
-        return x[rows], labels[rows], batch_sizes
+        return np.take(x, rows, axis=0), np.take(labels, rows), batch_sizes
 
 
 def _layers(model: AcousticModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and frame logits of the inputs ``x``."""
-    hidden = np.tanh(x @ model.W1 + model.b1)
-    return hidden, hidden @ model.W2 + model.b2
+    """Hidden activations and frame logits of the inputs ``x``, each built in place."""
+    hidden = x @ model.W1
+    hidden += model.b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ model.W2
+    logits += model.b2
+    return hidden, logits
 
 
 def forward(model: AcousticModel, features: np.ndarray, language: int) -> np.ndarray:
@@ -273,7 +281,9 @@ def train_step(
         raise DivergenceError(f"step {t}: non-finite loss: weighted batch loss {weighted_mean} (must be finite)")
 
     dlogits = loss_mod.logit_gradient(probs, labels, sizes, utt_weights)
-    d_z = (dlogits @ model.W2.T) * (1.0 - hidden**2)
+    d_z = dlogits @ model.W2.T
+    tanh_grad = hidden * hidden
+    d_z *= np.subtract(1.0, tanh_grad, out=tanh_grad)
     grads = {"W1": x_all.T @ d_z, "b1": d_z.sum(axis=0), "W2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
     lr = config.learning_rate
     updated = {name: getattr(model, name) - lr * grad for name, grad in grads.items()}
@@ -317,8 +327,9 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
     n_frames = np.asarray(features).shape[0]
     if n_frames < FRAMES_PER_SYMBOL or n_frames % FRAMES_PER_SYMBOL:
         raise ValueError(f"cannot decode {n_frames} frames: need a positive multiple of {FRAMES_PER_SYMBOL}")
-    blocks = forward(model, features, language).argmax(axis=1).reshape(-1, FRAMES_PER_SYMBOL)
-    votes = (blocks[:, :, None] == np.arange(model.config.n_symbols)).sum(axis=1)
+    n_symbols = model.config.n_symbols
+    cells = np.arange(n_frames) // FRAMES_PER_SYMBOL * n_symbols + forward(model, features, language).argmax(axis=1)
+    votes = np.bincount(cells, minlength=n_frames // FRAMES_PER_SYMBOL * n_symbols).reshape(-1, n_symbols)
     return "".join(SYMBOLS[i] for i in votes.argmax(axis=1))
 
 
@@ -353,6 +364,8 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint: {e}") from e
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: malformed checkpoint: top level is {type(payload).__name__}, not an object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: checkpoint version {payload.get('version')}, expected {CHECKPOINT_VERSION}")
     try:

@@ -190,12 +190,19 @@ def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[Languag
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
         raise DataFormatError(f"{corpus_dir}: missing corpus.json")
-    meta = json.loads(path.read_text())
-    config = CorpusConfig(**meta["config"])
-    languages = [
-        LanguageSpec(id=l["id"], token=l["token"], freq_map=tuple(l["freq_map"]), resource_class=l["resource_class"])
-        for l in meta["languages"]
-    ]
+    try:
+        meta = json.loads(path.read_text())
+        if not isinstance(meta, dict):
+            raise DataFormatError(f"{path}: top level is {type(meta).__name__}, not an object")
+        config = CorpusConfig(**meta["config"])
+        languages = [
+            LanguageSpec(id=l["id"], token=l["token"], freq_map=tuple(l["freq_map"]), resource_class=l["resource_class"])
+            for l in meta["languages"]
+        ]
+    except KeyError as e:
+        raise DataFormatError(f"{path}: missing field {e}") from e
+    except (OSError, ValueError, TypeError) as e:
+        raise DataFormatError(f"{path}: {e}") from e
     return config, languages
 
 

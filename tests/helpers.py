@@ -3,17 +3,27 @@
 The analysis here deliberately avoids the package's own DSP: dominant
 frequency comes from a plain FFT and bin energy from a per-sample Goertzel
 recurrence, so transform and featurization tests check against independent
-measurements. The two exceptions are references that a faster form in the
-package must reproduce bit for bit: ``oracle_best_analysis_position``, the
-waveform-similarity search of ``audio.time_stretch`` in its first,
-per-candidate form, and ``oracle_featurize``, ``synthlang.featurize`` with
-its filterbank basis built inline on every call.
+measurements. The exceptions are references that a faster form in the
+package must reproduce bit for bit, each the package's first form:
+``oracle_best_analysis_position``, the waveform-similarity search of
+``audio.time_stretch`` per candidate; ``oracle_featurize``, ``featurize`` with
+its filterbank basis built inline on every call; ``oracle_edit_distance``,
+the Levenshtein table filled by a three-way ``min`` per cell; and the model
+kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
+``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``.
 """
 
 import numpy as np
 
+from langwce import loss as loss_mod
 from langwce.audio import AudioClip
-from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID
+from langwce.metrics import EditCounts
+from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOLS
+
+
+def same_bits(a, b):
+    """Whether two arrays have equal dtype, shape and bytes: -0.0 differs from 0.0, and equal NaN bits match."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_tone(freq, seconds=1.0, sample_rate=16000, amplitude=0.5, ramp_ms=5.0):
@@ -79,3 +89,80 @@ def oracle_featurize(clip, normalize=True):
         std = values.std(axis=0)
         values = (values - values.mean(axis=0)) / np.where(std > 1e-12, std, 1.0)
     return values
+
+
+def oracle_edit_distance(ref, hyp):
+    """``metrics.edit_distance`` with each table cell the ``min`` of its three moves."""
+    n, m = len(ref), len(hyp)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = i
+    for j in range(1, m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        ri = ref[i - 1]
+        row, prev = dist[i], dist[i - 1]
+        for j in range(1, m + 1):
+            row[j] = min(
+                prev[j - 1] + (ri != hyp[j - 1]),
+                row[j - 1] + 1,
+                prev[j] + 1,
+            )
+    # backtrace with fixed preference: substitution/match, then insertion, then deletion
+    s = d = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            s += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
+            ins += 1
+            j -= 1
+        else:
+            d += 1
+            i -= 1
+    return EditCounts(substitutions=s, deletions=d, insertions=ins, ref_len=n)
+
+
+def oracle_segment_nll(logits, labels, sizes):
+    """``loss.segment_nll`` with a row-wise max and a fresh array per step."""
+    sizes = np.asarray(sizes)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    probs = exp / denom
+    nll = np.log(denom[:, 0]) - shifted[np.arange(len(labels)), labels]
+    bounds = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return np.add.reduceat(nll, bounds) / sizes, probs
+
+
+def oracle_layers(model, x):
+    """``model._layers``: hidden activations and frame logits, each one expression."""
+    hidden = np.tanh(x @ model.W1 + model.b1)
+    return hidden, hidden @ model.W2 + model.b2
+
+
+def oracle_sgd_update(model, x, labels, sizes, utt_weights, learning_rate):
+    """The parameters one ``train_step`` on these inputs and weights leaves, keyed by name."""
+    hidden, logits = oracle_layers(model, x)
+    _, probs = oracle_segment_nll(logits, labels, sizes)
+    dlogits = loss_mod.logit_gradient(probs, labels, sizes, utt_weights)
+    d_z = (dlogits @ model.W2.T) * (1.0 - hidden**2)
+    grads = {"W1": x.T @ d_z, "b1": d_z.sum(axis=0), "W2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
+    return {name: getattr(model, name) - learning_rate * grad for name, grad in grads.items()}
+
+
+def oracle_window(sizes, context):
+    """[frames x (2C+1)] frame indices of ``build_inputs``' context windows, clamped by ``np.clip``."""
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    first = np.repeat(ends - sizes, sizes)[:, None]
+    last = np.repeat(ends - 1, sizes)[:, None]
+    return np.clip(np.arange(ends[-1])[:, None] + np.arange(-context, context + 1), first, last)
+
+
+def oracle_vote(logits, n_symbols, frames_per_symbol):
+    """``model.decode``'s transcription of frame logits, counted in a [blocks x frames x symbols] cube."""
+    blocks = logits.argmax(axis=1).reshape(-1, frames_per_symbol)
+    votes = (blocks[:, :, None] == np.arange(n_symbols)).sum(axis=1)
+    return "".join(SYMBOLS[i] for i in votes.argmax(axis=1))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_segment_nll, same_bits
 from langwce.loss import (
     combine_sentence_losses,
     logit_gradient,
@@ -262,3 +263,28 @@ class TestKernelProperties:
     def test_losses_non_negative(self, utts):
         losses, _ = segment_nll(*stack(utts)[:3])
         assert np.all(losses >= 0.0)
+
+
+special_logit = st.sampled_from([0.0, -0.0, 1e6, -1e6, math.nan])
+
+
+@st.composite
+def kernel_batches(draw):
+    """(logits, labels, sizes): 1-5 utterances of 1-6 frames over 1-10 classes, with ±0, ±1e6 and NaN logits mixed in."""
+    v = draw(st.integers(1, 10))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(sizes)
+    values = st.one_of(finite_logit, special_logit)
+    logits = np.array(draw(st.lists(values, min_size=n * v, max_size=n * v))).reshape(n, v)
+    labels = np.array(draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n)))
+    return logits, labels, sizes
+
+
+class TestSegmentNllOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=kernel_batches())
+    def test_bit_equal_to_row_wise_oracle(self, batch):
+        losses, probs = segment_nll(*batch)
+        want_losses, want_probs = oracle_segment_nll(*batch)
+        assert same_bits(losses, want_losses)
+        assert same_bits(probs, want_probs)

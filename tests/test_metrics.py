@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_edit_distance
 from langwce.metrics import (
     EditCounts,
     build_tables,
@@ -108,6 +109,11 @@ class TestEditDistanceProperties:
     @given(a=non_empty, b=non_empty, c=tokens)
     def test_triangle_inequality(self, a, b, c):
         assert edit_distance(a, c).total <= edit_distance(a, b).total + edit_distance(b, c).total
+
+    @settings(max_examples=500, deadline=None)
+    @given(ref=st.text(alphabet="ABX", min_size=1, max_size=12), hyp=st.text(alphabet="ABX", max_size=12))
+    def test_split_matches_three_way_min_oracle(self, ref, hyp):
+        assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
 
 
 class TestWer:

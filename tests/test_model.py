@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY
+from helpers import oracle_layers, oracle_sgd_update, oracle_vote, oracle_window, same_bits
 from langwce import loss as loss_mod
 from langwce.model import (
     _example_inputs,
+    _layers,
     _SplitInputs,
+    FRAMES_PER_SYMBOL,
     ModelConfig,
     TrainConfig,
     build_inputs,
@@ -53,6 +56,11 @@ class TestTrainConfig:
         for every in (0, -1):
             with pytest.raises(ValueError, match=f"eval_every must be >= 1, got {every}"):
                 TrainConfig(total_steps=10, eval_every=every)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and positive, got {rate}"):
+            TrainConfig(learning_rate=rate)
 
     def test_linear_schedule_shorter_than_run_rejected(self):
         ramp = Weighting(WeightMode.LINEAR, linear=LinearSchedule(1.5, 3.0, t_min=5, t_total=20))
@@ -152,6 +160,15 @@ class TestBuildInputs:
                 expected.append(row)
         assert sizes.tolist() == [len(f) for f in features]
         assert np.array_equal(x, np.array(expected))
+
+    @pytest.mark.parametrize("context", [0, 1, 2])
+    def test_window_matches_clip_oracle(self, context):
+        # each frame's one feature is its row number, so the context columns read back the window
+        sizes = [1, 2, 5, 3, 1]
+        config = ModelConfig(n_features=1, context=context, hidden=2, n_symbols=2, n_langs=2)
+        features = np.split(np.arange(sum(sizes), dtype=float)[:, None], np.cumsum(sizes)[:-1])
+        x, _ = build_inputs(config, features, [0] * len(sizes))
+        assert np.array_equal(x[:, : 2 * context + 1], oracle_window(sizes, context))
 
     @pytest.mark.parametrize(
         "features, languages, message",
@@ -311,6 +328,25 @@ class TestTrainStep:
             numeric = fd_gradients(m, batch, {2: bl.applied_weight})
             assert max_rel_err(analytic, numeric) < 1e-4
 
+    def test_matches_out_of_place_oracle_step(self):
+        rng = np.random.default_rng(71)
+        config = ModelConfig(n_langs=3)
+        m = init_model(config, seed=71)
+        m.b1[:] = rng.normal(0, 0.5, size=m.b1.shape)
+        m.b2[:] = rng.normal(0, 0.5, size=m.b2.shape)
+        cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2,
+                          weighting=Weighting(WeightMode.CONSTANT, constant=2.5))
+        for t in range(1, 4):
+            batch = fake_batch(rng, rng.integers(0, 3, size=6).tolist())
+            x, labels, sizes = _example_inputs(config, batch)
+            for got, want in zip(_layers(m, x), oracle_layers(m, x)):
+                assert same_bits(got, want)
+            utt_weights = np.array([2.5 if ex.lang == 2 else 1.0 for ex in batch])
+            want_params = oracle_sgd_update(m, x, labels, sizes, utt_weights, cfg.learning_rate)
+            train_step(m, batch, t, cfg, low_lang=2)
+            for name, want in want_params.items():
+                assert same_bits(getattr(m, name), want), name
+
     def test_single_low_utterance_update_scales_with_weight(self):
         # the logit gradient train_step backpropagates is exactly linear in
         # the language weight; power-of-two weights keep the scaling bit-exact
@@ -426,6 +462,22 @@ class TestDecode:
         feats = self.features_for([1] * 5 + [3] * 5)
         assert decode(m, feats, 0) == "B"
 
+    def test_matches_vote_cube_oracle_with_planted_ties(self):
+        m = self.make_passthrough_model()
+        rng = np.random.default_rng(67)
+        splits = ([5, 5], [3, 3, 2, 2], [4, 4, 2], [2, 2, 2, 2, 2], [6, 4], [10])
+        for _ in range(50):
+            symbols = []
+            for _ in range(int(rng.integers(1, 6))):
+                counts = splits[rng.integers(len(splits))]
+                voters = rng.choice(8, size=len(counts), replace=False)
+                symbols.extend(rng.permutation(np.repeat(voters, counts)))
+            feats = rng.normal(0, 1, size=(len(symbols), 8))
+            feats[np.arange(len(symbols)), symbols] = feats.max(axis=1) + 1.0
+            logits = forward(m, feats, 0)
+            assert logits.argmax(axis=1).tolist() == symbols
+            assert decode(m, feats, 0) == oracle_vote(logits, 8, FRAMES_PER_SYMBOL)
+
     def test_too_few_frames_rejected(self):
         m = self.make_passthrough_model()
         with pytest.raises(ValueError):
@@ -453,6 +505,13 @@ class TestCheckpoint:
         path = save_checkpoint(m, {}, tmp_path / "ckpt.json")
         path.write_text(path.read_text()[: 100])
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"params"', "null"])
+    def test_non_object_top_level_rejected(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: top level is"):
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the tone-language corpus generator and Goertzel featurization."""
 
+import json
 import re
 from collections import Counter
 
@@ -20,6 +21,7 @@ from langwce.synthlang import (
     featurize,
     frame_labels,
     generate_corpus,
+    load_corpus_meta,
     load_examples,
     make_languages,
     planned_counts,
@@ -282,3 +284,27 @@ class TestLoadExamples:
         manifest = write_manifest(tmp_path / "manifest.jsonl", [good, bad])
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(manifest))}: entry 'bad-{case}': .*{message}"):
             load_examples(tmp_path, "test")
+
+
+def _drop_first_token(meta):
+    del meta["languages"][0]["token"]
+    return json.dumps(meta)
+
+
+class TestLoadCorpusMeta:
+    # case -> (corpus.json's text from the good file's parsed metadata, what the error says)
+    BAD_META = {
+        "truncated": (lambda meta: "{", "Expecting property name"),
+        "top-level-list": (lambda meta: "[]", "top level is list, not an object"),
+        "low-lang-out-of-range": (lambda meta: json.dumps({"config": {"n_langs": 3}}), "low_lang 5 out of range"),
+        "language-without-token": (_drop_first_token, "missing field 'token'"),
+        "languages-not-a-list": (lambda meta: json.dumps({**meta, "languages": 3}), "not iterable"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_META))
+    def test_malformed_file_named(self, tmp_path, tiny_corpus, case):
+        make_text, message = self.BAD_META[case]
+        path = tmp_path / "corpus.json"
+        path.write_text(make_text(json.loads((tiny_corpus / "corpus.json").read_text())))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            load_corpus_meta(tmp_path)
