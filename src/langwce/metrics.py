@@ -1,8 +1,6 @@
 """Word-error-rate computation and benchmark result tables.
 
-Edit distance uses unit-cost Levenshtein dynamic programming with a fixed
-tie-break (substitution over insertion over deletion) so the S/D/I split is
-reproducible; the total distance is tie-independent. Corpus WER pools edits
+Edit distance is the unit-cost Levenshtein distance. Corpus WER pools edits
 over pooled reference length rather than averaging per-sentence rates.
 
 The report assembles two tables from per-run evaluation CSVs: per-language
@@ -23,34 +21,12 @@ from .util import DataFormatError
 EVAL_FIELDS = ["run", "language", "n_utts", "total_ref_tokens", "total_edits", "wer_percent"]
 
 
-@dataclass(frozen=True)
-class EditCounts:
-    substitutions: int
-    deletions: int
-    insertions: int
-    ref_len: int
-
-    def __post_init__(self):
-        if self.ref_len <= 0:
-            raise ValueError("ref_len must be positive")
-        if min(self.substitutions, self.deletions, self.insertions) < 0:
-            raise ValueError("edit counts must be non-negative")
-        if self.substitutions + self.deletions > self.ref_len:
-            raise ValueError("S + D cannot exceed the reference length")
-
-    @property
-    def total(self) -> int:
-        return self.substitutions + self.deletions + self.insertions
-
-
-def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
-    """Minimal unit-cost edits transforming hyp into ref, with a S/D/I breakdown."""
+def edit_distance(ref: Sequence, hyp: Sequence) -> int:
+    """Unit-cost Levenshtein distance: the fewest substitutions, deletions and insertions turning hyp into ref."""
     if len(ref) == 0:
         raise ValueError("reference must be non-empty")
-    n, m = len(ref), len(hyp)
-    dist = [list(range(m + 1))]
+    prev = list(range(len(hyp) + 1))
     for i, ri in enumerate(ref, 1):
-        prev = dist[-1]
         row = [i]
         cell = i
         # row[j] = min(prev[j - 1] + (ri != hyp[j - 1]), row[j - 1] + 1, prev[j] + 1)
@@ -62,26 +38,8 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
             if up + 1 < cell:
                 cell = up + 1
             row.append(cell)
-        dist.append(row)
-    # backtrace with fixed preference: substitution/match, then insertion, then deletion
-    s = d = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            s += ref[i - 1] != hyp[j - 1]
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
-            ins += 1
-            j -= 1
-        else:
-            d += 1
-            i -= 1
-    return EditCounts(substitutions=s, deletions=d, insertions=ins, ref_len=n)
-
-
-def wer(counts: EditCounts) -> float:
-    """(S + D + I) / ref_len as a ratio; can exceed 1 with many insertions."""
-    return counts.total / counts.ref_len
+        prev = row
+    return prev[-1]
 
 
 def corpus_wer(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
@@ -91,9 +49,8 @@ def corpus_wer(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
     edits = 0
     tokens = 0
     for ref, hyp in pairs:
-        c = edit_distance(ref, hyp)
-        edits += c.total
-        tokens += c.ref_len
+        edits += edit_distance(ref, hyp)
+        tokens += len(ref)
     return edits / tokens
 
 
@@ -120,6 +77,8 @@ def format_percent(x: float) -> str:
 
 
 def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, counts_total: int, ref_tokens: int) -> None:
+    if ref_tokens < 1:
+        raise ValueError(f"{path}: ref_tokens must be >= 1, got {ref_tokens}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
@@ -134,14 +93,14 @@ def read_eval_csv(path: str | Path) -> dict:
     if len(rows) != 1 or set(EVAL_FIELDS) - set(rows[0]):
         raise DataFormatError(f"{path}: expected one evaluation row with fields {EVAL_FIELDS}")
     row = rows[0]
-    return {
-        "run": row["run"],
-        "language": row["language"],
-        "n_utts": int(row["n_utts"]),
-        "total_ref_tokens": int(row["total_ref_tokens"]),
-        "total_edits": int(row["total_edits"]),
-        "wer_percent": float(row["wer_percent"]),
-    }
+    try:
+        counts = {name: int(row[name]) for name in ("n_utts", "total_ref_tokens", "total_edits")}
+        wer_percent = float(row["wer_percent"])
+    except (TypeError, ValueError) as e:
+        raise DataFormatError(f"{path}: {e}") from e
+    if counts["total_ref_tokens"] < 1:
+        raise DataFormatError(f"{path}: total_ref_tokens must be >= 1, got {counts['total_ref_tokens']}")
+    return {"run": row["run"], "language": row["language"], **counts, "wer_percent": wer_percent}
 
 
 def collect_run_wers(run_dir: str | Path) -> dict[str, float]:
@@ -177,44 +136,32 @@ def build_tables(
     """Assemble the WER table and the reduction-vs-baseline table.
 
     All cells are rounded to two decimals first; the reduction table is then
-    derived from the rounded values. ``pretrain_run`` (if given) is shown in
+    derived from the WER table's rows. ``pretrain_run`` (if given) is shown in
     the WER table but excluded from the reduction table.
     """
-    if baseline not in run_wers:
-        raise DataFormatError(f"baseline run {baseline!r} not found among runs {sorted(run_wers)}")
-    names = list(run_order) if run_order else sorted(run_wers)
-    names = [n for n in names if n in run_wers]
+    names = [n for n in (run_order or sorted(run_wers)) if n in run_wers]
+    if baseline not in names:
+        raise DataFormatError(f"baseline run {baseline!r} not found among the reported runs {names}")
     langs = sorted(run_wers[baseline])
     if low_lang not in langs:
         raise DataFormatError(f"low-resource language {low_lang!r} missing from baseline evaluation")
     langs = [low_lang] + [l for l in langs if l != low_lang]
 
-    def rounded_row(name):
+    table1 = []
+    for name in names:
         missing = [l for l in langs if l not in run_wers[name]]
         if missing:
             raise DataFormatError(f"run {name!r} is missing languages {missing}")
-        return [float(format_percent(run_wers[name][l])) for l in langs]
-
-    table1 = []
-    rounded = {}
-    for name in names:
-        cells = rounded_row(name)
-        rounded[name] = cells
+        cells = [float(format_percent(run_wers[name][l])) for l in langs]
         table1.append((name, cells, float(format_percent(row_mean(cells)))))
 
-    base_cells = dict(zip(langs, rounded[baseline]))
-    base_mean = float(format_percent(row_mean(rounded[baseline])))
-    table2 = []
-    for name, cells, mean in table1:
-        if name == pretrain_run:
-            continue
-        table2.append(
-            (
-                name,
-                relative_reduction(base_cells[low_lang], dict(zip(langs, cells))[low_lang]),
-                relative_reduction(base_mean, mean),
-            )
-        )
+    # the low-resource language is column 0
+    _, base_cells, base_mean = table1[names.index(baseline)]
+    table2 = [
+        (name, relative_reduction(base_cells[0], cells[0]), relative_reduction(base_mean, mean))
+        for name, cells, mean in table1
+        if name != pretrain_run
+    ]
     return ResultTables(languages=langs, table1=table1, table2=table2)
 
 

@@ -39,11 +39,10 @@ import numpy as np
 from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
-from .synthlang import SYMBOLS, FrameExample, load_corpus_meta, load_examples
+from .synthlang import FRAMES_PER_SYMBOL, SYMBOLS, FrameExample, load_corpus_meta, load_examples
 from .util import DataFormatError, DivergenceError, derive_seed
 
 CHECKPOINT_VERSION = 1
-FRAMES_PER_SYMBOL = 10  # clean synthesis geometry: 100 ms symbols, 10 ms frames
 # Divergence bound on a batch's unweighted mean utterance loss, in units of
 # ln(n_symbols), the loss of a uniform guess; 100 * ln 8 is about 208. On the
 # benchmark's paper-grid corpus (1,000 pretrain steps, then constant and
@@ -107,6 +106,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("total_steps", "batch_size", "eval_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.total_steps < self.eval_every:
@@ -317,11 +320,12 @@ def validation_losses(
 
 
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
-    """Majority-vote transcription assuming the clean 10-frames-per-symbol geometry.
+    """Majority-vote transcription assuming the clean synthesis geometry.
 
+    Each block of ``synthlang.FRAMES_PER_SYMBOL`` frames is one symbol.
     Raises ``ValueError`` unless the frame count is a positive multiple of
-    ``FRAMES_PER_SYMBOL``: other counts (time-stretched audio, say) break the
-    geometry, and guessing the symbol count would insert or drop symbols.
+    it: other counts (time-stretched audio, say) break the geometry, and
+    guessing the symbol count would insert or drop symbols.
     Ties within a block resolve to the lowest symbol index.
     """
     n_frames = np.asarray(features).shape[0]
@@ -379,7 +383,10 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
         model = AcousticModel(config=config, **params)
     except (DataFormatError, ValueError) as e:
         raise DataFormatError(f"{path}: invalid parameters: {e}") from e
-    return model, payload.get("meta", {})
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: malformed checkpoint: meta is {type(meta).__name__}, not an object")
+    return model, meta
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,17 @@ the language conditioning signal, and a language that is rare in pretraining
 ends up systematically mistranscribed: the bias the fine-tuning experiments
 work against.
 
-Featurization is a Goertzel filterbank: per 10 ms frame, log-compressed
-energy at each grid frequency, mean-variance normalized per utterance.
+The geometry is fixed: audio is sampled at ``SAMPLE_RATE`` (16 kHz), each
+symbol is a 100 ms tone of ``SYMBOL_SAMPLES`` samples, and features come in
+10 ms frames of ``FRAME_SAMPLES`` samples with no overlap, so a clean
+utterance has ``FRAMES_PER_SYMBOL`` (10) frames per symbol.
+
+Featurization is a Goertzel filterbank: per frame, log-compressed energy at
+each grid frequency, mean-variance normalized per utterance.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,7 +30,10 @@ from .util import DataFormatError, derive_seed
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
-FRAME_SAMPLES = 160  # 10 ms at 16 kHz, also the hop (no overlap)
+SAMPLE_RATE = 16000
+FRAME_SAMPLES = 160  # also the hop (no overlap)
+SYMBOL_SAMPLES = 1600
+FRAMES_PER_SYMBOL = SYMBOL_SAMPLES // FRAME_SAMPLES
 SPLITS = ("pretrain", "finetune", "valid", "test")
 
 HIGH = "high"
@@ -54,8 +61,6 @@ class CorpusConfig:
     pretrain_per_high: int = 2000
     valid_per_lang: int = 100
     test_per_lang: int = 200
-    sample_rate: int = 16000
-    symbol_ms: int = 100
     min_len: int = 2
     max_len: int = 12
     seed: int = 0
@@ -72,6 +77,11 @@ class CorpusConfig:
             raise ValueError(f"low_fraction must be in (0, 1], got {self.low_fraction}")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError("need 1 <= min_len <= max_len")
+
+    @property
+    def sample_rate(self) -> int:
+        """Always ``SAMPLE_RATE``; ``bench/workloads.py`` reads it to check augmented WAVs."""
+        return SAMPLE_RATE
 
     @property
     def low_pretrain_count(self) -> int:
@@ -101,29 +111,27 @@ def make_languages(n: int, low_id: int, seed: int) -> list[LanguageSpec]:
     ]
 
 
-def synthesize_utterance(spec: LanguageSpec, text: str, sample_rate: int = 16000, symbol_ms: int = 100) -> AudioClip:
-    """Concatenated fixed-duration sine segments, one per symbol.
+def synthesize_utterance(spec: LanguageSpec, text: str) -> AudioClip:
+    """Concatenated ``SYMBOL_SAMPLES``-long sine segments, one per symbol.
 
     Each segment is a 0.3-amplitude tone at the language's frequency for that
     symbol, with 5 ms raised-cosine onset/offset ramps.
     """
     if not text:
         raise ValueError("text must be non-empty")
-    seg_len = round(symbol_ms / 1000 * sample_rate)
-    ramp = round(0.005 * sample_rate)
-    env = np.ones(seg_len)
-    if ramp:
-        edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
-        env[:ramp] = edge
-        env[-ramp:] = edge[::-1]
-    t = np.arange(seg_len) / sample_rate
+    ramp = round(0.005 * SAMPLE_RATE)
+    env = np.ones(SYMBOL_SAMPLES)
+    edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
+    env[:ramp] = edge
+    env[-ramp:] = edge[::-1]
+    t = np.arange(SYMBOL_SAMPLES) / SAMPLE_RATE
     segments = []
     for sym in text:
         idx = SYMBOLS.find(sym)
         if idx < 0:
             raise ValueError(f"unknown symbol {sym!r}; alphabet is {SYMBOLS}")
         segments.append(0.3 * np.sin(2 * np.pi * spec.freq_map[idx] * t) * env)
-    return AudioClip(sample_rate=sample_rate, samples=np.concatenate(segments))
+    return AudioClip(sample_rate=SAMPLE_RATE, samples=np.concatenate(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +180,7 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
                 text = _random_text(rng, config.min_len, config.max_len)
                 utt_id = f"{split}-{lang.name}-{i:05d}"
                 rel = f"{split}/{lang.name}/{utt_id}.wav"
-                clip = synthesize_utterance(
-                    lang, text, sample_rate=config.sample_rate, symbol_ms=config.symbol_ms
-                )
-                write_wav(out_dir / rel, clip)
+                write_wav(out_dir / rel, synthesize_utterance(lang, text))
                 entries.append(
                     ManifestEntry(id=utt_id, lang=lang.name, text=text, wav=rel, split=split)
                 )
@@ -187,6 +192,14 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
 
 
 def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[LanguageSpec]]:
+    """The config and languages ``generate_corpus`` recorded in corpus.json.
+
+    Raises ``DataFormatError`` naming the file when it cannot be read, a field
+    is missing or unknown, a language's ``id`` is not its position in the
+    list, its ``freq_map`` is not a list of ``len(SYMBOLS)`` numbers, its
+    ``resource_class`` is neither ``high`` nor ``low``, or the number of
+    languages is not ``n_langs``.
+    """
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
         raise DataFormatError(f"{corpus_dir}: missing corpus.json")
@@ -195,14 +208,29 @@ def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[Languag
         if not isinstance(meta, dict):
             raise DataFormatError(f"{path}: top level is {type(meta).__name__}, not an object")
         config = CorpusConfig(**meta["config"])
-        languages = [
-            LanguageSpec(id=l["id"], token=l["token"], freq_map=tuple(l["freq_map"]), resource_class=l["resource_class"])
-            for l in meta["languages"]
-        ]
+        languages = []
+        for position, l in enumerate(meta["languages"]):
+            lang_id, freq_map, resource_class = l["id"], l["freq_map"], l["resource_class"]
+            if isinstance(lang_id, bool) or not isinstance(lang_id, int) or lang_id != position:
+                raise DataFormatError(f"{path}: language {position} has id {lang_id!r}, expected {position}")
+            numbers = isinstance(freq_map, list) and all(type(f) in (int, float) for f in freq_map)
+            if not numbers or len(freq_map) != len(SYMBOLS):
+                raise DataFormatError(
+                    f"{path}: language {position}: freq_map must be a list of {len(SYMBOLS)} numbers, got {freq_map!r}"
+                )
+            if resource_class not in (HIGH, LOW):
+                raise DataFormatError(
+                    f"{path}: language {position}: resource_class must be {HIGH!r} or {LOW!r}, got {resource_class!r}"
+                )
+            languages.append(
+                LanguageSpec(id=lang_id, token=l["token"], freq_map=tuple(freq_map), resource_class=resource_class)
+            )
     except KeyError as e:
         raise DataFormatError(f"{path}: missing field {e}") from e
     except (OSError, ValueError, TypeError) as e:
         raise DataFormatError(f"{path}: {e}") from e
+    if len(languages) != config.n_langs:
+        raise DataFormatError(f"{path}: {len(languages)} languages listed but n_langs is {config.n_langs}")
     return config, languages
 
 
@@ -221,31 +249,36 @@ class FrameFeatures:
         return self.values.shape[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _filterbank_basis(sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
-    """[FRAME_SAMPLES x grid] cosine and sine projections, built once per sample rate (read-only)."""
+def _filterbank_basis() -> tuple[np.ndarray, np.ndarray]:
+    """[FRAME_SAMPLES x grid] cosine and sine projections at ``SAMPLE_RATE`` (read-only)."""
     n = np.arange(FRAME_SAMPLES)[:, None]
-    omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / sample_rate
+    omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / SAMPLE_RATE
     basis = np.cos(n * omega), np.sin(n * omega)
     for arr in basis:
         arr.setflags(write=False)
     return basis
 
 
+_COS_BASIS, _SIN_BASIS = _filterbank_basis()
+
+
 def featurize(clip: AudioClip, normalize: bool = True) -> FrameFeatures:
     """Per-frame Goertzel energies at the grid frequencies, then ln(1 + E).
 
-    Frames are 160 samples with a 160-sample hop; the energies are computed
-    by direct projection, which equals the Goertzel recurrence value.
+    Frames are ``FRAME_SAMPLES`` long with no overlap; the energies are
+    computed by direct projection, which equals the Goertzel recurrence value.
     With ``normalize`` each coordinate is mean-variance normalized over the
     utterance (coordinates with vanishing variance are left centered).
+    Raises ``ValueError`` for a clip not at ``SAMPLE_RATE`` or shorter than
+    one frame.
     """
+    if clip.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"clip is sampled at {clip.sample_rate} Hz; features need {SAMPLE_RATE} Hz")
     n_frames = len(clip) // FRAME_SAMPLES
     if n_frames < 1:
         raise ValueError(f"clip too short to featurize: {len(clip)} samples < {FRAME_SAMPLES}")
     frames = clip.samples[: n_frames * FRAME_SAMPLES].reshape(n_frames, FRAME_SAMPLES)
-    cos_b, sin_b = _filterbank_basis(clip.sample_rate)
-    energy = (frames @ cos_b) ** 2 + (frames @ sin_b) ** 2
+    energy = (frames @ _COS_BASIS) ** 2 + (frames @ _SIN_BASIS) ** 2
     values = np.log1p(energy)
     if normalize:
         mean = values.mean(axis=0)
@@ -292,9 +325,10 @@ class FrameExample:
 def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSpec] | None = None) -> list[FrameExample]:
     """Read, featurize, and label every manifest entry of one split.
 
-    An entry whose WAV cannot be read, whose text is empty or holds a symbol
-    outside ``SYMBOLS``, or whose text has more symbols than its audio has
-    frames raises ``DataFormatError`` naming the manifest and the entry id.
+    An entry whose WAV cannot be read or is not at ``SAMPLE_RATE``, whose
+    text is empty or holds a symbol outside ``SYMBOLS``, or whose text has
+    more symbols than its audio has frames raises ``DataFormatError`` naming
+    the manifest and the entry id.
     """
     corpus_dir = Path(corpus_dir)
     if languages is None:

@@ -17,7 +17,6 @@ import numpy as np
 
 from langwce import loss as loss_mod
 from langwce.audio import AudioClip
-from langwce.metrics import EditCounts
 from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOLS
 
 
@@ -92,7 +91,7 @@ def oracle_featurize(clip, normalize=True):
 
 
 def oracle_edit_distance(ref, hyp):
-    """``metrics.edit_distance`` with each table cell the ``min`` of its three moves."""
+    """``metrics.edit_distance`` from the full table, each cell the ``min`` of its three moves."""
     n, m = len(ref), len(hyp)
     dist = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -108,20 +107,7 @@ def oracle_edit_distance(ref, hyp):
                 row[j - 1] + 1,
                 prev[j] + 1,
             )
-    # backtrace with fixed preference: substitution/match, then insertion, then deletion
-    s = d = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            s += ref[i - 1] != hyp[j - 1]
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
-            ins += 1
-            j -= 1
-        else:
-            d += 1
-            i -= 1
-    return EditCounts(substitutions=s, deletions=d, insertions=ins, ref_len=n)
+    return dist[n][m]
 
 
 def oracle_segment_nll(logits, labels, sizes):

@@ -1,5 +1,6 @@
 """Tests for edit distance, WER aggregation, and the result tables."""
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -10,16 +11,16 @@ from hypothesis import strategies as st
 
 from helpers import oracle_edit_distance
 from langwce.metrics import (
-    EditCounts,
+    EVAL_FIELDS,
     build_tables,
     collect_run_wers,
     corpus_wer,
     edit_distance,
     format_percent,
+    read_eval_csv,
     relative_reduction,
     report,
     row_mean,
-    wer,
     write_eval_csv,
 )
 from langwce.util import DataFormatError
@@ -45,16 +46,13 @@ def levenshtein_oracle(ref, hyp):
 
 class TestEditDistance:
     def test_identity(self):
-        c = edit_distance("ABC", "ABC")
-        assert (c.substitutions, c.deletions, c.insertions) == (0, 0, 0)
+        assert edit_distance("ABC", "ABC") == 0
 
     def test_single_substitution(self):
-        c = edit_distance(list("ABC"), list("AXC"))
-        assert c.total == 1 and c.substitutions == 1
+        assert edit_distance(list("ABC"), list("AXC")) == 1
 
     def test_empty_hypothesis_all_deletions(self):
-        c = edit_distance(list("AB"), [])
-        assert c.deletions == 2 and c.total == 2
+        assert edit_distance(list("AB"), []) == 2
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -65,23 +63,21 @@ class TestEditDistance:
         for rl, hl in product(range(1, 4), range(0, 4)):
             for ref in product(alphabet, repeat=rl):
                 for hyp in product(alphabet, repeat=hl):
-                    assert edit_distance(ref, hyp).total == levenshtein_oracle(ref, hyp)
+                    assert edit_distance(ref, hyp) == levenshtein_oracle(ref, hyp)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             ref = tuple(rng.integers(0, 5, size=rng.integers(1, 11)).tolist())
             hyp = tuple(rng.integers(0, 5, size=rng.integers(0, 11)).tolist())
-            c = edit_distance(ref, hyp)
-            assert c.total == levenshtein_oracle(ref, hyp)
-            assert c.substitutions + c.deletions <= len(ref)
+            assert edit_distance(ref, hyp) == levenshtein_oracle(ref, hyp)
 
     def test_total_distance_symmetric(self):
         rng = np.random.default_rng(103)
         for _ in range(200):
             a = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
             b = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
-            assert edit_distance(a, b).total == edit_distance(b, a).total
+            assert edit_distance(a, b) == edit_distance(b, a)
 
 
 tokens = st.text(alphabet="ABX", max_size=8)
@@ -92,23 +88,23 @@ class TestEditDistanceProperties:
     @settings(max_examples=300, deadline=None)
     @given(a=non_empty, b=non_empty)
     def test_total_symmetric(self, a, b):
-        assert edit_distance(a, b).total == edit_distance(b, a).total
+        assert edit_distance(a, b) == edit_distance(b, a)
 
     @settings(max_examples=300, deadline=None)
     @given(ref=non_empty, hyp=tokens)
     def test_total_bounded_by_lengths(self, ref, hyp):
-        assert abs(len(ref) - len(hyp)) <= edit_distance(ref, hyp).total <= max(len(ref), len(hyp))
+        assert abs(len(ref) - len(hyp)) <= edit_distance(ref, hyp) <= max(len(ref), len(hyp))
 
     @settings(max_examples=300, deadline=None)
     @given(ref=non_empty, hyp=tokens)
     def test_zero_exactly_when_equal(self, ref, hyp):
-        assert (edit_distance(ref, hyp).total == 0) == (ref == hyp)
-        assert edit_distance(ref, ref).total == 0
+        assert (edit_distance(ref, hyp) == 0) == (ref == hyp)
+        assert edit_distance(ref, ref) == 0
 
     @settings(max_examples=300, deadline=None)
     @given(a=non_empty, b=non_empty, c=tokens)
     def test_triangle_inequality(self, a, b, c):
-        assert edit_distance(a, c).total <= edit_distance(a, b).total + edit_distance(b, c).total
+        assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
     @settings(max_examples=500, deadline=None)
     @given(ref=st.text(alphabet="ABX", min_size=1, max_size=12), hyp=st.text(alphabet="ABX", max_size=12))
@@ -116,26 +112,13 @@ class TestEditDistanceProperties:
         assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
 
 
-class TestWer:
-    def test_identity_is_zero(self):
-        assert wer(edit_distance("AB", "AB")) == 0.0
-
-    def test_one_edit_in_three(self):
-        assert wer(edit_distance(list("ABC"), list("AXC"))) == pytest.approx(1 / 3)
-
-    def test_can_exceed_one(self):
-        assert wer(EditCounts(substitutions=1, deletions=0, insertions=3, ref_len=2)) == 2.0
-
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            EditCounts(substitutions=2, deletions=1, insertions=0, ref_len=2)
-        with pytest.raises(ValueError):
-            EditCounts(substitutions=0, deletions=0, insertions=0, ref_len=0)
-
-
 class TestCorpusWer:
     def test_identical_pairs(self):
         assert corpus_wer([("AB", "AB"), ("AB", "AB")]) == 0.0
+
+    def test_can_exceed_one(self):
+        # one substitution and three insertions against two reference tokens
+        assert corpus_wer([("AB", "AXXXX")]) == 2.0
 
     def test_pooled_not_averaged(self):
         pairs = [(list("AB"), list("AX")), (list("CD"), list("CD"))]
@@ -148,7 +131,7 @@ class TestCorpusWer:
             ref = rng.integers(0, 5, size=rng.integers(1, 11)).tolist()
             hyp = rng.integers(0, 5, size=rng.integers(0, 11)).tolist()
             pairs.append((ref, hyp))
-        edits = sum(edit_distance(r, h).total for r, h in pairs)
+        edits = sum(edit_distance(r, h) for r, h in pairs)
         tokens = sum(len(r) for r, _ in pairs)
         assert corpus_wer(pairs) == pytest.approx(edits / tokens, abs=1e-15)
 
@@ -215,6 +198,29 @@ def write_fixture_runs(runs_dir, wers=FIXTURE_WERS):
             write_eval_csv(runs_dir / run / "eval" / f"{lang}.csv", run, lang, 200, edits, 100000)
 
 
+class TestEvalCsv:
+    # case -> (the CSV's data row, what the error says)
+    BAD_ROWS = {
+        "non-integer-count": ("WS,L0,4,20,2.5,12.5", "invalid literal for int"),
+        "no-reference-tokens": ("WS,L0,4,0,0,0.0", "total_ref_tokens must be >= 1, got 0"),
+        "short-row": ("WS,L0,4", "int\\(\\) argument must be"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_bad_row_names_csv(self, tmp_path, case):
+        row, message = self.BAD_ROWS[case]
+        path = tmp_path / "L0.csv"
+        path.write_text(",".join(EVAL_FIELDS) + "\n" + row + "\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            read_eval_csv(path)
+
+    def test_write_without_reference_tokens_rejected(self, tmp_path):
+        path = tmp_path / "eval" / "L0.csv"
+        with pytest.raises(ValueError, match="ref_tokens must be >= 1, got 0"):
+            write_eval_csv(path, "WS", "L0", 0, 0, 0)
+        assert not path.parent.exists()
+
+
 class TestTables:
     def test_fixture_grid_reproduced(self, tmp_path):
         write_fixture_runs(tmp_path)
@@ -261,6 +267,10 @@ class TestTables:
         write_fixture_runs(tmp_path, {"WS": FIXTURE_WERS["WS"]})
         with pytest.raises(DataFormatError):
             report(tmp_path, tmp_path / "out", baseline="WS-FT", low_lang="L5")
+
+    def test_run_order_without_baseline_rejected(self):
+        with pytest.raises(DataFormatError, match=r"baseline run 'WS-FT' not found among the reported runs \['WS', 'WS-FT-GL\+'\]"):
+            build_tables(FIXTURE_WERS, low_lang="L5", baseline="WS-FT", run_order=["WS", "WS-FT-GL+"])
 
     def test_percent_formatting_two_decimals(self):
         assert format_percent(12.935001) == "12.94"

@@ -16,7 +16,6 @@ from langwce.model import (
     _example_inputs,
     _layers,
     _SplitInputs,
-    FRAMES_PER_SYMBOL,
     ModelConfig,
     TrainConfig,
     build_inputs,
@@ -31,7 +30,7 @@ from langwce.model import (
     validation_losses,
 )
 from langwce.schedule import DynamicSchedule, LinearSchedule, WeightMode, Weighting
-from langwce.synthlang import FrameExample, load_examples
+from langwce.synthlang import FRAMES_PER_SYMBOL, FrameExample, load_examples
 from langwce.util import DataFormatError, DivergenceError, derive_seed
 
 TINY_MODEL = ModelConfig(n_features=8, context=1, hidden=4, n_symbols=8, n_langs=3)
@@ -56,6 +55,13 @@ class TestTrainConfig:
         for every in (0, -1):
             with pytest.raises(ValueError, match=f"eval_every must be >= 1, got {every}"):
                 TrainConfig(total_steps=10, eval_every=every)
+
+    @pytest.mark.parametrize("name", ["total_steps", "batch_size", "eval_every", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_int_count_rejected(self, name, value):
+        fields = {"total_steps": 10, "batch_size": 4, "eval_every": 5, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an int, got {re.escape(repr(value))}"):
+            TrainConfig(**fields)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_learning_rate_rejected(self, rate):
@@ -512,6 +518,15 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text(text)
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: top level is"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [[1], "note", None])
+    def test_non_object_meta_rejected(self, tmp_path, meta):
+        import json
+
+        path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "meta": meta}))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: meta is"):
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -13,9 +13,12 @@ from conftest import TINY
 from langwce.audio import AudioClip, write_wav
 from langwce.manifest import ManifestEntry, read_manifest, write_manifest
 from langwce.synthlang import (
-    _filterbank_basis,
+    _COS_BASIS,
+    _SIN_BASIS,
     FRAME_SAMPLES,
+    FRAMES_PER_SYMBOL,
     FREQ_GRID,
+    SAMPLE_RATE,
     SYMBOLS,
     CorpusConfig,
     featurize,
@@ -89,6 +92,14 @@ class TestSynthesizeUtterance:
         clip = synthesize_utterance(self.LANG0, "ABCDEFGH")
         assert np.abs(clip.samples).max() <= 0.3 + 1e-12
 
+    def test_each_symbol_featurizes_to_frames_per_symbol(self, tiny_corpus):
+        _, languages = load_corpus_meta(tiny_corpus)
+        for lang in languages:
+            for n in (1, 2, 7, 12):
+                clip = synthesize_utterance(lang, (SYMBOLS * 2)[:n])
+                assert clip.sample_rate == SAMPLE_RATE
+                assert featurize(clip).n_frames == n * FRAMES_PER_SYMBOL
+
 
 class TestGoertzel:
     def test_projection_matches_recurrence(self):
@@ -140,23 +151,22 @@ class TestFeaturize:
 
 
     def test_matches_inline_basis_oracle_at_two_rates(self):
-        # both rates in one test: a basis cached under the wrong rate would show here
+        # 16 kHz matches the oracle; any other rate is refused, not featurized with the 16 kHz basis
         rng = np.random.default_rng(8)
         lang = make_languages(3, 2, seed=1)[1]
-        for rate in (8000, 16000, 8000):
-            tone = synthesize_utterance(lang, "HACEB", sample_rate=rate)
-            noise = AudioClip(rate, rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
-            for clip in (tone, noise):
-                for normalize in (True, False):
-                    assert np.array_equal(featurize(clip, normalize).values, oracle_featurize(clip, normalize))
+        tone = synthesize_utterance(lang, "HACEB")
+        noise = AudioClip(SAMPLE_RATE, rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
+        for clip in (tone, noise):
+            for normalize in (True, False):
+                assert np.array_equal(featurize(clip, normalize).values, oracle_featurize(clip, normalize))
+        with pytest.raises(ValueError, match="clip is sampled at 8000 Hz; features need 16000 Hz"):
+            featurize(AudioClip(8000, tone.samples))
 
     def test_cached_basis_is_read_only(self):
-        cos_b, sin_b = _filterbank_basis(16000)
-        assert _filterbank_basis(16000)[0] is cos_b
-        for basis in (cos_b, sin_b):
+        for basis in (_COS_BASIS, _SIN_BASIS):
             with pytest.raises(ValueError, match="read-only"):
                 basis[0, 0] = 1.0
-        assert cos_b[0, 0] == 1.0 and sin_b[0, 0] == 0.0
+        assert _COS_BASIS[0, 0] == 1.0 and _SIN_BASIS[0, 0] == 0.0
 
 
 class TestFrameLabels:
@@ -252,7 +262,7 @@ class TestLoadExamples:
         examples = load_examples(tiny_corpus, "test")
         assert len(examples) == 3 * TINY.test_per_lang
         for ex in examples[:5]:
-            assert ex.features.shape == (10 * len(ex.text), 8)
+            assert ex.features.shape == (FRAMES_PER_SYMBOL * len(ex.text), 8)
             assert ex.labels.shape == (ex.features.shape[0],)
             assert set(ex.labels.tolist()) == {SYMBOLS.index(s) for s in ex.text}
         assert sorted({ex.lang for ex in examples}) == [0, 1, 2]
@@ -263,23 +273,25 @@ class TestLoadExamples:
         with pytest.raises(DataFormatError):
             load_examples(tiny_corpus, "nope")
 
-    # case -> (the bad entry's text, whether its WAV exists (2 symbols, 20 frames), what the error says)
+    # case -> (the bad entry's text, the sample rate of its WAV of "AB"'s samples or None for
+    # no WAV, what the error says); at 16 kHz the WAV has 20 frames
     BAD_ENTRIES = {
-        "unknown-symbol": ("ABZ", True, r"unknown symbols \['Z'\]"),
-        "empty-text": ("", True, "text must be non-empty"),
-        "missing-wav": ("AB", False, "No such file"),
-        "more-symbols-than-frames": ("AB" * 108, True, "text has 216 symbols but the audio only 20 frames"),
+        "unknown-symbol": ("ABZ", SAMPLE_RATE, r"unknown symbols \['Z'\]"),
+        "empty-text": ("", SAMPLE_RATE, "text must be non-empty"),
+        "missing-wav": ("AB", None, "No such file"),
+        "more-symbols-than-frames": ("AB" * 108, SAMPLE_RATE, "text has 216 symbols but the audio only 20 frames"),
+        "8-khz-wav": ("AB", 8000, "clip is sampled at 8000 Hz; features need 16000 Hz"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
     def test_bad_entry_names_manifest_and_id(self, tmp_path, tiny_corpus, case):
-        text, has_wav, message = self.BAD_ENTRIES[case]
+        text, wav_rate, message = self.BAD_ENTRIES[case]
         (tmp_path / "corpus.json").write_bytes((tiny_corpus / "corpus.json").read_bytes())
         lang = make_languages(TINY.n_langs, TINY.low_lang, TINY.seed)[0]
         good = ManifestEntry(id="ok-0", lang="L0", text="AB", wav="ok.wav", split="test")
         write_wav(tmp_path / "ok.wav", synthesize_utterance(lang, "AB"))
-        if has_wav:
-            write_wav(tmp_path / "bad.wav", synthesize_utterance(lang, "AB"))
+        if wav_rate is not None:
+            write_wav(tmp_path / "bad.wav", AudioClip(wav_rate, synthesize_utterance(lang, "AB").samples))
         bad = ManifestEntry(id=f"bad-{case}", lang="L0", text=text, wav="bad.wav", split="test")
         manifest = write_manifest(tmp_path / "manifest.jsonl", [good, bad])
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(manifest))}: entry 'bad-{case}': .*{message}"):
@@ -291,6 +303,14 @@ def _drop_first_token(meta):
     return json.dumps(meta)
 
 
+def _set_first_language(**fields):
+    def make(meta):
+        meta["languages"][0].update(fields)
+        return json.dumps(meta)
+
+    return make
+
+
 class TestLoadCorpusMeta:
     # case -> (corpus.json's text from the good file's parsed metadata, what the error says)
     BAD_META = {
@@ -299,6 +319,19 @@ class TestLoadCorpusMeta:
         "low-lang-out-of-range": (lambda meta: json.dumps({"config": {"n_langs": 3}}), "low_lang 5 out of range"),
         "language-without-token": (_drop_first_token, "missing field 'token'"),
         "languages-not-a-list": (lambda meta: json.dumps({**meta, "languages": 3}), "not iterable"),
+        "id-a-string": (_set_first_language(id="0"), "language 0 has id '0', expected 0"),
+        "id-not-its-position": (_set_first_language(id=1), "language 0 has id 1, expected 0"),
+        "freq-map-a-string": (_set_first_language(freq_map="abc"), "freq_map must be a list of 8 numbers, got 'abc'"),
+        "freq-map-too-short": (_set_first_language(freq_map=[500.0]), "freq_map must be a list of 8 numbers"),
+        "resource-class-unknown": (_set_first_language(resource_class="mid"), "resource_class must be 'high' or 'low'"),
+        "language-count-not-n-langs": (
+            lambda meta: json.dumps({**meta, "languages": meta["languages"][:2]}),
+            "2 languages listed but n_langs is 3",
+        ),
+        "config-with-sample-rate": (
+            lambda meta: json.dumps({**meta, "config": {**meta["config"], "sample_rate": 16000}}),
+            "unexpected keyword argument 'sample_rate'",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_META))
