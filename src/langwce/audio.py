@@ -270,7 +270,6 @@ def augment_clip(clip: AudioClip, spec: AugmentSpec, sample_seed: int) -> AudioC
 @dataclass
 class AugmentResult:
     manifest_path: Path
-    n_originals: int
     n_augmented: int
     failures: list[tuple[str, str]] = field(default_factory=list)
 
@@ -326,9 +325,4 @@ def augment_dataset(
             )
 
     manifest_path = write_manifest(out_dir / "manifest.jsonl", out_entries + augmented)
-    return AugmentResult(
-        manifest_path=manifest_path,
-        n_originals=len(entries),
-        n_augmented=len(augmented),
-        failures=failures,
-    )
+    return AugmentResult(manifest_path=manifest_path, n_augmented=len(augmented), failures=failures)

@@ -39,12 +39,12 @@ import numpy as np
 from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
-from .synthlang import FRAMES_PER_SYMBOL, SYMBOLS, FrameExample, load_corpus_meta, load_examples
+from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta, load_examples
 from .util import DataFormatError, DivergenceError, derive_seed
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # Divergence bound on a batch's unweighted mean utterance loss, in units of
-# ln(n_symbols), the loss of a uniform guess; 100 * ln 8 is about 208. On the
+# ln(len(SYMBOLS)), the loss of a uniform guess; 100 * ln 8 is about 208. On the
 # benchmark's paper-grid corpus (1,000 pretrain steps, then constant and
 # dynamic LWCE fine-tunes) the largest batch mean was 2.4 at the default
 # learning rate of 0.1 and 36 at 10; at 100 it reached 568, which trips it.
@@ -53,19 +53,23 @@ LOSS_EXPLOSION_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n_features: int = 8
+    """The model's free dimensions.
+
+    The widths are the corpus's: ``len(FREQ_GRID)`` features per frame in,
+    ``len(SYMBOLS)`` logits per frame out.
+    """
+
     context: int = 2  # frames of context on each side
     hidden: int = 64
-    n_symbols: int = 8
     n_langs: int = 6
 
     def __post_init__(self):
-        if min(self.n_features, self.hidden, self.n_symbols, self.n_langs) < 1 or self.context < 0:
+        if min(self.hidden, self.n_langs) < 1 or self.context < 0:
             raise ValueError(f"invalid model dimensions: {self}")
 
     @property
     def d_in(self) -> int:
-        return self.n_features * (2 * self.context + 1) + self.n_langs
+        return len(FREQ_GRID) * (2 * self.context + 1) + self.n_langs
 
 
 @dataclass
@@ -73,16 +77,16 @@ class AcousticModel:
     config: ModelConfig
     W1: np.ndarray  # [d_in x hidden]
     b1: np.ndarray  # [hidden]
-    W2: np.ndarray  # [hidden x n_symbols]
-    b2: np.ndarray  # [n_symbols]
+    W2: np.ndarray  # [hidden x len(SYMBOLS)]
+    b2: np.ndarray  # [len(SYMBOLS)]
 
     def __post_init__(self):
         c = self.config
         shapes = {
             "W1": (c.d_in, c.hidden),
             "b1": (c.hidden,),
-            "W2": (c.hidden, c.n_symbols),
-            "b2": (c.n_symbols,),
+            "W2": (c.hidden, len(SYMBOLS)),
+            "b2": (len(SYMBOLS),),
         }
         for name, shape in shapes.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
@@ -119,6 +123,8 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         w = self.weighting
+        if not isinstance(w, Weighting):
+            raise ValueError(f"weighting must be a Weighting, got {w!r}")
         if w.mode is WeightMode.LINEAR and w.linear.t_total < self.total_steps:
             raise ValueError(
                 f"the linear schedule ends at t_total={w.linear.t_total}, before total_steps={self.total_steps}"
@@ -129,13 +135,13 @@ def init_model(config: ModelConfig, seed: int) -> AcousticModel:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
     a1 = math.sqrt(6.0 / (config.d_in + config.hidden))
-    a2 = math.sqrt(6.0 / (config.hidden + config.n_symbols))
+    a2 = math.sqrt(6.0 / (config.hidden + len(SYMBOLS)))
     return AcousticModel(
         config=config,
         W1=rng.uniform(-a1, a1, size=(config.d_in, config.hidden)),
         b1=np.zeros(config.hidden),
-        W2=rng.uniform(-a2, a2, size=(config.hidden, config.n_symbols)),
-        b2=np.zeros(config.n_symbols),
+        W2=rng.uniform(-a2, a2, size=(config.hidden, len(SYMBOLS))),
+        b2=np.zeros(len(SYMBOLS)),
     )
 
 
@@ -144,7 +150,7 @@ def build_inputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model inputs of a batch of utterances, one row per frame.
 
-    ``features[j]`` is utterance j's [frames x n_features] matrix and
+    ``features[j]`` is utterance j's [frames x len(FREQ_GRID)] matrix and
     ``languages[j]`` its language id. Each row holds the (2C+1)-frame context
     window around its frame, then the language one-hot. A window position
     before an utterance's first frame or after its last takes that boundary
@@ -158,8 +164,8 @@ def build_inputs(
         raise ValueError(f"{len(features)} feature matrices but {len(languages)} languages")
     feats = [np.asarray(f, dtype=np.float64) for f in features]
     for f in feats:
-        if f.ndim != 2 or f.shape[1] != config.n_features or f.shape[0] < 1:
-            raise ValueError(f"features must be [frames x {config.n_features}], got {f.shape}")
+        if f.ndim != 2 or f.shape[1] != len(FREQ_GRID) or f.shape[0] < 1:
+            raise ValueError(f"features must be [frames x {len(FREQ_GRID)}], got {f.shape}")
     langs = np.asarray(languages)
     if langs.dtype.kind not in "iu" or langs.min() < 0 or langs.max() >= config.n_langs:
         raise ValueError(f"unknown language id in {langs.tolist()}; model has {config.n_langs} languages")
@@ -173,7 +179,7 @@ def build_inputs(
     window = np.arange(n_frames)[:, None] + np.arange(-c, c + 1)
     np.maximum(window, first, out=window)
     np.minimum(window, last, out=window)
-    n_context = config.n_features * (2 * c + 1)
+    n_context = len(FREQ_GRID) * (2 * c + 1)
     x = np.zeros((n_frames, config.d_in))
     x[:, :n_context] = np.take(frames, window, axis=0).reshape(n_frames, n_context)
     x[np.arange(n_frames), n_context + np.repeat(langs, sizes)] = 1.0
@@ -220,7 +226,7 @@ def _layers(model: AcousticModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def forward(model: AcousticModel, features: np.ndarray, language: int) -> np.ndarray:
-    """Frame logits [frames x n_symbols] of one utterance."""
+    """Frame logits [frames x len(SYMBOLS)] of one utterance."""
     x, _ = build_inputs(model.config, [features], [language])
     return _layers(model, x)[1]
 
@@ -246,7 +252,7 @@ def train_step(
     no-op and the recorded applied weight is 1.
 
     Raises ``DivergenceError`` on a non-finite loss, on an unweighted mean
-    utterance loss above ``LOSS_EXPLOSION_FACTOR * ln(n_symbols)``, or when the
+    utterance loss above ``LOSS_EXPLOSION_FACTOR * ln(len(SYMBOLS))``, or when the
     update would leave a non-finite parameter. The losses are checked before
     the scheduler sees them. In every case the model is left as it was before
     the failing step.
@@ -260,7 +266,7 @@ def train_step(
     mean_loss = float(per_sentence.mean())
     if not math.isfinite(mean_loss):
         raise DivergenceError(f"step {t}: non-finite loss: unweighted mean utterance loss {mean_loss} (must be finite)")
-    n_symbols = model.config.n_symbols
+    n_symbols = len(SYMBOLS)
     bound = LOSS_EXPLOSION_FACTOR * math.log(n_symbols)
     if mean_loss > bound:
         raise DivergenceError(
@@ -331,7 +337,7 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
     n_frames = np.asarray(features).shape[0]
     if n_frames < FRAMES_PER_SYMBOL or n_frames % FRAMES_PER_SYMBOL:
         raise ValueError(f"cannot decode {n_frames} frames: need a positive multiple of {FRAMES_PER_SYMBOL}")
-    n_symbols = model.config.n_symbols
+    n_symbols = len(SYMBOLS)
     cells = np.arange(n_frames) // FRAMES_PER_SYMBOL * n_symbols + forward(model, features, language).argmax(axis=1)
     votes = np.bincount(cells, minlength=n_frames // FRAMES_PER_SYMBOL * n_symbols).reshape(-1, n_symbols)
     return "".join(SYMBOLS[i] for i in votes.argmax(axis=1))

@@ -118,7 +118,10 @@ class WeightMode(Enum):
 class Weighting:
     """Weighting strategy for a training run; bundles the mode with its parameters.
 
-    The default, CONSTANT with weight 1, is unweighted training.
+    The default, CONSTANT with weight 1, is unweighted training. A Weighting
+    holds only what its mode reads: ``constant`` stays 1 outside CONSTANT,
+    and only LINEAR holds a ``linear`` schedule and only DYNAMIC a
+    ``dynamic`` one.
     """
 
     mode: WeightMode = WeightMode.CONSTANT
@@ -129,10 +132,14 @@ class Weighting:
     def __post_init__(self):
         if not (math.isfinite(self.constant) and self.constant >= 1):
             raise ValueError(f"constant weight must be >= 1, got {self.constant}")
-        if self.mode is WeightMode.LINEAR and self.linear is None:
-            raise ValueError("LINEAR weighting requires a LinearSchedule")
-        if self.mode is WeightMode.DYNAMIC and self.dynamic is None:
-            raise ValueError("DYNAMIC weighting requires a DynamicSchedule")
+        if self.mode is not WeightMode.CONSTANT and self.constant != 1:
+            raise ValueError(f"{self.mode.name} weighting does not read constant={self.constant}")
+        for mode, name in ((WeightMode.LINEAR, "linear"), (WeightMode.DYNAMIC, "dynamic")):
+            schedule = getattr(self, name)
+            if self.mode is mode and schedule is None:
+                raise ValueError(f"{mode.name} weighting requires a {name} schedule")
+            if self.mode is not mode and schedule is not None:
+                raise ValueError(f"{self.mode.name} weighting does not read the {name} schedule")
 
     def decide(self, t: int, avg_low: float | None = None, avg_high: float | None = None) -> WeightDecision:
         """Weight for step t. DYNAMIC requires the current batch's language averages."""

@@ -14,6 +14,11 @@ utterance has ``FRAMES_PER_SYMBOL`` (10) frames per symbol.
 
 Featurization is a Goertzel filterbank: per frame, log-compressed energy at
 each grid frequency, mean-variance normalized per utterance.
+
+A corpus directory holds the WAVs, ``manifest.jsonl`` and ``corpus.json``,
+which records only the ``CorpusConfig``. The languages are derived from it:
+``make_languages(config.n_langs, config.seed)`` gives each language's
+permutation, and ``config.low_lang`` alone names the low-resource one.
 """
 
 from __future__ import annotations
@@ -36,16 +41,11 @@ SYMBOL_SAMPLES = 1600
 FRAMES_PER_SYMBOL = SYMBOL_SAMPLES // FRAME_SAMPLES
 SPLITS = ("pretrain", "finetune", "valid", "test")
 
-HIGH = "high"
-LOW = "low"
-
 
 @dataclass(frozen=True)
 class LanguageSpec:
     id: int
-    token: str
     freq_map: tuple[float, ...]  # symbol index -> grid frequency
-    resource_class: str
 
     @property
     def name(self) -> str:
@@ -66,11 +66,18 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = ("finetune_per_lang", "pretrain_per_high", "valid_per_lang", "test_per_lang")
+        for name in ("n_langs", "low_lang", *counts, "min_len", "max_len", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if isinstance(self.low_fraction, bool) or not isinstance(self.low_fraction, (int, float)):
+            raise ValueError(f"low_fraction must be a real number, got {self.low_fraction!r}")
         if not 2 <= self.n_langs <= 8:
             raise ValueError(f"n_langs must be in [2, 8], got {self.n_langs}")
         if not 0 <= self.low_lang < self.n_langs:
             raise ValueError(f"low_lang {self.low_lang} out of range")
-        for name in ("finetune_per_lang", "pretrain_per_high", "valid_per_lang", "test_per_lang"):
+        for name in counts:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.low_fraction <= 1:
@@ -88,27 +95,17 @@ class CorpusConfig:
         return max(1, round(self.low_fraction * self.pretrain_per_high))
 
 
-def make_languages(n: int, low_id: int, seed: int) -> list[LanguageSpec]:
+def make_languages(n: int, seed: int) -> list[LanguageSpec]:
     """n distinct permutations of the frequency grid; language 0 is the identity map."""
     if not 2 <= n <= 8:
         raise ValueError(f"need 2 <= n <= 8 languages, got {n}")
-    if not 0 <= low_id < n:
-        raise ValueError(f"low_id {low_id} out of range for {n} languages")
     rng = np.random.default_rng(derive_seed(seed, "languages"))
     perms = [tuple(range(8))]
     while len(perms) < n:
         cand = tuple(int(i) for i in rng.permutation(8))
         if cand not in perms:
             perms.append(cand)
-    return [
-        LanguageSpec(
-            id=i,
-            token=f"<|L{i}|>",
-            freq_map=tuple(FREQ_GRID[j] for j in perm),
-            resource_class=LOW if i == low_id else HIGH,
-        )
-        for i, perm in enumerate(perms)
-    ]
+    return [LanguageSpec(id=i, freq_map=tuple(FREQ_GRID[j] for j in perm)) for i, perm in enumerate(perms)]
 
 
 def synthesize_utterance(spec: LanguageSpec, text: str) -> AudioClip:
@@ -145,7 +142,7 @@ def _random_text(rng: np.random.Generator, min_len: int, max_len: int) -> str:
 
 def _split_counts(config: CorpusConfig, split: str, lang: LanguageSpec) -> int:
     if split == "pretrain":
-        return config.low_pretrain_count if lang.resource_class == LOW else config.pretrain_per_high
+        return config.low_pretrain_count if lang.id == config.low_lang else config.pretrain_per_high
     if split == "finetune":
         return config.finetune_per_lang
     if split == "valid":
@@ -153,17 +150,8 @@ def _split_counts(config: CorpusConfig, split: str, lang: LanguageSpec) -> int:
     return config.test_per_lang
 
 
-def planned_counts(config: CorpusConfig) -> dict[str, dict[str, int]]:
-    """Per-split per-language utterance counts implied by a corpus config."""
-    languages = make_languages(config.n_langs, config.low_lang, config.seed)
-    return {
-        split: {lang.name: _split_counts(config, split, lang) for lang in languages}
-        for split in SPLITS
-    }
-
-
 def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestEntry]:
-    """Write WAVs plus manifest.jsonl and corpus.json under out_dir.
+    """Write WAVs plus manifest.jsonl and corpus.json (the config alone) under out_dir.
 
     Fine-tune/valid/test splits are exactly balanced across languages; the
     pretrain split gives the low-resource language only ``low_fraction`` of a
@@ -171,7 +159,7 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    languages = make_languages(config.n_langs, config.low_lang, config.seed)
+    languages = make_languages(config.n_langs, config.seed)
     entries = []
     for lang in languages:
         for split in SPLITS:
@@ -186,19 +174,16 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
                 )
     entries.sort(key=lambda e: e.id)
     write_manifest(out_dir / "manifest.jsonl", entries)
-    corpus_meta = {"config": asdict(config), "languages": [asdict(l) for l in languages]}
-    (out_dir / "corpus.json").write_text(json.dumps(corpus_meta, indent=2, sort_keys=True))
+    (out_dir / "corpus.json").write_text(json.dumps({"config": asdict(config)}, indent=2, sort_keys=True))
     return entries
 
 
 def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[LanguageSpec]]:
-    """The config and languages ``generate_corpus`` recorded in corpus.json.
+    """The config ``generate_corpus`` recorded in corpus.json, and the languages derived from it.
 
-    Raises ``DataFormatError`` naming the file when it cannot be read, a field
-    is missing or unknown, a language's ``id`` is not its position in the
-    list, its ``freq_map`` is not a list of ``len(SYMBOLS)`` numbers, its
-    ``resource_class`` is neither ``high`` nor ``low``, or the number of
-    languages is not ``n_langs``.
+    Raises ``DataFormatError`` naming the file when it cannot be read, is not
+    an object, holds a key other than ``config``, or holds a config that
+    ``CorpusConfig`` rejects.
     """
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
@@ -207,31 +192,12 @@ def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[Languag
         meta = json.loads(path.read_text())
         if not isinstance(meta, dict):
             raise DataFormatError(f"{path}: top level is {type(meta).__name__}, not an object")
+        if list(meta) != ["config"]:
+            raise DataFormatError(f"{path}: keys {sorted(meta)}; corpus.json holds only 'config'")
         config = CorpusConfig(**meta["config"])
-        languages = []
-        for position, l in enumerate(meta["languages"]):
-            lang_id, freq_map, resource_class = l["id"], l["freq_map"], l["resource_class"]
-            if isinstance(lang_id, bool) or not isinstance(lang_id, int) or lang_id != position:
-                raise DataFormatError(f"{path}: language {position} has id {lang_id!r}, expected {position}")
-            numbers = isinstance(freq_map, list) and all(type(f) in (int, float) for f in freq_map)
-            if not numbers or len(freq_map) != len(SYMBOLS):
-                raise DataFormatError(
-                    f"{path}: language {position}: freq_map must be a list of {len(SYMBOLS)} numbers, got {freq_map!r}"
-                )
-            if resource_class not in (HIGH, LOW):
-                raise DataFormatError(
-                    f"{path}: language {position}: resource_class must be {HIGH!r} or {LOW!r}, got {resource_class!r}"
-                )
-            languages.append(
-                LanguageSpec(id=lang_id, token=l["token"], freq_map=tuple(freq_map), resource_class=resource_class)
-            )
-    except KeyError as e:
-        raise DataFormatError(f"{path}: missing field {e}") from e
     except (OSError, ValueError, TypeError) as e:
         raise DataFormatError(f"{path}: {e}") from e
-    if len(languages) != config.n_langs:
-        raise DataFormatError(f"{path}: {len(languages)} languages listed but n_langs is {config.n_langs}")
-    return config, languages
+    return config, make_languages(config.n_langs, config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ class DivergenceError(Exception):
     1. a loss is non-finite: the batch's unweighted mean utterance loss, or
        the language-weighted batch loss;
     2. the batch's unweighted mean utterance loss exceeds the explosion bound
-       ``K * ln(n_symbols)``, with K = ``model.LOSS_EXPLOSION_FACTOR`` = 100
-       (about 208 at 8 symbols; ln(n_symbols) is the loss of a uniform guess).
+       ``K * ln(len(SYMBOLS))``, with K = ``model.LOSS_EXPLOSION_FACTOR`` = 100
+       (about 208 at 8 symbols; ln(len(SYMBOLS)) is the loss of a uniform guess).
        The bound reads unweighted losses, so a large language weight alone
        cannot trip it;
     3. the SGD update would leave a non-finite parameter.

@@ -313,7 +313,7 @@ class TestAugmentGoldenBytes:
     )
     def test_wav_bytes_pinned(self, tmp_path, spec, expected):
         h = hashlib.sha256()
-        for lang in make_languages(6, low_id=5, seed=1):
+        for lang in make_languages(6, seed=1):
             clip = synthesize_utterance(lang, "ABCDEFG")
             for seed in (1, 2):
                 path = tmp_path / f"{lang.name}-{seed}.wav"
@@ -374,7 +374,6 @@ class TestAugmentDataset:
         result = augment_dataset(
             manifest, tmp_path / "aug", AugmentSpec(seed=5), languages={"L0"}, splits={"finetune"}
         )
-        assert result.n_originals == 4
         assert result.n_augmented == 2
         assert not result.failures
         entries = read_manifest(result.manifest_path)

@@ -30,10 +30,10 @@ from langwce.model import (
     validation_losses,
 )
 from langwce.schedule import DynamicSchedule, LinearSchedule, WeightMode, Weighting
-from langwce.synthlang import FRAMES_PER_SYMBOL, FrameExample, load_examples
+from langwce.synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_examples
 from langwce.util import DataFormatError, DivergenceError, derive_seed
 
-TINY_MODEL = ModelConfig(n_features=8, context=1, hidden=4, n_symbols=8, n_langs=3)
+TINY_MODEL = ModelConfig(context=1, hidden=4, n_langs=3)
 
 
 def fake_example(rng, lang, n_frames=12, utt_id=None):
@@ -74,6 +74,11 @@ class TestTrainConfig:
             TrainConfig(total_steps=40, eval_every=10, weighting=ramp)
         assert TrainConfig(total_steps=20, eval_every=10, weighting=ramp).weighting is ramp
 
+    @pytest.mark.parametrize("weighting", [None, "dynamic", WeightMode.DYNAMIC])
+    def test_weighting_of_another_type_rejected(self, weighting):
+        with pytest.raises(ValueError, match=f"weighting must be a Weighting, got {re.escape(repr(weighting))}"):
+            TrainConfig(weighting=weighting)
+
 
 class TestInitModel:
     def test_deterministic(self):
@@ -86,7 +91,7 @@ class TestInitModel:
         m = init_model(TINY_MODEL, seed=0)
         assert np.all(m.b1 == 0.0) and np.all(m.b2 == 0.0)
         assert np.abs(m.W1).max() <= math.sqrt(6 / (TINY_MODEL.d_in + TINY_MODEL.hidden))
-        assert np.abs(m.W2).max() <= math.sqrt(6 / (TINY_MODEL.hidden + TINY_MODEL.n_symbols))
+        assert np.abs(m.W2).max() <= math.sqrt(6 / (TINY_MODEL.hidden + len(SYMBOLS)))
 
 
 class TestForward:
@@ -126,7 +131,7 @@ class TestForward:
                 math.tanh(sum(window[d] * m.W1[d, h] for d in range(m.config.d_in)) + m.b1[h])
                 for h in range(m.config.hidden)
             ]
-            for v in range(m.config.n_symbols):
+            for v in range(len(SYMBOLS)):
                 expected = sum(hidden[h] * m.W2[h, v] for h in range(m.config.hidden)) + m.b2[v]
                 assert got[f, v] == pytest.approx(expected, abs=1e-12)
 
@@ -142,11 +147,11 @@ class TestForward:
 @st.composite
 def input_batches(draw):
     """(config, features, languages): 1-5 utterances of 1-7 frames, context 0-3, mixed languages."""
-    config = ModelConfig(n_features=3, context=draw(st.integers(0, 3)), hidden=2, n_symbols=2, n_langs=3)
+    config = ModelConfig(context=draw(st.integers(0, 3)), hidden=2, n_langs=3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
     languages = draw(st.lists(st.integers(0, 2), min_size=len(sizes), max_size=len(sizes)))
-    return config, [rng.normal(size=(n, 3)) for n in sizes], languages
+    return config, [rng.normal(size=(n, len(FREQ_GRID))) for n in sizes], languages
 
 
 class TestBuildInputs:
@@ -169,12 +174,13 @@ class TestBuildInputs:
 
     @pytest.mark.parametrize("context", [0, 1, 2])
     def test_window_matches_clip_oracle(self, context):
-        # each frame's one feature is its row number, so the context columns read back the window
+        # each frame's features are its row number, so each window position's first column reads it back
         sizes = [1, 2, 5, 3, 1]
-        config = ModelConfig(n_features=1, context=context, hidden=2, n_symbols=2, n_langs=2)
-        features = np.split(np.arange(sum(sizes), dtype=float)[:, None], np.cumsum(sizes)[:-1])
-        x, _ = build_inputs(config, features, [0] * len(sizes))
-        assert np.array_equal(x[:, : 2 * context + 1], oracle_window(sizes, context))
+        config = ModelConfig(context=context, hidden=2, n_langs=2)
+        rows = np.repeat(np.arange(sum(sizes), dtype=float)[:, None], len(FREQ_GRID), axis=1)
+        x, _ = build_inputs(config, np.split(rows, np.cumsum(sizes)[:-1]), [0] * len(sizes))
+        n_context = len(FREQ_GRID) * (2 * context + 1)
+        assert np.array_equal(x[:, : n_context : len(FREQ_GRID)], oracle_window(sizes, context))
 
     @pytest.mark.parametrize(
         "features, languages, message",
@@ -197,11 +203,11 @@ class TestBuildInputs:
 @st.composite
 def split_draws(draw):
     """(config, split, idx): a split of 1-8 utterances of 1-9 frames, context 0-3, and 1-12 indices into it."""
-    config = ModelConfig(n_features=3, context=draw(st.integers(0, 3)), hidden=2, n_symbols=4, n_langs=3)
+    config = ModelConfig(context=draw(st.integers(0, 3)), hidden=2, n_langs=3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
     split = [
-        FrameExample(f"u{j}", int(rng.integers(0, 3)), "A", rng.normal(size=(n, 3)), rng.integers(0, 4, size=n))
+        FrameExample(f"u{j}", int(rng.integers(0, 3)), "A", rng.normal(size=(n, len(FREQ_GRID))), rng.integers(0, 8, size=n))
         for j, n in enumerate(sizes)
     ]
     idx = draw(st.lists(st.integers(0, len(split) - 1), min_size=1, max_size=12))
@@ -402,7 +408,7 @@ class TestTrainStep:
         cfg = TrainConfig(total_steps=100, eval_every=100, batch_size=2,
                           weighting=Weighting(WeightMode.CONSTANT, constant=200.0))
         m = init_model(TINY_MODEL, seed=17)
-        bound = LOSS_EXPLOSION_FACTOR * math.log(TINY_MODEL.n_symbols)
+        bound = LOSS_EXPLOSION_FACTOR * math.log(len(SYMBOLS))
         weighted = [train_step(m, batch, t, cfg, low_lang=2).weighted_mean for t in range(1, 51)]
         assert max(weighted) > bound
 
@@ -433,7 +439,7 @@ class TestTrainStep:
 class TestDecode:
     def make_passthrough_model(self):
         # argmax(logits) == argmax(features): identity-ish weights, no context
-        cfg = ModelConfig(n_features=8, context=0, hidden=8, n_symbols=8, n_langs=2)
+        cfg = ModelConfig(context=0, hidden=8, n_langs=2)
         m = init_model(cfg, seed=0)
         m.W1[:] = 0.0
         m.W1[:8, :8] = np.eye(8)
@@ -540,6 +546,18 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # version 1 also stored the input and output widths in the model config
+        import json
+
+        path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        payload["model_config"].update(n_features=8, n_symbols=8)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: checkpoint version 1, expected 2$"):
+            load_checkpoint(path)
+
     def test_non_finite_parameter_rejected(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)
         path = save_checkpoint(m, {}, tmp_path / "ckpt.json")
@@ -560,7 +578,7 @@ class TestCheckpoint:
     def test_dimension_mismatch_rejected(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)
         path = save_checkpoint(m, {}, tmp_path / "ckpt.json")
-        other = ModelConfig(n_features=8, context=1, hidden=8, n_symbols=8, n_langs=3)
+        other = ModelConfig(context=1, hidden=8, n_langs=3)
         with pytest.raises(DataFormatError):
             load_checkpoint(path, expect_config=other)
 

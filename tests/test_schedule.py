@@ -174,6 +174,37 @@ class TestWeighting:
     def test_missing_schedule_rejected(self):
         with pytest.raises(ValueError):
             Weighting(WeightMode.LINEAR)
+        with pytest.raises(ValueError, match="^DYNAMIC weighting requires a dynamic schedule$"):
+            Weighting(WeightMode.DYNAMIC)
+
+    # case -> (the Weighting's fields, what the error says); each holds a setting its mode would ignore
+    UNREAD = {
+        "linear-in-constant": (dict(linear=PLAIN), "CONSTANT weighting does not read the linear schedule"),
+        "dynamic-in-constant": (
+            dict(dynamic=DynamicSchedule(1.5)), "CONSTANT weighting does not read the dynamic schedule"
+        ),
+        "dynamic-in-linear": (
+            dict(mode=WeightMode.LINEAR, linear=PLAIN, dynamic=DynamicSchedule(1.5)),
+            "LINEAR weighting does not read the dynamic schedule",
+        ),
+        "linear-in-dynamic": (
+            dict(mode=WeightMode.DYNAMIC, linear=PLAIN, dynamic=DynamicSchedule(1.5)),
+            "DYNAMIC weighting does not read the linear schedule",
+        ),
+        "constant-in-linear": (
+            dict(mode=WeightMode.LINEAR, constant=2.0, linear=PLAIN), "LINEAR weighting does not read constant=2.0"
+        ),
+        "constant-in-dynamic": (
+            dict(mode=WeightMode.DYNAMIC, constant=3.0, dynamic=DynamicSchedule(1.5)),
+            "DYNAMIC weighting does not read constant=3.0",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_unread_setting_rejected(self, case):
+        fields, message = self.UNREAD[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Weighting(**fields)
 
 
 class TestScheduleProperties:

@@ -3,6 +3,7 @@
 import json
 import re
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from langwce.synthlang import (
     load_corpus_meta,
     load_examples,
     make_languages,
-    planned_counts,
     synthesize_utterance,
 )
 from langwce.util import DataFormatError
@@ -35,42 +35,31 @@ from langwce.util import DataFormatError
 
 class TestMakeLanguages:
     def test_language_zero_is_identity(self):
-        specs = make_languages(2, low_id=1, seed=0)
+        specs = make_languages(2, seed=0)
         assert specs[0].freq_map == FREQ_GRID
         assert specs[0].freq_map[SYMBOLS.index("A")] == 500.0
         assert specs[0].freq_map != specs[1].freq_map
 
     def test_deterministic_in_seed(self):
-        assert make_languages(6, 5, seed=3) == make_languages(6, 5, seed=3)
-        assert make_languages(6, 5, seed=3) != make_languages(6, 5, seed=4)
+        assert make_languages(6, seed=3) == make_languages(6, seed=3)
+        assert make_languages(6, seed=3) != make_languages(6, seed=4)
 
     def test_six_pairwise_distinct_permutations(self):
-        specs = make_languages(6, 5, seed=0)
+        specs = make_languages(6, seed=0)
         maps = [s.freq_map for s in specs]
         assert len(set(maps)) == 6
         for s in specs:
             assert sorted(s.freq_map) == sorted(FREQ_GRID)
 
-    def test_exactly_one_low_language(self):
-        specs = make_languages(6, 2, seed=0)
-        assert [s.resource_class for s in specs].count("low") == 1
-        assert specs[2].resource_class == "low"
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            make_languages(1, 0, seed=0)
+            make_languages(1, seed=0)
         with pytest.raises(ValueError):
-            make_languages(9, 0, seed=0)
-        with pytest.raises(ValueError):
-            make_languages(4, 4, seed=0)
-
-    def test_tokens(self):
-        specs = make_languages(3, 0, seed=0)
-        assert [s.token for s in specs] == ["<|L0|>", "<|L1|>", "<|L2|>"]
+            make_languages(9, seed=0)
 
 
 class TestSynthesizeUtterance:
-    LANG0 = make_languages(2, 1, seed=0)[0]
+    LANG0 = make_languages(2, seed=0)[0]
 
     def test_two_symbols_are_3200_samples(self):
         clip = synthesize_utterance(self.LANG0, "AB")
@@ -111,7 +100,7 @@ class TestGoertzel:
             assert np.expm1(feats.values[0, k]) == pytest.approx(recurrence, rel=1e-9, abs=1e-9)
 
     def test_pure_tone_concentrates_in_its_bin(self):
-        lang0 = make_languages(2, 1, seed=0)[0]
+        lang0 = make_languages(2, seed=0)[0]
         clip = synthesize_utterance(lang0, "A" * 10)  # 1 s of 500 Hz
         feats = featurize(clip, normalize=False)
         interior = feats.values[1:-1]
@@ -133,7 +122,7 @@ class TestFeaturize:
             featurize(AudioClip(16000, np.zeros(FRAME_SAMPLES - 1)))
 
     def test_normalization_moments(self):
-        lang = make_languages(3, 2, seed=1)[1]
+        lang = make_languages(3, seed=1)[1]
         clip = synthesize_utterance(lang, "ABCABD")
         values = featurize(clip).values
         np.testing.assert_allclose(values.mean(axis=0), 0.0, atol=1e-6)
@@ -141,7 +130,7 @@ class TestFeaturize:
 
     def test_separability_across_all_language_symbol_pairs(self):
         # every (language, symbol) pair must put its energy in the mapped bin
-        for lang in make_languages(6, 5, seed=9):
+        for lang in make_languages(6, seed=9):
             for sym in SYMBOLS:
                 clip = synthesize_utterance(lang, sym * 3)
                 interior = featurize(clip, normalize=False).values[1:-1]
@@ -153,7 +142,7 @@ class TestFeaturize:
     def test_matches_inline_basis_oracle_at_two_rates(self):
         # 16 kHz matches the oracle; any other rate is refused, not featurized with the 16 kHz basis
         rng = np.random.default_rng(8)
-        lang = make_languages(3, 2, seed=1)[1]
+        lang = make_languages(3, seed=1)[1]
         tone = synthesize_utterance(lang, "HACEB")
         noise = AudioClip(SAMPLE_RATE, rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
         for clip in (tone, noise):
@@ -216,17 +205,47 @@ class TestFrameLabels:
 
 class TestPlannedCounts:
     def test_default_counts(self):
-        counts = planned_counts(CorpusConfig())
-        assert set(counts["finetune"].values()) == {500}
-        assert counts["pretrain"]["L0"] == 2000
-        assert counts["pretrain"]["L5"] == 40  # 0.02 * 2000
-        assert set(counts["valid"].values()) == {100}
-        assert set(counts["test"].values()) == {200}
+        cfg = CorpusConfig()
+        assert (cfg.pretrain_per_high, cfg.finetune_per_lang, cfg.valid_per_lang, cfg.test_per_lang) == (2000, 500, 100, 200)
+        assert cfg.low_pretrain_count == 40  # 0.02 * 2000
 
     def test_pretrain_bias_ratio_exact(self):
         cfg = CorpusConfig(low_fraction=0.05, pretrain_per_high=200)
-        counts = planned_counts(cfg)
-        assert counts["pretrain"]["L5"] / counts["pretrain"]["L0"] == 0.05
+        assert cfg.low_pretrain_count / cfg.pretrain_per_high == 0.05
+
+
+class TestCorpusConfig:
+    INT_FIELDS = (
+        "n_langs", "low_lang", "finetune_per_lang", "pretrain_per_high", "valid_per_lang", "test_per_lang",
+        "min_len", "max_len", "seed",
+    )
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_non_int_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+            CorpusConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.1", "must be a real number, got '0.1'"),
+            (True, "must be a real number, got True"),
+            (float("nan"), r"must be in \(0, 1\], got nan"),
+            (float("inf"), r"must be in \(0, 1\], got inf"),
+        ],
+    )
+    def test_bad_low_fraction_rejected(self, value, message):
+        with pytest.raises(ValueError, match=f"^low_fraction {message}$"):
+            CorpusConfig(low_fraction=value)
+
+    def test_integral_low_fraction_accepted(self):
+        assert CorpusConfig(low_fraction=1).low_pretrain_count == CorpusConfig().pretrain_per_high
+
+    def test_fractional_count_rejected_before_anything_is_written(self, tmp_path):
+        with pytest.raises(ValueError, match="finetune_per_lang must be an int, got 2.5"):
+            generate_corpus(CorpusConfig(finetune_per_lang=2.5), tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestGenerateCorpus:
@@ -287,7 +306,7 @@ class TestLoadExamples:
     def test_bad_entry_names_manifest_and_id(self, tmp_path, tiny_corpus, case):
         text, wav_rate, message = self.BAD_ENTRIES[case]
         (tmp_path / "corpus.json").write_bytes((tiny_corpus / "corpus.json").read_bytes())
-        lang = make_languages(TINY.n_langs, TINY.low_lang, TINY.seed)[0]
+        lang = make_languages(TINY.n_langs, TINY.seed)[0]
         good = ManifestEntry(id="ok-0", lang="L0", text="AB", wav="ok.wav", split="test")
         write_wav(tmp_path / "ok.wav", synthesize_utterance(lang, "AB"))
         if wav_rate is not None:
@@ -298,15 +317,9 @@ class TestLoadExamples:
             load_examples(tmp_path, "test")
 
 
-def _drop_first_token(meta):
-    del meta["languages"][0]["token"]
-    return json.dumps(meta)
-
-
-def _set_first_language(**fields):
+def _set_config(**fields):
     def make(meta):
-        meta["languages"][0].update(fields)
-        return json.dumps(meta)
+        return json.dumps({"config": {**meta["config"], **fields}})
 
     return make
 
@@ -316,22 +329,18 @@ class TestLoadCorpusMeta:
     BAD_META = {
         "truncated": (lambda meta: "{", "Expecting property name"),
         "top-level-list": (lambda meta: "[]", "top level is list, not an object"),
+        "no-config": (lambda meta: "{}", r"keys \[\]; corpus.json holds only 'config'"),
+        "language-list-of-an-older-corpus": (
+            lambda meta: json.dumps({**meta, "languages": [{"id": 0}]}),
+            r"keys \['config', 'languages'\]; corpus.json holds only 'config'",
+        ),
+        "config-not-an-object": (lambda meta: json.dumps({"config": [3]}), "must be a mapping"),
         "low-lang-out-of-range": (lambda meta: json.dumps({"config": {"n_langs": 3}}), "low_lang 5 out of range"),
-        "language-without-token": (_drop_first_token, "missing field 'token'"),
-        "languages-not-a-list": (lambda meta: json.dumps({**meta, "languages": 3}), "not iterable"),
-        "id-a-string": (_set_first_language(id="0"), "language 0 has id '0', expected 0"),
-        "id-not-its-position": (_set_first_language(id=1), "language 0 has id 1, expected 0"),
-        "freq-map-a-string": (_set_first_language(freq_map="abc"), "freq_map must be a list of 8 numbers, got 'abc'"),
-        "freq-map-too-short": (_set_first_language(freq_map=[500.0]), "freq_map must be a list of 8 numbers"),
-        "resource-class-unknown": (_set_first_language(resource_class="mid"), "resource_class must be 'high' or 'low'"),
-        "language-count-not-n-langs": (
-            lambda meta: json.dumps({**meta, "languages": meta["languages"][:2]}),
-            "2 languages listed but n_langs is 3",
-        ),
-        "config-with-sample-rate": (
-            lambda meta: json.dumps({**meta, "config": {**meta["config"], "sample_rate": 16000}}),
-            "unexpected keyword argument 'sample_rate'",
-        ),
+        "config-with-sample-rate": (_set_config(sample_rate=16000), "unexpected keyword argument 'sample_rate'"),
+        "seed-a-float": (_set_config(seed=1.5), "seed must be an int, got 1.5"),
+        "count-a-float": (_set_config(finetune_per_lang=2.5), "finetune_per_lang must be an int, got 2.5"),
+        "n-langs-a-bool": (_set_config(n_langs=True), "n_langs must be an int, got True"),
+        "low-fraction-a-string": (_set_config(low_fraction="0.1"), "low_fraction must be a real number, got '0.1'"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_META))
@@ -341,3 +350,9 @@ class TestLoadCorpusMeta:
         path.write_text(make_text(json.loads((tiny_corpus / "corpus.json").read_text())))
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
             load_corpus_meta(tmp_path)
+
+    def test_file_holds_only_the_config_and_languages_derive_from_it(self, tiny_corpus):
+        assert json.loads((tiny_corpus / "corpus.json").read_text()) == {"config": asdict(TINY)}
+        config, languages = load_corpus_meta(tiny_corpus)
+        assert config == TINY
+        assert languages == make_languages(TINY.n_langs, TINY.seed)
