@@ -3,10 +3,14 @@
 Edit distance is the unit-cost Levenshtein distance. Corpus WER pools edits
 over pooled reference length rather than averaging per-sentence rates.
 
-The report assembles two tables from per-run evaluation CSVs: per-language
-WER with a Mean column, and relative reductions against a baseline run for
-the low-resource language and the row mean. Reductions are computed from the
-two-decimal displayed table cells so the two tables stay self-consistent.
+An evaluation CSV holds counts only, one run on one language: the header
+``EVAL_FIELDS`` and one row. Its WER percent, 100 * total_edits /
+total_ref_tokens, is derived when the CSV is read.
+
+The report builds two tables of rendered two-decimal cells: per-language WER
+with a mean column, and relative reductions against a baseline run for the
+low-resource language and the mean, computed from the first table's cells so
+the two agree. table1.csv, table2.csv and report.md are written from them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 from .util import DataFormatError
 
-EVAL_FIELDS = ["run", "language", "n_utts", "total_ref_tokens", "total_edits", "wer_percent"]
+EVAL_FIELDS = ["run", "language", "n_utts", "total_ref_tokens", "total_edits"]
 
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> int:
@@ -76,42 +80,47 @@ def format_percent(x: float) -> str:
 # evaluation CSVs and report assembly
 
 
-def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, counts_total: int, ref_tokens: int) -> None:
+def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, edits: int, ref_tokens: int) -> None:
+    """Write one run's evaluation of one language as its counts; nothing is written when a count is invalid."""
     if ref_tokens < 1:
         raise ValueError(f"{path}: ref_tokens must be >= 1, got {ref_tokens}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EVAL_FIELDS)
-        w.writerow([run, language, n_utts, ref_tokens, counts_total, repr(counts_total / ref_tokens * 100.0)])
+    if min(n_utts, edits) < 0:
+        raise ValueError(f"{path}: counts must be non-negative, got n_utts={n_utts}, edits={edits}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([EVAL_FIELDS, [run, language, n_utts, ref_tokens, edits]])
 
 
-def read_eval_csv(path: str | Path) -> dict:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    if len(rows) != 1 or set(EVAL_FIELDS) - set(rows[0]):
-        raise DataFormatError(f"{path}: expected one evaluation row with fields {EVAL_FIELDS}")
-    row = rows[0]
+def read_eval_csv(path: str | Path) -> tuple[str, float]:
+    """(language, WER %) of an evaluation CSV, the WER computed from its counts."""
     try:
-        counts = {name: int(row[name]) for name in ("n_utts", "total_ref_tokens", "total_edits")}
-        wer_percent = float(row["wer_percent"])
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataFormatError(f"{path}: unreadable evaluation CSV: {e}") from e
+    if reader.fieldnames != EVAL_FIELDS or len(rows) != 1 or None in rows[0]:
+        raise DataFormatError(f"{path}: expected one evaluation row with fields {EVAL_FIELDS}")
+    try:
+        n_utts, tokens, edits = (int(rows[0][name]) for name in EVAL_FIELDS[2:])
     except (TypeError, ValueError) as e:
         raise DataFormatError(f"{path}: {e}") from e
-    if counts["total_ref_tokens"] < 1:
-        raise DataFormatError(f"{path}: total_ref_tokens must be >= 1, got {counts['total_ref_tokens']}")
-    return {"run": row["run"], "language": row["language"], **counts, "wer_percent": wer_percent}
+    if tokens < 1:
+        raise DataFormatError(f"{path}: total_ref_tokens must be >= 1, got {tokens}")
+    if min(n_utts, edits) < 0:
+        raise DataFormatError(f"{path}: counts must be non-negative, got n_utts={n_utts}, total_edits={edits}")
+    return rows[0]["language"], edits / tokens * 100.0
 
 
 def collect_run_wers(run_dir: str | Path) -> dict[str, float]:
-    """Per-language WER percents from a run directory's eval/ CSVs."""
+    """Per-language WER percents from a run directory's eval/ CSVs, one CSV per language."""
     eval_dir = Path(run_dir) / "eval"
-    if not eval_dir.is_dir():
-        raise DataFormatError(f"{run_dir}: no eval/ directory")
     out = {}
     for path in sorted(eval_dir.glob("*.csv")):
-        row = read_eval_csv(path)
-        out[row["language"]] = row["total_edits"] / row["total_ref_tokens"] * 100.0
+        language, wer = read_eval_csv(path)
+        if language in out:
+            raise DataFormatError(f"{path}: language {language!r} has another evaluation CSV in {eval_dir}")
+        out[language] = wer
     if not out:
         raise DataFormatError(f"{eval_dir}: no evaluation CSVs")
     return out
@@ -119,11 +128,10 @@ def collect_run_wers(run_dir: str | Path) -> dict[str, float]:
 
 @dataclass
 class ResultTables:
-    """Rendered benchmark tables: rows of (name, cells) with fixed column order."""
+    """The two tables as rendered rows, header first."""
 
-    languages: list[str]  # low-resource language first
-    table1: list[tuple[str, list[float], float]]  # run, per-language WER%, mean
-    table2: list[tuple[str, float, float]]  # run, low reduction %, mean reduction %
+    table1: list[list[str]]  # run, WER % per language (low-resource first), mean
+    table2: list[list[str]]  # run, low-resource and mean WER reduction % against the baseline
 
 
 def build_tables(
@@ -133,11 +141,10 @@ def build_tables(
     run_order: Sequence[str] | None = None,
     pretrain_run: str | None = None,
 ) -> ResultTables:
-    """Assemble the WER table and the reduction-vs-baseline table.
+    """Render the WER table, then derive the reduction-vs-baseline table from its cells.
 
-    All cells are rounded to two decimals first; the reduction table is then
-    derived from the WER table's rows. ``pretrain_run`` (if given) is shown in
-    the WER table but excluded from the reduction table.
+    Each WER and row mean is rounded once, as it is rendered. ``pretrain_run``
+    (if given) is shown in the WER table but excluded from the reduction table.
     """
     names = [n for n in (run_order or sorted(run_wers)) if n in run_wers]
     if baseline not in names:
@@ -147,58 +154,21 @@ def build_tables(
         raise DataFormatError(f"low-resource language {low_lang!r} missing from baseline evaluation")
     langs = [low_lang] + [l for l in langs if l != low_lang]
 
-    table1 = []
+    table1 = [["run", *langs, "mean"]]
     for name in names:
         missing = [l for l in langs if l not in run_wers[name]]
         if missing:
             raise DataFormatError(f"run {name!r} is missing languages {missing}")
-        cells = [float(format_percent(run_wers[name][l])) for l in langs]
-        table1.append((name, cells, float(format_percent(row_mean(cells)))))
+        cells = [format_percent(run_wers[name][l]) for l in langs]
+        table1.append([name, *cells, format_percent(row_mean([float(c) for c in cells]))])
 
-    # the low-resource language is column 0
-    _, base_cells, base_mean = table1[names.index(baseline)]
-    table2 = [
-        (name, relative_reduction(base_cells[0], cells[0]), relative_reduction(base_mean, mean))
-        for name, cells, mean in table1
-        if name != pretrain_run
-    ]
-    return ResultTables(languages=langs, table1=table1, table2=table2)
-
-
-def render_markdown(tables: ResultTables, baseline: str) -> str:
-    lines = ["# Benchmark results", "", "## Per-language WER (%)", ""]
-    header = ["run"] + tables.languages + ["mean"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for name, cells, mean in tables.table1:
-        lines.append("| " + " | ".join([name] + [format_percent(c) for c in cells] + [format_percent(mean)]) + " |")
-    lines += ["", f"## Relative WER reduction vs {baseline} (%)", ""]
-    lines.append(f"| run | {tables.languages[0]} reduction | mean reduction |")
-    lines.append("|---|---|---|")
-    for name, low_red, mean_red in tables.table2:
-        lines.append(f"| {name} | {format_percent(low_red)} | {format_percent(mean_red)} |")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def write_tables(tables: ResultTables, out_dir: str | Path, baseline: str) -> dict[str, Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t1 = out_dir / "table1.csv"
-    with open(t1, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["run"] + tables.languages + ["mean"])
-        for name, cells, mean in tables.table1:
-            w.writerow([name] + [format_percent(c) for c in cells] + [format_percent(mean)])
-    t2 = out_dir / "table2.csv"
-    with open(t2, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["run", "low_reduction_percent", "mean_reduction_percent"])
-        for name, low_red, mean_red in tables.table2:
-            w.writerow([name, format_percent(low_red), format_percent(mean_red)])
-    md = out_dir / "report.md"
-    md.write_text(render_markdown(tables, baseline))
-    return {"report": md, "table1": t1, "table2": t2}
+    # the low-resource language is column 1 and the mean the last column
+    base = table1[1 + names.index(baseline)]
+    table2 = [["run", "low_reduction_percent", "mean_reduction_percent"]]
+    for row in table1[1:]:
+        if row[0] != pretrain_run:
+            table2.append([row[0], *(format_percent(relative_reduction(float(base[i]), float(row[i]))) for i in (1, -1))])
+    return ResultTables(table1, table2)
 
 
 def report(
@@ -210,13 +180,20 @@ def report(
     pretrain_run: str | None = "WS",
 ) -> dict[str, Path]:
     """Build report.md / table1.csv / table2.csv from a directory of run dirs."""
-    runs_dir = Path(runs_dir)
-    run_wers = {}
-    for run_dir in sorted(p for p in runs_dir.iterdir() if p.is_dir()):
-        if (run_dir / "eval").is_dir():
-            run_wers[run_dir.name] = collect_run_wers(run_dir)
+    run_wers = {p.name: collect_run_wers(p) for p in sorted(Path(runs_dir).iterdir()) if (p / "eval").is_dir()}
     if not run_wers:
         raise DataFormatError(f"{runs_dir}: no run directories with evaluations")
     tables = build_tables(run_wers, low_lang=low_lang, baseline=baseline, run_order=run_order, pretrain_run=pretrain_run)
-    return write_tables(tables, out_dir, baseline)
-
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {"report": out_dir / "report.md", "table1": out_dir / "table1.csv", "table2": out_dir / "table2.csv"}
+    for key, rows in (("table1", tables.table1), ("table2", tables.table2)):
+        with open(paths[key], "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+    md = ["# Benchmark results", ""]
+    reductions = [["run", f"{low_lang} reduction", "mean reduction"], *tables.table2[1:]]
+    for title, rows in (("Per-language WER (%)", tables.table1), (f"Relative WER reduction vs {baseline} (%)", reductions)):
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        md += [f"## {title}", "", lines[0], "|" + "---|" * len(rows[0]), *lines[1:], ""]
+    paths["report"].write_text("\n".join(md))
+    return paths

@@ -40,7 +40,7 @@ from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta, load_examples
-from .util import DataFormatError, DivergenceError, derive_seed
+from .util import DataFormatError, DivergenceError, derive_seed, require_ints
 
 CHECKPOINT_VERSION = 2
 # Divergence bound on a batch's unweighted mean utterance loss, in units of
@@ -64,6 +64,7 @@ class ModelConfig:
     n_langs: int = 6
 
     def __post_init__(self):
+        require_ints(self, "context", "hidden", "n_langs")
         if min(self.hidden, self.n_langs) < 1 or self.context < 0:
             raise ValueError(f"invalid model dimensions: {self}")
 
@@ -110,10 +111,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("total_steps", "batch_size", "eval_every", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        require_ints(self, "total_steps", "batch_size", "eval_every", "seed")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.total_steps < self.eval_every:

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .util import require_finite_reals, require_ints
+
 # Below this the high-resource average loss is treated as vanished and the
 # ratio is meaningless; the scheduler falls back to weight 1.
 DEGENERATE_HIGH_LOSS = 1e-9
@@ -55,6 +57,8 @@ class LinearSchedule:
     t_total: int
 
     def __post_init__(self):
+        require_finite_reals(self, "alpha_ini", "alpha_fin")
+        require_ints(self, "t_min", "t_total")
         if self.alpha_ini < 1:
             raise ValueError(f"alpha_ini must be >= 1, got {self.alpha_ini}")
         if self.alpha_fin < self.alpha_ini:
@@ -69,6 +73,7 @@ class DynamicSchedule:
     weight_cap: float = 10.0
 
     def __post_init__(self):
+        require_finite_reals(self, "alpha", "weight_cap")
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.weight_cap <= self.alpha:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .audio import AudioClip, read_wav, write_wav
 from .manifest import ManifestEntry, read_manifest, write_manifest
-from .util import DataFormatError, derive_seed
+from .util import DataFormatError, derive_seed, require_ints
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
@@ -67,10 +67,7 @@ class CorpusConfig:
 
     def __post_init__(self):
         counts = ("finetune_per_lang", "pretrain_per_high", "valid_per_lang", "test_per_lang")
-        for name in ("n_langs", "low_lang", *counts, "min_len", "max_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        require_ints(self, "n_langs", "low_lang", *counts, "min_len", "max_len", "seed")
         if isinstance(self.low_fraction, bool) or not isinstance(self.low_fraction, (int, float)):
             raise ValueError(f"low_fraction must be a real number, got {self.low_fraction!r}")
         if not 2 <= self.n_langs <= 8:
@@ -228,13 +225,13 @@ def _filterbank_basis() -> tuple[np.ndarray, np.ndarray]:
 _COS_BASIS, _SIN_BASIS = _filterbank_basis()
 
 
-def featurize(clip: AudioClip, normalize: bool = True) -> FrameFeatures:
-    """Per-frame Goertzel energies at the grid frequencies, then ln(1 + E).
+def featurize(clip: AudioClip) -> FrameFeatures:
+    """Per-frame Goertzel energies at the grid frequencies, then ln(1 + E), normalized.
 
     Frames are ``FRAME_SAMPLES`` long with no overlap; the energies are
     computed by direct projection, which equals the Goertzel recurrence value.
-    With ``normalize`` each coordinate is mean-variance normalized over the
-    utterance (coordinates with vanishing variance are left centered).
+    Each coordinate is then mean-variance normalized over the utterance
+    (coordinates with vanishing variance are left centered).
     Raises ``ValueError`` for a clip not at ``SAMPLE_RATE`` or shorter than
     one frame.
     """
@@ -246,11 +243,9 @@ def featurize(clip: AudioClip, normalize: bool = True) -> FrameFeatures:
     frames = clip.samples[: n_frames * FRAME_SAMPLES].reshape(n_frames, FRAME_SAMPLES)
     energy = (frames @ _COS_BASIS) ** 2 + (frames @ _SIN_BASIS) ** 2
     values = np.log1p(energy)
-    if normalize:
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        values = (values - mean) / np.where(std > 1e-12, std, 1.0)
-    return FrameFeatures(values=values)
+    mean = values.mean(axis=0)
+    std = values.std(axis=0)
+    return FrameFeatures(values=(values - mean) / np.where(std > 1e-12, std, 1.0))
 
 
 def frame_labels(text: str, n_frames: int) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Shared plumbing: error types and seed derivation."""
+"""Shared plumbing: error types, config field checks and seed derivation."""
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 
 
 class UsageError(Exception):
@@ -31,6 +33,22 @@ class DivergenceError(Exception):
     The message names the step, the criterion, and the offending value with
     its bound.
     """
+
+
+def require_ints(obj, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names`` that is not an ``int`` (a bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_finite_reals(obj, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names`` that is not a finite real (a bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def derive_seed(base: int, *tokens) -> int:

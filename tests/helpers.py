@@ -78,7 +78,11 @@ def oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol):
 
 
 def oracle_featurize(clip, normalize=True):
-    """``featurize``'s values, with the cosine and sine basis built inline for this clip."""
+    """``featurize``'s values, with the cosine and sine basis built inline for this clip.
+
+    With ``normalize=False`` these are the raw ln(1 + E) energies, which the
+    filterbank tests read.
+    """
     n_frames = len(clip) // FRAME_SAMPLES
     frames = clip.samples[: n_frames * FRAME_SAMPLES].reshape(n_frames, FRAME_SAMPLES)
     n = np.arange(FRAME_SAMPLES)[:, None]

@@ -1,5 +1,6 @@
 """Tests for edit distance, WER aggregation, and the result tables."""
 
+import hashlib
 import re
 from functools import lru_cache
 from itertools import product
@@ -201,9 +202,12 @@ def write_fixture_runs(runs_dir, wers=FIXTURE_WERS):
 class TestEvalCsv:
     # case -> (the CSV's data row, what the error says)
     BAD_ROWS = {
-        "non-integer-count": ("WS,L0,4,20,2.5,12.5", "invalid literal for int"),
-        "no-reference-tokens": ("WS,L0,4,0,0,0.0", "total_ref_tokens must be >= 1, got 0"),
+        "non-integer-count": ("WS,L0,4,20,2.5", "invalid literal for int"),
+        "no-reference-tokens": ("WS,L0,4,0,0", "total_ref_tokens must be >= 1, got 0"),
         "short-row": ("WS,L0,4", "int\\(\\) argument must be"),
+        "long-row": ("WS,L0,4,20,3,15.0", "expected one evaluation row"),
+        "negative-edits": ("WS,L0,4,10,-3", "counts must be non-negative, got n_utts=4, total_edits=-3"),
+        "negative-utterances": ("WS,L0,-1,10,3", "counts must be non-negative, got n_utts=-1, total_edits=3"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_ROWS))
@@ -214,41 +218,85 @@ class TestEvalCsv:
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
             read_eval_csv(path)
 
+    def test_counts_stored_and_wer_derived_on_read(self, tmp_path):
+        path = tmp_path / "L0.csv"
+        write_eval_csv(path, "WS", "L0", 4, 5, 20)
+        assert path.read_bytes() == b"run,language,n_utts,total_ref_tokens,total_edits\r\nWS,L0,4,20,5\r\n"
+        assert read_eval_csv(path) == ("L0", 25.0)
+
+    def test_wer_percent_column_rejected(self, tmp_path):
+        path = tmp_path / "L0.csv"
+        path.write_text(",".join(EVAL_FIELDS) + ",wer_percent\nWS,L0,4,20,5,25.0\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: expected one evaluation row"):
+            read_eval_csv(path)
+
+    def test_unreadable_file_names_csv(self, tmp_path):
+        undecodable = tmp_path / "L0.csv"
+        undecodable.write_bytes(b"run,language\n\xff\xfe\n")
+        for path in (undecodable, tmp_path / "missing.csv", tmp_path):
+            with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: unreadable evaluation CSV"):
+                read_eval_csv(path)
+
     def test_write_without_reference_tokens_rejected(self, tmp_path):
         path = tmp_path / "eval" / "L0.csv"
         with pytest.raises(ValueError, match="ref_tokens must be >= 1, got 0"):
             write_eval_csv(path, "WS", "L0", 0, 0, 0)
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("n_utts, edits", [(-1, 0), (4, -3)])
+    def test_write_negative_count_rejected(self, tmp_path, n_utts, edits):
+        path = tmp_path / "eval" / "L0.csv"
+        with pytest.raises(ValueError, match=f"counts must be non-negative, got n_utts={n_utts}, edits={edits}"):
+            write_eval_csv(path, "WS", "L0", n_utts, edits, 10)
+        assert not path.parent.exists()
+
+    def test_language_evaluated_twice_rejected(self, tmp_path):
+        eval_dir = tmp_path / "WS" / "eval"
+        write_eval_csv(eval_dir / "L0-copy.csv", "WS", "L0", 4, 1, 20)
+        write_eval_csv(eval_dir / "L0.csv", "WS", "L0", 4, 2, 20)
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(eval_dir / 'L0.csv'))}: language 'L0' has another"):
+            collect_run_wers(tmp_path / "WS")
+
+    def test_run_without_evaluations_rejected(self, tmp_path):
+        (tmp_path / "empty" / "eval").mkdir(parents=True)
+        for run in ("empty", "missing"):
+            with pytest.raises(DataFormatError, match=rf"^{re.escape(str(tmp_path / run / 'eval'))}: no evaluation CSVs$"):
+                collect_run_wers(tmp_path / run)
+
 
 class TestTables:
+    # SHA-256 of each file report() renders for the fixture grid
+    FIXTURE_SHA256 = {
+        "report": "234c34277e41f86270d112f93bd1fcaec08ed0f43740ffd6807f803a12561150",
+        "table1": "85fbf0095b3c3e900d8f75ee4423e7cac4b4dab161fc5cd2ebfc1a5b984c7d34",
+        "table2": "6eaa5e1acc3eecf378e6c2a9ba0b2c636add05f304e5d01e3e476982abeff0d8",
+    }
+
     def test_fixture_grid_reproduced(self, tmp_path):
         write_fixture_runs(tmp_path)
         run_wers = {r: collect_run_wers(tmp_path / r) for r in FIXTURE_WERS}
         tables = build_tables(run_wers, low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
-        assert tables.languages[0] == "L5"
-        means = {name: mean for name, _, mean in tables.table1}
+        header = tables.table1[0]
+        assert header == ["run", "L5", "L0", "L1", "L2", "L3", "L4", "mean"]
+        assert [row[0] for row in tables.table1[1:]] == RUN_ORDER
+        for row in tables.table1[1:]:
+            assert row[1:-1] == [format_percent(FIXTURE_WERS[row[0]][lang]) for lang in header[1:-1]]
         # the last row's per-language cells average to 12.93 even though the
         # reference grid prints 12.94; everything else matches exactly
-        assert means == pytest.approx(
-            {"WS": 19.17, "WS-FT": 13.38, "WS-FT-LP-WCE": 13.40, "WS-FT-GL+": 13.02,
-             "WS-FT-LP-WCE-GL+": 13.13, "WS-FT-DA-WCE-GL+": 12.93},
-            abs=0.005,
-        )
-        low_red = {name: r for name, r, _ in tables.table2}
-        mean_red = {name: r for name, _, r in tables.table2}
-        assert "WS" not in low_red
-        assert low_red == pytest.approx(
-            {"WS-FT": 0.0, "WS-FT-LP-WCE": 5.09, "WS-FT-GL+": 3.67,
-             "WS-FT-LP-WCE-GL+": 6.69, "WS-FT-DA-WCE-GL+": 4.43},
-            abs=0.02,
-        )
-        assert mean_red == pytest.approx(
-            {"WS-FT": 0.0, "WS-FT-LP-WCE": -0.15, "WS-FT-GL+": 2.69,
-             "WS-FT-LP-WCE-GL+": 1.87,
-             "WS-FT-DA-WCE-GL+": relative_reduction(13.38, 12.93)},
-            abs=0.02,
-        )
+        assert [row[-1] for row in tables.table1[1:]] == ["19.17", "13.38", "13.40", "13.02", "13.13", "12.93"]
+        assert tables.table2 == [
+            ["run", "low_reduction_percent", "mean_reduction_percent"],
+            ["WS-FT", "0.00", "0.00"],
+            ["WS-FT-LP-WCE", "5.09", "-0.15"],
+            ["WS-FT-GL+", "3.68", "2.69"],
+            ["WS-FT-LP-WCE-GL+", "6.69", "1.87"],
+            ["WS-FT-DA-WCE-GL+", "4.43", format_percent(relative_reduction(13.38, 12.93))],
+        ]
+
+    def test_fixture_grid_rendered_bytes_pinned(self, tmp_path):
+        write_fixture_runs(tmp_path / "runs")
+        out = report(tmp_path / "runs", tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
+        assert {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in out.items()} == self.FIXTURE_SHA256
 
     def test_baseline_only_runs_reduce_to_zero(self, tmp_path):
         write_fixture_runs(tmp_path, {"WS-FT": FIXTURE_WERS["WS-FT"]})

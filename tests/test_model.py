@@ -80,6 +80,14 @@ class TestTrainConfig:
             TrainConfig(weighting=weighting)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("name", ["context", "hidden", "n_langs"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_non_int_dimension_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+            ModelConfig(**{name: value})
+
+
 class TestInitModel:
     def test_deterministic(self):
         a = init_model(TINY_MODEL, seed=4)
@@ -574,6 +582,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"ckpt\.json: cannot save checkpoint: b2 contains non-finite values"):
             save_checkpoint(m, {}, path)
         assert not path.exists()
+
+    def test_bool_dimension_rejected(self, tmp_path):
+        # JSON true reads as a bool, an int subclass: unchecked, it builds a one-unit model equal to ModelConfig(hidden=1)
+        import json
+
+        config = ModelConfig(context=1, hidden=1, n_langs=3)
+        path = save_checkpoint(init_model(config, seed=19), {}, tmp_path / "ckpt.json")
+        payload = json.loads(path.read_text())
+        payload["model_config"]["hidden"] = True
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: hidden must be an int, got True$"):
+            load_checkpoint(path, expect_config=config)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)

@@ -1,5 +1,8 @@
 """Tests for the constant, linear progressive, and dynamic loss-ratio schedulers."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +67,16 @@ class TestLinearWeight:
             LinearSchedule(alpha_ini=4.0, alpha_fin=3.0, t_min=0, t_total=10)
         with pytest.raises(ValueError):
             LinearSchedule(alpha_ini=1.0, alpha_fin=2.0, t_min=10, t_total=10)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("alpha_ini", math.nan), ("alpha_fin", math.inf), ("alpha_ini", "1.5"), ("alpha_fin", True),
+         ("t_min", 0.5), ("t_total", 10.5), ("t_min", False), ("t_total", "10")],
+    )
+    def test_mistyped_or_non_finite_field_rejected(self, name, value):
+        fields = {"alpha_ini": 1.5, "alpha_fin": 3.0, "t_min": 0, "t_total": 10, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an? (int|finite real number), got {re.escape(repr(value))}$"):
+            LinearSchedule(**fields)
 
 
 class TestDynamicWeight:
@@ -134,6 +147,13 @@ class TestDynamicWeight:
             DynamicSchedule(alpha=0.9)
         with pytest.raises(ValueError):
             DynamicSchedule(alpha=2.0, weight_cap=2.0)
+
+    @pytest.mark.parametrize(
+        "name, value", [("alpha", math.nan), ("alpha", True), ("weight_cap", math.inf), ("weight_cap", "10")]
+    )
+    def test_mistyped_or_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite real number, got {re.escape(repr(value))}$"):
+            DynamicSchedule(**{"alpha": 1.5, name: value})
 
 
 def constant(w):
