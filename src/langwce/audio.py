@@ -1,11 +1,15 @@
-"""Deterministic waveform augmentation over 16-bit PCM mono WAV files.
+"""Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
+A clip carries no rate of its own: ``read_wav`` refuses any other rate.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
 Every transform is a pure function of (input, parameters, seed) and hard-clips
-its output to [-1, 1], matching 16-bit write semantics. The dataset pipeline
-derives one seed per file from the entry id, so augmented outputs do not
-depend on processing order.
+its output to [-1, 1], matching 16-bit write semantics. Per clip,
+``augment_clip`` draws a stretch rate in [0.9, 1.1], a gain in [-6, 6] dB and
+a noise sigma in [0.001, 0.01] (the fixed ranges below), and whole semitones
+from the one range ``AugmentSpec`` holds. The dataset pipeline derives one
+seed per file from the entry id, so augmented outputs do not depend on
+processing order.
 """
 
 from __future__ import annotations
@@ -16,29 +20,32 @@ import os
 import wave
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .manifest import ManifestEntry, read_manifest, resolve_wav, write_manifest
-from .util import DataFormatError, derive_seed
+from .util import DataFormatError, derive_seed, require_ints
 
-FRAME_SECONDS = 0.025  # overlap-add analysis window
-HOP_SECONDS = 0.010  # analysis hop
-SEARCH_SECONDS = 0.010  # waveform-similarity search bound around the nominal analysis position
+SAMPLE_RATE = 16000
+WINDOW_SAMPLES = 400  # overlap-add analysis window, 25 ms
+HOP_SAMPLES = 160  # analysis hop, 10 ms
+SEARCH_SAMPLES = 160  # waveform-similarity search bound around the nominal analysis position, 10 ms
+STRETCH_RANGE = (0.9, 1.1)
+GAIN_RANGE_DB = (-6.0, 6.0)
+NOISE_SIGMA_RANGE = (0.001, 0.01)
 
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono waveform in [-1, 1] at an integer sample rate."""
+    """Mono waveform in [-1, 1] at ``SAMPLE_RATE``."""
 
-    sample_rate: int
+    sample_rate: ClassVar[int] = SAMPLE_RATE  # not a field; the benchmark's tracer reads clip.sample_rate
     samples: np.ndarray
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
 
@@ -52,31 +59,20 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    """Parameter ranges for one augmentation pass; one value per transform is drawn per clip."""
+    """The semitone range and base seed of one augmentation pass; the other ranges are module constants."""
 
-    stretch_range: tuple[float, float] = (0.9, 1.1)
-    gain_range_db: tuple[float, float] = (-6.0, 6.0)
     pitch_range_semitones: tuple[int, int] = (-2, 2)
-    noise_sigma_range: tuple[float, float] = (0.001, 0.01)
     seed: int = 0
 
     def __post_init__(self):
-        # the bounds time_stretch and pitch_shift accept, checked here so that a bad
-        # spec fails before augment_dataset writes anything
-        for name in ("stretch_range", "gain_range_db", "pitch_range_semitones", "noise_sigma_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name}: bounds must be finite, got ({lo}, {hi})")
-            if lo > hi:
-                raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-        if not (0.5 <= self.stretch_range[0] and self.stretch_range[1] <= 2.0):
-            raise ValueError(f"stretch_range: rates must lie in [0.5, 2.0], got {self.stretch_range}")
-        if not all(_is_int(v) for v in self.pitch_range_semitones):
+        # the bounds pitch_shift accepts, checked here so that a bad spec fails
+        # before augment_dataset writes anything
+        require_ints(self, "seed")
+        lo, hi = self.pitch_range_semitones
+        if not (_is_int(lo) and _is_int(hi)):
             raise ValueError(f"pitch_range_semitones: bounds must be integers, got {self.pitch_range_semitones}")
-        if not (-12 <= self.pitch_range_semitones[0] and self.pitch_range_semitones[1] <= 12):
-            raise ValueError(f"pitch_range_semitones: must lie in [-12, 12], got {self.pitch_range_semitones}")
-        if self.noise_sigma_range[0] < 0:
-            raise ValueError(f"noise_sigma_range: sigma must be non-negative, got {self.noise_sigma_range}")
+        if not -12 <= lo <= hi <= 12:
+            raise ValueError(f"pitch_range_semitones: need -12 <= min <= max <= 12, got {self.pitch_range_semitones}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +88,15 @@ def read_wav(path: str | Path) -> AudioClip:
                 raise DataFormatError(f"{path}: {w.getnchannels()} channels, need mono")
             if w.getsampwidth() != 2:
                 raise DataFormatError(f"{path}: {8 * w.getsampwidth()}-bit samples, need 16-bit")
-            rate = w.getframerate()
+            if w.getframerate() != SAMPLE_RATE:
+                raise DataFormatError(f"{path}: sampled at {w.getframerate()} Hz, need {SAMPLE_RATE} Hz")
             raw = w.readframes(w.getnframes())
     except wave.Error as e:
         raise DataFormatError(f"{path}: not a readable RIFF/WAVE PCM file: {e}") from e
     except EOFError as e:
         raise DataFormatError(f"{path}: truncated WAV header") from e
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioClip(sample_rate=rate, samples=samples)
+    return AudioClip(samples)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
@@ -110,7 +107,7 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(clip.sample_rate)
+        w.setframerate(SAMPLE_RATE)
         w.writeframes(ints.tobytes())
 
 
@@ -127,7 +124,7 @@ def apply_gain(clip: AudioClip, gain_db: float) -> AudioClip:
     if not math.isfinite(gain_db):
         raise ValueError(f"gain must be finite, got {gain_db}")
     factor = 10.0 ** (gain_db / 20.0)
-    return replace(clip, samples=_clipped(clip.samples * factor))
+    return AudioClip(_clipped(clip.samples * factor))
 
 
 def add_gaussian_noise(clip: AudioClip, sigma: float, seed: int) -> AudioClip:
@@ -135,7 +132,7 @@ def add_gaussian_noise(clip: AudioClip, sigma: float, seed: int) -> AudioClip:
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     noise = np.random.default_rng(seed).normal(0.0, sigma, size=len(clip))
-    return replace(clip, samples=_clipped(clip.samples + noise))
+    return AudioClip(_clipped(clip.samples + noise))
 
 
 def _hann(length: int) -> np.ndarray:
@@ -154,11 +151,9 @@ def _best_analysis_position(
     continuation segment; ties resolve toward the nominal position so timing
     stays faithful and the search is deterministic. ``norms[i]`` must be the
     Euclidean norm of ``x[i : i + cmp_len]`` for every start ``i`` in
-    ``[0, len(x) - cmp_len]``; ``time_stretch`` computes them once per call.
+    ``[0, len(x) - cmp_len]``, which must not be empty; ``time_stretch`` computes them once per call.
     """
     n = len(x)
-    if n < cmp_len or tol <= 0:
-        return max(0, min(nominal, n - 1))
     anchor = max(0, min(nominal, n - cmp_len))
     lo = max(0, anchor - tol)
     hi = min(n - cmp_len, anchor + tol)
@@ -187,9 +182,7 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     n = len(clip)
     if n == 0:
         return clip
-    frame = max(2, round(FRAME_SECONDS * clip.sample_rate))
-    hop = max(1, round(HOP_SECONDS * clip.sample_rate))
-    tol = round(SEARCH_SECONDS * clip.sample_rate)
+    frame, hop, tol = WINDOW_SAMPLES, HOP_SAMPLES, SEARCH_SAMPLES
     syn_hop = hop / rate
     n_out = max(1, round(n / rate))
     n_frames = max(1, math.ceil(max(0, n_out - frame) / syn_hop) + 1)
@@ -222,7 +215,7 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
         norm[syn : syn + frame] += window
         prev_ana, prev_syn = ana, syn
     out = acc[:n_out] / np.maximum(norm[:n_out], 1e-12)
-    return replace(clip, samples=_clipped(out))
+    return AudioClip(_clipped(out))
 
 
 def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
@@ -240,7 +233,7 @@ def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
     n_res = max(1, round(n / factor))
     positions = np.arange(n_res) * factor
     resampled = np.interp(positions, np.arange(n), clip.samples)
-    return time_stretch(replace(clip, samples=resampled), rate=1.0 / factor)
+    return time_stretch(AudioClip(resampled), rate=1.0 / factor)
 
 
 def augment_clip(clip: AudioClip, spec: AugmentSpec, sample_seed: int) -> AudioClip:
@@ -250,11 +243,11 @@ def augment_clip(clip: AudioClip, spec: AugmentSpec, sample_seed: int) -> AudioC
     on (clip, spec, sample_seed).
     """
     rng = np.random.default_rng(sample_seed)
-    rate = float(rng.uniform(*spec.stretch_range))
+    rate = float(rng.uniform(*STRETCH_RANGE))
     lo, hi = spec.pitch_range_semitones
     semitones = int(rng.integers(lo, hi + 1))
-    gain_db = float(rng.uniform(*spec.gain_range_db))
-    sigma = float(rng.uniform(*spec.noise_sigma_range))
+    gain_db = float(rng.uniform(*GAIN_RANGE_DB))
+    sigma = float(rng.uniform(*NOISE_SIGMA_RANGE))
     noise_seed = int(rng.integers(0, 2**63 - 1))
 
     out = time_stretch(clip, rate)
@@ -288,13 +281,22 @@ def augment_dataset(
     The output manifest lists every original entry (paths re-relativized to
     out_dir) followed by the augmented entries. Each file's seed is derived
     from (spec.seed, entry id), so reruns are byte-identical regardless of order.
-    Unreadable inputs are recorded as failures and skipped. An unreadable or
-    malformed manifest raises ``DataFormatError`` before ``out_dir`` is created.
+    Inputs ``read_wav`` cannot read or refuses are recorded as failures and
+    skipped. An unreadable or malformed manifest, or one holding an id a copy
+    would get (``<id>-aug<k>``), raises ``DataFormatError`` before ``out_dir`` is created.
     """
     if not _is_int(multiplier) or multiplier < 1:
         raise ValueError(f"multiplier must be a positive integer, got {multiplier!r}")
     manifest_in = Path(manifest_in)
     entries = read_manifest(manifest_in)
+    selected = sorted(
+        (e for e in entries if (languages is None or e.lang in languages) and (splits is None or e.split in splits)),
+        key=lambda e: e.id,
+    )
+    new_ids = [[f"{e.id}-aug{copy}" for copy in range(1, multiplier + 1)] for e in selected]
+    taken = {e.id for e in entries}.intersection(aug_id for ids in new_ids for aug_id in ids)
+    if taken:
+        raise DataFormatError(f"{manifest_in}: augmented id {min(taken)!r} is already the id of an entry")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -302,21 +304,15 @@ def augment_dataset(
     out_root = out_dir.resolve()
     out_entries = [replace(e, wav=os.path.relpath(resolve_wav(manifest_in, e), out_root)) for e in entries]
 
-    selected = [
-        e
-        for e in entries
-        if (languages is None or e.lang in languages) and (splits is None or e.split in splits)
-    ]
     failures = []
     augmented = []
-    for e in sorted(selected, key=lambda e: e.id):
+    for e, ids in zip(selected, new_ids):
         try:
             clip = read_wav(resolve_wav(manifest_in, e))
         except (DataFormatError, OSError) as err:
             failures.append((e.id, str(err)))
             continue
-        for copy in range(1, multiplier + 1):
-            aug_id = f"{e.id}-aug{copy}"
+        for aug_id in ids:
             out = augment_clip(clip, spec, derive_seed(spec.seed, aug_id))
             wav_rel = Path(e.split) / e.lang / f"{aug_id}.wav"
             write_wav(out_dir / wav_rel, out)

@@ -1,7 +1,7 @@
 """JSONL corpus manifests.
 
 One record per line: {"id", "lang", "text", "wav", "split", "augmented"}, all
-strings except the boolean "augmented".
+strings except the boolean "augmented". No two records share an id.
 WAV paths are stored relative to the manifest file's directory.
 """
 
@@ -40,6 +40,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     except (OSError, UnicodeDecodeError) as e:
         raise DataFormatError(f"{path}: cannot read manifest: {e}") from e
     entries = []
+    first_line = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -58,6 +59,9 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 raise DataFormatError(
                     f"{path}:{lineno}: field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(rec[k])}"
                 )
+        if rec["id"] in first_line:
+            raise DataFormatError(f"{path}:{lineno}: id {rec['id']!r} already on line {first_line[rec['id']]}")
+        first_line[rec["id"]] = lineno
         entries.append(ManifestEntry(**{k: rec[k] for k in FIELDS}))
     if not entries:
         raise DataFormatError(f"{path}: empty manifest")

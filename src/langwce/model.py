@@ -40,7 +40,7 @@ from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta, load_examples
-from .util import DataFormatError, DivergenceError, derive_seed, require_ints
+from .util import DataFormatError, DivergenceError, derive_seed, require_finite_reals, require_ints
 
 CHECKPOINT_VERSION = 2
 # Divergence bound on a batch's unweighted mean utterance loss, in units of
@@ -118,8 +118,9 @@ class TrainConfig:
             raise ValueError("total_steps must be >= eval_every")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 so a batch can mix languages")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        require_finite_reals(self, "learning_rate")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         w = self.weighting
         if not isinstance(w, Weighting):
             raise ValueError(f"weighting must be a Weighting, got {w!r}")

@@ -135,7 +135,8 @@ class Weighting:
     dynamic: DynamicSchedule | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.constant) and self.constant >= 1):
+        require_finite_reals(self, "constant")
+        if self.constant < 1:
             raise ValueError(f"constant weight must be >= 1, got {self.constant}")
         if self.mode is not WeightMode.CONSTANT and self.constant != 1:
             raise ValueError(f"{self.mode.name} weighting does not read constant={self.constant}")

@@ -7,7 +7,7 @@ the language conditioning signal, and a language that is rare in pretraining
 ends up systematically mistranscribed: the bias the fine-tuning experiments
 work against.
 
-The geometry is fixed: audio is sampled at ``SAMPLE_RATE`` (16 kHz), each
+The geometry is fixed: audio is at ``SAMPLE_RATE`` (16 kHz, from ``audio``), each
 symbol is a 100 ms tone of ``SYMBOL_SAMPLES`` samples, and features come in
 10 ms frames of ``FRAME_SAMPLES`` samples with no overlap, so a clean
 utterance has ``FRAMES_PER_SYMBOL`` (10) frames per symbol.
@@ -29,13 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, read_wav, write_wav
+from .audio import SAMPLE_RATE, AudioClip, read_wav, write_wav
 from .manifest import ManifestEntry, read_manifest, write_manifest
 from .util import DataFormatError, derive_seed, require_ints
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
-SAMPLE_RATE = 16000
 FRAME_SAMPLES = 160  # also the hop (no overlap)
 SYMBOL_SAMPLES = 1600
 FRAMES_PER_SYMBOL = SYMBOL_SAMPLES // FRAME_SAMPLES
@@ -125,7 +124,7 @@ def synthesize_utterance(spec: LanguageSpec, text: str) -> AudioClip:
         if idx < 0:
             raise ValueError(f"unknown symbol {sym!r}; alphabet is {SYMBOLS}")
         segments.append(0.3 * np.sin(2 * np.pi * spec.freq_map[idx] * t) * env)
-    return AudioClip(sample_rate=SAMPLE_RATE, samples=np.concatenate(segments))
+    return AudioClip(np.concatenate(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +231,8 @@ def featurize(clip: AudioClip) -> FrameFeatures:
     computed by direct projection, which equals the Goertzel recurrence value.
     Each coordinate is then mean-variance normalized over the utterance
     (coordinates with vanishing variance are left centered).
-    Raises ``ValueError`` for a clip not at ``SAMPLE_RATE`` or shorter than
-    one frame.
+    Raises ``ValueError`` for a clip shorter than one frame.
     """
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"clip is sampled at {clip.sample_rate} Hz; features need {SAMPLE_RATE} Hz")
     n_frames = len(clip) // FRAME_SAMPLES
     if n_frames < 1:
         raise ValueError(f"clip too short to featurize: {len(clip)} samples < {FRAME_SAMPLES}")
@@ -286,10 +282,10 @@ class FrameExample:
 def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSpec] | None = None) -> list[FrameExample]:
     """Read, featurize, and label every manifest entry of one split.
 
-    An entry whose WAV cannot be read or is not at ``SAMPLE_RATE``, whose
-    text is empty or holds a symbol outside ``SYMBOLS``, or whose text has
-    more symbols than its audio has frames raises ``DataFormatError`` naming
-    the manifest and the entry id.
+    An entry whose WAV ``read_wav`` cannot read or refuses (any format but
+    16-bit mono PCM at ``SAMPLE_RATE``), whose text is empty or holds a symbol
+    outside ``SYMBOLS``, or whose text has more symbols than its audio has
+    frames raises ``DataFormatError`` naming the manifest and the entry id.
     """
     corpus_dir = Path(corpus_dir)
     if languages is None:

@@ -13,10 +13,12 @@ kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
 ``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``.
 """
 
+import wave
+
 import numpy as np
 
 from langwce import loss as loss_mod
-from langwce.audio import AudioClip
+from langwce.audio import SAMPLE_RATE, AudioClip
 from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOLS
 
 
@@ -25,16 +27,25 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def make_tone(freq, seconds=1.0, sample_rate=16000, amplitude=0.5, ramp_ms=5.0):
-    n = round(seconds * sample_rate)
-    t = np.arange(n) / sample_rate
+def make_tone(freq, seconds=1.0, amplitude=0.5, ramp_ms=5.0):
+    n = round(seconds * SAMPLE_RATE)
+    t = np.arange(n) / SAMPLE_RATE
     x = amplitude * np.sin(2 * np.pi * freq * t)
-    ramp = round(ramp_ms / 1000 * sample_rate)
+    ramp = round(ramp_ms / 1000 * SAMPLE_RATE)
     if ramp and 2 * ramp < n:
         env = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
         x[:ramp] *= env
         x[-ramp:] *= env[::-1]
-    return AudioClip(sample_rate=sample_rate, samples=x)
+    return AudioClip(x)
+
+
+def write_wav_at_rate(path, rate, samples):
+    """A 16-bit mono PCM WAV of ``samples`` (floats in [-1, 1]) at any rate, written with ``wave`` alone."""
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(rate)
+        w.writeframes(np.rint(np.asarray(samples) * 32767).astype("<i2").tobytes())
 
 
 def dominant_frequency(clip, fmin=50.0):
@@ -44,7 +55,7 @@ def dominant_frequency(clip, fmin=50.0):
     seg = x[margin : len(x) - margin] if len(x) > 16 * 2 else x
     seg = seg * np.hanning(len(seg))
     spectrum = np.abs(np.fft.rfft(seg))
-    freqs = np.fft.rfftfreq(len(seg), 1.0 / clip.sample_rate)
+    freqs = np.fft.rfftfreq(len(seg), 1.0 / SAMPLE_RATE)
     keep = freqs >= fmin
     return float(freqs[keep][np.argmax(spectrum[keep])])
 
@@ -86,7 +97,7 @@ def oracle_featurize(clip, normalize=True):
     n_frames = len(clip) // FRAME_SAMPLES
     frames = clip.samples[: n_frames * FRAME_SAMPLES].reshape(n_frames, FRAME_SAMPLES)
     n = np.arange(FRAME_SAMPLES)[:, None]
-    omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / clip.sample_rate
+    omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / SAMPLE_RATE
     values = np.log1p((frames @ np.cos(n * omega)) ** 2 + (frames @ np.sin(n * omega)) ** 2)
     if normalize:
         std = values.std(axis=0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import wave
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dominant_frequency, make_tone, oracle_best_analysis_position
+from helpers import dominant_frequency, make_tone, oracle_best_analysis_position, write_wav_at_rate
 
 from langwce import audio
 from langwce.audio import (
@@ -36,21 +37,23 @@ FRAME = 400  # 25 ms at 16 kHz
 
 class TestWavIO:
     def test_zero_clip_round_trips_exactly(self, tmp_path):
-        clip = AudioClip(16000, np.zeros(16000))
+        clip = AudioClip(np.zeros(16000))
         write_wav(tmp_path / "z.wav", clip)
         back = read_wav(tmp_path / "z.wav")
         assert back.sample_rate == 16000
         assert np.array_equal(back.samples, clip.samples)
+        with wave.open(str(tmp_path / "z.wav"), "rb") as w:
+            assert w.getframerate() == 16000
 
     def test_random_clip_round_trips_within_quantum(self, tmp_path):
         rng = np.random.default_rng(0)
-        clip = AudioClip(16000, rng.uniform(-1, 1, 8000))
+        clip = AudioClip(rng.uniform(-1, 1, 8000))
         write_wav(tmp_path / "r.wav", clip)
         back = read_wav(tmp_path / "r.wav")
         assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
 
     def test_full_scale_values_survive(self, tmp_path):
-        clip = AudioClip(16000, np.array([1.0, -1.0, 0.999999]))
+        clip = AudioClip(np.array([1.0, -1.0, 0.999999]))
         write_wav(tmp_path / "f.wav", clip)
         back = read_wav(tmp_path / "f.wav")
         assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
@@ -64,6 +67,17 @@ class TestWavIO:
             w.writeframes(bytes(100))
         with pytest.raises(DataFormatError, match="16-bit"):
             read_wav(path)
+
+    def test_other_rate_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "8khz.wav"
+        write_wav_at_rate(path, 8000, make_tone(500).samples)
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: sampled at 8000 Hz, need 16000 Hz$"):
+            read_wav(path)
+
+    def test_clip_carries_no_rate(self):
+        with pytest.raises(TypeError, match="sample_rate"):
+            AudioClip(np.zeros(4), sample_rate=8000)
+        assert AudioClip(np.zeros(4)).sample_rate == audio.SAMPLE_RATE == 16000
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -103,7 +117,7 @@ class TestApplyGain:
         np.testing.assert_allclose(out.samples, 2.0 * clip.samples, rtol=0, atol=1e-9)
 
     def test_hard_clip_at_unity(self):
-        clip = AudioClip(16000, np.array([0.8, -0.8, 0.1]))
+        clip = AudioClip(np.array([0.8, -0.8, 0.1]))
         out = apply_gain(clip, 6.0206)
         # 0.8 doubles to 1.6 and clamps at the write bound
         np.testing.assert_allclose(out.samples, [1.0, -1.0, 0.2], atol=1e-9)
@@ -128,7 +142,7 @@ class TestGaussianNoise:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_sample_std_matches_sigma(self):
-        silent = AudioClip(16000, np.zeros(16000))
+        silent = AudioClip(np.zeros(16000))
         out = add_gaussian_noise(silent, 0.01, seed=7)
         assert out.samples.std() == pytest.approx(0.01, rel=0.05)
 
@@ -183,7 +197,7 @@ class TestTimeStretch:
 
     def test_output_clipped(self):
         rng = np.random.default_rng(5)
-        clip = AudioClip(16000, np.clip(rng.normal(0, 0.7, 16000), -1, 1))
+        clip = AudioClip(np.clip(rng.normal(0, 0.7, 16000), -1, 1))
         assert np.abs(time_stretch(clip, 0.8).samples).max() <= 1.0
 
 
@@ -216,7 +230,7 @@ def tones_with_silence(draw):
     x = np.concatenate(parts)
     if draw(st.booleans()):
         x = np.rint(x * 32767) / 32768  # quantized to 16 bits
-    return AudioClip(16000, x)
+    return AudioClip(x)
 
 
 class TestStretchSearchOracle:
@@ -268,14 +282,11 @@ class TestPitchShift:
 
 class TestAugmentClip:
     def test_collapsed_spec_is_identity(self):
-        spec = AugmentSpec(
-            stretch_range=(1.0, 1.0),
-            gain_range_db=(0.0, 0.0),
-            pitch_range_semitones=(0, 0),
-            noise_sigma_range=(0.0, 0.0),
-        )
+        # the stretch, gain and noise ranges are module constants, collapsed here for the check
+        collapsed = dict(STRETCH_RANGE=(1.0, 1.0), GAIN_RANGE_DB=(0.0, 0.0), NOISE_SIGMA_RANGE=(0.0, 0.0))
         clip = make_tone(500)
-        out = augment_clip(clip, spec, sample_seed=11)
+        with mock.patch.multiple(audio, **collapsed):
+            out = augment_clip(clip, AugmentSpec(pitch_range_semitones=(0, 0)), sample_seed=11)
         assert len(out) == len(clip)
         np.testing.assert_allclose(out.samples, clip.samples, atol=1e-9)
 
@@ -291,7 +302,8 @@ class TestAugmentClip:
     def test_duration_bounded_by_stretch_range(self):
         clip = make_tone(700)
         out = augment_clip(clip, AugmentSpec(), sample_seed=31)
-        assert len(clip) / 1.1 - FRAME <= len(out) <= len(clip) / 0.9 + FRAME
+        lo, hi = audio.STRETCH_RANGE
+        assert len(clip) / hi - FRAME <= len(out) <= len(clip) / lo + FRAME
 
     def test_output_respects_write_bound(self):
         clip = make_tone(500, amplitude=0.9)
@@ -339,16 +351,27 @@ class TestAugmentSpec:
             ("gain_range_db", (6.0, -6.0)),
             ("noise_sigma_range", (0.0, math.nan)),
             ("noise_sigma_range", (-0.1, 0.1)),
+            ("pitch_range_semitones", (2, -2)),
         ],
     )
     def test_bad_bounds_rejected_naming_the_field(self, field_name, bounds):
-        with pytest.raises(ValueError, match=field_name):
+        # only the pitch range is settable; the stretch, gain and noise ranges are
+        # module constants, so a spec refuses them by name whatever their bounds
+        error = ValueError if field_name == "pitch_range_semitones" else TypeError
+        with pytest.raises(error, match=field_name):
             AugmentSpec(**{field_name: bounds})
 
     def test_widest_bounds_accepted(self):
-        spec = AugmentSpec(stretch_range=(0.5, 2.0), pitch_range_semitones=(np.int64(-12), 12))
+        spec = AugmentSpec(pitch_range_semitones=(np.int64(-12), 12))
         out = augment_clip(make_tone(500, seconds=0.1), spec, sample_seed=3)
         assert np.all(np.isfinite(out.samples))
+
+    @pytest.mark.parametrize("seed", ["x", True, 1.5, None])
+    def test_non_int_seed_rejected_before_writing(self, tmp_path, seed):
+        manifest = build_tiny_corpus(tmp_path / "corpus", TestAugmentDataset.LAYOUT[:1])
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=seed))
+        assert not (tmp_path / "aug").exists()
 
 
 def build_tiny_corpus(root, layout):
@@ -416,6 +439,27 @@ class TestAugmentDataset:
         assert [f[0] for f in result.failures] == ["ghost"]
         assert result.n_augmented == 3
 
+    def test_other_rate_input_is_recorded_and_skipped(self, tmp_path):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
+        write_wav_at_rate(tmp_path / "corpus" / "finetune" / "L0" / "slow.wav", 8000, make_tone(500).samples)
+        slow = ManifestEntry(id="slow", lang="L0", text="AB", wav="finetune/L0/slow.wav", split="finetune")
+        write_manifest(manifest, read_manifest(manifest) + [slow])
+        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=1), languages={"L0"})
+        assert len(result.failures) == 1
+        assert result.failures[0][0] == "slow"
+        assert result.failures[0][1].endswith("slow.wav: sampled at 8000 Hz, need 16000 Hz")
+        assert result.n_augmented == 3
+        assert not (tmp_path / "aug" / "finetune" / "L0" / "slow-aug1.wav").exists()
+        assert "slow-aug1" not in {e.id for e in read_manifest(result.manifest_path)}
+
+    def test_clashing_augmented_id_rejected_before_writing(self, tmp_path):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
+        once = augment_dataset(manifest, tmp_path / "once", AugmentSpec(seed=1), splits={"finetune"})
+        # augmenting the augmented manifest again would give ft-L0-0 a second ft-L0-0-aug1
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(once.manifest_path))}: augmented id 'ft-L0-0-aug1'"):
+            augment_dataset(once.manifest_path, tmp_path / "twice", AugmentSpec(seed=2), splits={"finetune"})
+        assert not (tmp_path / "twice").exists()
+
     def test_multiplier(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT[:1])
         result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=3)
@@ -469,6 +513,13 @@ class TestManifest:
             kind = "boolean" if field == "augmented" else "string"
             with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1: field '{field}' must be a {kind}, got {got}"):
                 read_manifest(path)
+
+    def test_duplicate_id_rejected_naming_the_line(self, tmp_path):
+        entry = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test", "augmented": False}
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(json.dumps({**entry, "id": i}) for i in ("a", "b", "a")) + "\n")
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:3: id 'a' already on line 1$"):
+            read_manifest(path)
 
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

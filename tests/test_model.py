@@ -65,7 +65,17 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_learning_rate_rejected(self, rate):
-        with pytest.raises(ValueError, match=f"learning_rate must be finite and positive, got {rate}"):
+        with pytest.raises(ValueError, match=f"^learning_rate must be a finite real number, got {rate}$"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", ["0.1", True, None])
+    def test_non_real_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"^learning_rate must be a finite real number, got {re.escape(repr(rate))}$"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", [0, -0.1])
+    def test_non_positive_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"^learning_rate must be positive, got {rate}$"):
             TrainConfig(learning_rate=rate)
 
     def test_linear_schedule_shorter_than_run_rejected(self):

@@ -172,9 +172,17 @@ class TestConstantWeight:
         assert {w.decide(t) for t in range(8000)} == {WeightDecision(2.5, Branch.CONSTANT)}
 
     def test_below_one_rejected(self):
-        for w in (0.99, 0.0, -1.0, float("nan"), float("inf")):
+        for w in (0.99, 0.0, -1.0):
             with pytest.raises(ValueError, match="constant weight must be >= 1"):
                 constant(w)
+        for w in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^constant must be a finite real number, got {w}$"):
+                constant(w)
+
+    @pytest.mark.parametrize("w", ["2", True, None])
+    def test_non_real_rejected_naming_the_field(self, w):
+        with pytest.raises(ValueError, match=f"^constant must be a finite real number, got {re.escape(repr(w))}$"):
+            constant(w)
 
 
 class TestWeighting:

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import dominant_frequency, goertzel_power, oracle_featurize
+from helpers import dominant_frequency, goertzel_power, oracle_featurize, write_wav_at_rate
 
 from conftest import TINY
 from langwce.audio import AudioClip, write_wav
@@ -94,7 +94,7 @@ class TestGoertzel:
     def test_projection_matches_recurrence(self):
         rng = np.random.default_rng(2)
         frame = rng.uniform(-0.5, 0.5, FRAME_SAMPLES)
-        values = oracle_featurize(AudioClip(16000, frame), normalize=False)
+        values = oracle_featurize(AudioClip(frame), normalize=False)
         for k, freq in enumerate(FREQ_GRID):
             recurrence = goertzel_power(frame, freq, 16000)
             assert np.expm1(values[0, k]) == pytest.approx(recurrence, rel=1e-9, abs=1e-9)
@@ -108,16 +108,16 @@ class TestGoertzel:
 
 class TestFeaturize:
     def test_silence_gives_zero_raw_features(self):
-        assert np.all(oracle_featurize(AudioClip(16000, np.zeros(16000)), normalize=False) == 0.0)
+        assert np.all(oracle_featurize(AudioClip(np.zeros(16000)), normalize=False) == 0.0)
 
     def test_frame_count(self):
-        feats = featurize(AudioClip(16000, np.zeros(3200)))
+        feats = featurize(AudioClip(np.zeros(3200)))
         assert feats.n_frames == 20
-        assert featurize(AudioClip(16000, np.zeros(3359))).n_frames == 20
+        assert featurize(AudioClip(np.zeros(3359))).n_frames == 20
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            featurize(AudioClip(16000, np.zeros(FRAME_SAMPLES - 1)))
+            featurize(AudioClip(np.zeros(FRAME_SAMPLES - 1)))
 
     def test_normalization_moments(self):
         lang = make_languages(3, seed=1)[1]
@@ -138,15 +138,14 @@ class TestFeaturize:
 
 
     def test_matches_inline_basis_oracle_at_two_rates(self):
-        # 16 kHz matches the oracle; any other rate is refused, not featurized with the 16 kHz basis
+        # 16 kHz matches the oracle; no other rate reaches featurize, because a clip
+        # carries no rate and read_wav refuses a WAV at another (see test_audio.TestWavIO)
         rng = np.random.default_rng(8)
         lang = make_languages(3, seed=1)[1]
         tone = synthesize_utterance(lang, "HACEB")
-        noise = AudioClip(SAMPLE_RATE, rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
+        noise = AudioClip(rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
         for clip in (tone, noise):
             assert np.array_equal(featurize(clip).values, oracle_featurize(clip))
-        with pytest.raises(ValueError, match="clip is sampled at 8000 Hz; features need 16000 Hz"):
-            featurize(AudioClip(8000, tone.samples))
 
     def test_cached_basis_is_read_only(self):
         for basis in (_COS_BASIS, _SIN_BASIS):
@@ -296,7 +295,7 @@ class TestLoadExamples:
         "empty-text": ("", SAMPLE_RATE, "text must be non-empty"),
         "missing-wav": ("AB", None, "No such file"),
         "more-symbols-than-frames": ("AB" * 108, SAMPLE_RATE, "text has 216 symbols but the audio only 20 frames"),
-        "8-khz-wav": ("AB", 8000, "clip is sampled at 8000 Hz; features need 16000 Hz"),
+        "8-khz-wav": ("AB", 8000, "bad.wav: sampled at 8000 Hz, need 16000 Hz"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
@@ -307,7 +306,7 @@ class TestLoadExamples:
         good = ManifestEntry(id="ok-0", lang="L0", text="AB", wav="ok.wav", split="test")
         write_wav(tmp_path / "ok.wav", synthesize_utterance(lang, "AB"))
         if wav_rate is not None:
-            write_wav(tmp_path / "bad.wav", AudioClip(wav_rate, synthesize_utterance(lang, "AB").samples))
+            write_wav_at_rate(tmp_path / "bad.wav", wav_rate, synthesize_utterance(lang, "AB").samples)
         bad = ManifestEntry(id=f"bad-{case}", lang="L0", text=text, wav="bad.wav", split="test")
         manifest = write_manifest(tmp_path / "manifest.jsonl", [good, bad])
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(manifest))}: entry 'bad-{case}': .*{message}"):
