@@ -1,6 +1,6 @@
 """Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
-A clip carries no rate of its own: ``read_wav`` refuses any other rate.
+A clip carries no rate of its own: ``read_wav`` refuses any other rate, and a WAV with no samples.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
 Every transform is a pure function of (input, parameters, seed) and hard-clips
@@ -15,7 +15,6 @@ processing order.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import wave
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .manifest import ManifestEntry, read_manifest, resolve_wav, write_manifest
-from .util import DataFormatError, derive_seed, require_ints
+from .util import DataFormatError, derive_seed, is_int, require_ints
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400  # overlap-add analysis window, 25 ms
@@ -53,10 +52,6 @@ class AudioClip:
         return len(self.samples)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class AugmentSpec:
     """The semitone range and base seed of one augmentation pass; the other ranges are module constants."""
@@ -68,11 +63,11 @@ class AugmentSpec:
         # the bounds pitch_shift accepts, checked here so that a bad spec fails
         # before augment_dataset writes anything
         require_ints(self, "seed")
-        lo, hi = self.pitch_range_semitones
-        if not (_is_int(lo) and _is_int(hi)):
-            raise ValueError(f"pitch_range_semitones: bounds must be integers, got {self.pitch_range_semitones}")
-        if not -12 <= lo <= hi <= 12:
-            raise ValueError(f"pitch_range_semitones: need -12 <= min <= max <= 12, got {self.pitch_range_semitones}")
+        pitch = self.pitch_range_semitones
+        if not (isinstance(pitch, tuple) and len(pitch) == 2 and all(map(is_int, pitch))):
+            raise ValueError(f"pitch_range_semitones must be a pair of ints, got {pitch!r}")
+        if not -12 <= pitch[0] <= pitch[1] <= 12:
+            raise ValueError(f"pitch_range_semitones: need -12 <= min <= max <= 12, got {pitch}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +90,8 @@ def read_wav(path: str | Path) -> AudioClip:
         raise DataFormatError(f"{path}: not a readable RIFF/WAVE PCM file: {e}") from e
     except EOFError as e:
         raise DataFormatError(f"{path}: truncated WAV header") from e
+    if not raw:
+        raise DataFormatError(f"{path}: no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples)
 
@@ -281,12 +278,13 @@ def augment_dataset(
     The output manifest lists every original entry (paths re-relativized to
     out_dir) followed by the augmented entries. Each file's seed is derived
     from (spec.seed, entry id), so reruns are byte-identical regardless of order.
-    Inputs ``read_wav`` cannot read or refuses are recorded as failures and
-    skipped. An unreadable or malformed manifest, or one holding an id a copy
-    would get (``<id>-aug<k>``), raises ``DataFormatError`` before ``out_dir`` is created.
+    Inputs ``read_wav`` cannot read or refuses (an empty WAV among them) are
+    recorded as failures and skipped. An unreadable or malformed manifest, or
+    one holding an id a copy would get (``<id>-aug<k>``), raises
+    ``DataFormatError`` before ``out_dir`` is created.
     """
-    if not _is_int(multiplier) or multiplier < 1:
-        raise ValueError(f"multiplier must be a positive integer, got {multiplier!r}")
+    if not is_int(multiplier) or multiplier < 1:
+        raise ValueError(f"multiplier must be a positive int, got {multiplier!r}")
     manifest_in = Path(manifest_in)
     entries = read_manifest(manifest_in)
     selected = sorted(

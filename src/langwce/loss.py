@@ -29,13 +29,12 @@ import numpy as np
 
 @dataclass
 class BatchLoss:
-    """Unweighted per-sentence losses plus the weighted batch mean.
+    """A train step's weighted batch mean.
 
     ``applied_weight`` is the step weight on the low-resource language; 1.0
     when the batch holds none of its utterances.
     """
 
-    per_sentence: list[float]
     weighted_mean: float
     applied_weight: float = 1.0
 

@@ -14,9 +14,10 @@ batch of one utterance. ``run_phase`` builds its training split's and its
 validation split's inputs once each, with one ``build_inputs`` call per split;
 every step then gathers its batch's rows and labels from the training split's
 arrays with one index array, and every evaluation reuses the validation
-split's. The forward and backward passes make each batch-sized array once
-and add the biases, apply ``tanh`` and scale by its derivative in place;
-``decode`` counts every block's votes with one ``np.bincount``.
+split's; ``train_step`` and ``validation_losses`` take those rows as given.
+The forward and backward passes make each batch-sized array once and add
+the biases, apply ``tanh`` and scale by its derivative in place; ``decode``
+counts every block's votes with one ``np.bincount``.
 
 Training is plain SGD on the language-weighted batch loss. The loss and its
 gradient w.r.t. the logits come from ``loss.segment_nll`` and
@@ -28,6 +29,7 @@ deterministic given the seeds.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -185,24 +187,18 @@ def build_inputs(
     return x, sizes
 
 
-def _example_inputs(config: ModelConfig, examples: Sequence[FrameExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inputs, labels, sizes) of examples, from one ``build_inputs`` call."""
-    x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
-    return x, np.concatenate([ex.labels for ex in examples]), sizes
-
-
 class _SplitInputs:
     """A split's model inputs, built once; a batch of its utterances is cut from them.
 
-    ``inputs`` is the split's ``_example_inputs`` and ``starts[j]`` the first
-    row of its utterance j. Every row depends only on its own utterance, so
-    the rows ``gather`` cuts for a batch equal what ``build_inputs`` builds
-    for it.
+    ``inputs`` is the split's (inputs, labels, sizes), from one ``build_inputs``
+    call, and ``starts[j]`` the first row of its utterance j. Every row depends
+    only on its own utterance, so the rows ``gather`` cuts for a batch equal
+    what ``build_inputs`` builds for it.
     """
 
     def __init__(self, config: ModelConfig, examples: Sequence[FrameExample]):
-        self.inputs = _example_inputs(config, examples)
-        sizes = self.inputs[2]
+        x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
+        self.inputs = x, np.concatenate([ex.labels for ex in examples]), sizes
         self.starts = np.cumsum(sizes) - sizes
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,13 +232,13 @@ def train_step(
     t: int,
     config: TrainConfig,
     low_lang: int,
-    inputs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> BatchLoss:
     """One SGD step on a batch of utterances; updates the model in place.
 
-    ``inputs`` is the batch's (inputs, labels, sizes) when the caller has
-    them already; they must equal ``_example_inputs`` of the batch. Without
-    them the step builds them from the batch.
+    ``inputs`` is the batch's (inputs, labels, sizes), in batch order, as
+    ``run_phase`` gathers them from its split's ``_SplitInputs``; the step
+    reads only each utterance's language from ``batch``.
 
     When the batch contains the low-resource language the scheduler is
     consulted for the step weight (the dynamic scheduler sees this batch's
@@ -256,7 +252,7 @@ def train_step(
     the scheduler sees them. In every case the model is left as it was before
     the failing step.
     """
-    x_all, labels, sizes = _example_inputs(model.config, batch) if inputs is None else inputs
+    x_all, labels, sizes = inputs
     if len(sizes) != len(batch):
         raise ValueError(f"inputs hold {len(sizes)} utterances but the batch has {len(batch)}")
     hidden, logits = _layers(model, x_all)
@@ -279,12 +275,11 @@ def train_step(
     if is_low.any():
         high_losses = per_sentence[~is_low]
         avg_high = float(high_losses.mean()) if len(high_losses) else 0.0
-        decision = config.weighting.decide(t, avg_low=float(per_sentence[is_low].mean()), avg_high=avg_high)
+        decision = config.weighting.decide(t, float(per_sentence[is_low].mean()), avg_high)
         applied_weight = float(decision.value)
         utt_weights[is_low] = applied_weight
 
-    losses = per_sentence.tolist()
-    weighted_mean = loss_mod.combine_sentence_losses(losses, utt_weights)
+    weighted_mean = loss_mod.combine_sentence_losses(per_sentence.tolist(), utt_weights)
     if not math.isfinite(weighted_mean):
         raise DivergenceError(f"step {t}: non-finite loss: weighted batch loss {weighted_mean} (must be finite)")
 
@@ -304,20 +299,18 @@ def train_step(
             )
     for name, value in updated.items():
         getattr(model, name)[...] = value
-    return BatchLoss(losses, weighted_mean, applied_weight)
+    return BatchLoss(weighted_mean, applied_weight)
 
 
 def validation_losses(
-    model: AcousticModel,
-    examples: list[FrameExample],
-    inputs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    model: AcousticModel, examples: list[FrameExample], inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> dict[int, float]:
     """Per-language mean utterance loss, the split run as one batch.
 
-    ``inputs`` is the split's (inputs, labels, sizes) when the caller has
-    them already, as ``train_step`` takes them.
+    ``inputs`` is the split's (inputs, labels, sizes), as ``train_step`` takes
+    them; ``run_phase`` builds them once per phase.
     """
-    x, labels, sizes = _example_inputs(model.config, examples) if inputs is None else inputs
+    x, labels, sizes = inputs
     if len(sizes) != len(examples):
         raise ValueError(f"inputs hold {len(sizes)} utterances but the split has {len(examples)}")
     losses, _ = loss_mod.segment_nll(_layers(model, x)[1], labels, sizes)
@@ -413,11 +406,12 @@ def run_phase(
 ) -> PhaseResult:
     """Train on one split (``pretrain`` or ``finetune``) with periodic validation.
 
-    Pretraining starts from a fresh initialization; fine-tuning requires the
-    shared pretrain model. Batches are sampled uniformly with replacement from
-    the phase split, deterministically in ``config.seed``. ``dataset`` may
-    supply preloaded featurized splits keyed by split name; a split it holds
-    is used as given, and an empty one raises ``DataFormatError``.
+    Pretraining starts from a fresh initialization; fine-tuning trains a copy
+    of the shared pretrain model ``start_model`` and leaves it unchanged.
+    Batches are sampled uniformly with replacement from the phase split,
+    deterministically in ``config.seed``. ``dataset`` may supply preloaded
+    featurized splits keyed by split name; a split it holds is used as given,
+    and an empty one raises ``DataFormatError``.
     """
     if phase not in ("pretrain", "finetune"):
         raise ValueError(f"phase must be 'pretrain' or 'finetune', got {phase!r}")
@@ -439,21 +433,22 @@ def run_phase(
     else:
         if start_model is None:
             raise ValueError("fine-tuning requires the shared pretrain model")
-        model = start_model
+        model = copy.deepcopy(start_model)
     if model.config.n_langs != len(languages):
         raise DataFormatError(
-            f"model expects {model.config.n_langs} languages but corpus has {len(languages)}"
+            f"{Path(corpus_dir) / 'corpus.json'}: model expects {model.config.n_langs} languages "
+            f"but corpus has {len(languages)}"
         )
 
     train_split = _SplitInputs(model.config, train_examples)
-    valid_inputs = _example_inputs(model.config, valid_examples)
+    valid_inputs = _SplitInputs(model.config, valid_examples).inputs
     rng = np.random.default_rng(derive_seed(config.seed, "batches", phase))
     n = len(train_examples)
     rows = []
     for t in range(1, config.total_steps + 1):
         idx = rng.integers(0, n, size=config.batch_size)
         batch = [train_examples[i] for i in idx]
-        batch_loss = train_step(model, batch, t, config, low_lang, inputs=train_split.gather(idx))
+        batch_loss = train_step(model, batch, t, config, low_lang, train_split.gather(idx))
         rows.append(
             {
                 "step": t,
@@ -464,6 +459,6 @@ def run_phase(
             }
         )
         if t % config.eval_every == 0:
-            for lang_id, vloss in sorted(validation_losses(model, valid_examples, inputs=valid_inputs).items()):
+            for lang_id, vloss in sorted(validation_losses(model, valid_examples, valid_inputs).items()):
                 rows.append({"step": t, "split": "valid", "language": lang_names[lang_id], "loss": vloss})
     return PhaseResult(model=model, metrics=rows)

@@ -147,12 +147,10 @@ class Weighting:
             if self.mode is not mode and schedule is not None:
                 raise ValueError(f"{self.mode.name} weighting does not read the {name} schedule")
 
-    def decide(self, t: int, avg_low: float | None = None, avg_high: float | None = None) -> WeightDecision:
-        """Weight for step t. DYNAMIC requires the current batch's language averages."""
+    def decide(self, t: int, avg_low: float, avg_high: float) -> WeightDecision:
+        """Weight for step t; DYNAMIC reads the batch's unweighted low- and high-resource average losses."""
         if self.mode is WeightMode.CONSTANT:
             return WeightDecision(float(self.constant), Branch.CONSTANT)
         if self.mode is WeightMode.LINEAR:
             return linear_weight(self.linear, t)
-        if avg_low is None or avg_high is None:
-            raise ValueError("DYNAMIC weighting needs avg_low and avg_high for the batch")
         return dynamic_weight(self.dynamic, avg_low, avg_high)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, read_wav, write_wav
 from .manifest import ManifestEntry, read_manifest, write_manifest
-from .util import DataFormatError, derive_seed, require_ints
+from .util import DataFormatError, derive_seed, require_finite_reals, require_ints
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
@@ -67,8 +67,7 @@ class CorpusConfig:
     def __post_init__(self):
         counts = ("finetune_per_lang", "pretrain_per_high", "valid_per_lang", "test_per_lang")
         require_ints(self, "n_langs", "low_lang", *counts, "min_len", "max_len", "seed")
-        if isinstance(self.low_fraction, bool) or not isinstance(self.low_fraction, (int, float)):
-            raise ValueError(f"low_fraction must be a real number, got {self.low_fraction!r}")
+        require_finite_reals(self, "low_fraction")
         if not 2 <= self.n_langs <= 8:
             raise ValueError(f"n_langs must be in [2, 8], got {self.n_langs}")
         if not 0 <= self.low_lang < self.n_langs:
@@ -279,17 +278,17 @@ class FrameExample:
     labels: np.ndarray  # [frames]
 
 
-def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSpec] | None = None) -> list[FrameExample]:
+def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSpec]) -> list[FrameExample]:
     """Read, featurize, and label every manifest entry of one split.
 
-    An entry whose WAV ``read_wav`` cannot read or refuses (any format but
-    16-bit mono PCM at ``SAMPLE_RATE``), whose text is empty or holds a symbol
-    outside ``SYMBOLS``, or whose text has more symbols than its audio has
-    frames raises ``DataFormatError`` naming the manifest and the entry id.
+    ``languages`` are the corpus's, from ``load_corpus_meta``: an augmented
+    directory has no corpus.json of its own. An entry whose WAV ``read_wav``
+    cannot read or refuses (any format but 16-bit mono PCM at ``SAMPLE_RATE``,
+    or no samples), whose text is empty or holds a symbol outside ``SYMBOLS``,
+    or whose text has more symbols than its audio has frames raises
+    ``DataFormatError`` naming the manifest and the entry id.
     """
     corpus_dir = Path(corpus_dir)
-    if languages is None:
-        _, languages = load_corpus_meta(corpus_dir)
     by_name = {l.name: l.id for l in languages}
     manifest_path = corpus_dir / "manifest.jsonl"
     examples = []

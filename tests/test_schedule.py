@@ -162,14 +162,15 @@ def constant(w):
 
 class TestConstantWeight:
     def test_one_is_unweighted(self):
-        assert constant(1.0).decide(1).value == 1.0
+        assert constant(1.0).decide(1, 2.0, 1.0).value == 1.0
 
     def test_any_step_same_value(self):
-        assert constant(5.0).decide(7).value == 5.0
+        assert constant(5.0).decide(7, 2.0, 1.0).value == 5.0
 
     def test_identical_across_steps(self):
         w = constant(2.5)
-        assert {w.decide(t) for t in range(8000)} == {WeightDecision(2.5, Branch.CONSTANT)}
+        # and whatever the batch averages: a constant weight does not read them
+        assert {w.decide(t, t % 7, 1.0) for t in range(8000)} == {WeightDecision(2.5, Branch.CONSTANT)}
 
     def test_below_one_rejected(self):
         for w in (0.99, 0.0, -1.0):
@@ -187,15 +188,15 @@ class TestConstantWeight:
 
 class TestWeighting:
     def test_default_is_unit(self):
-        assert Weighting().decide(123) == WeightDecision(1.0, Branch.CONSTANT)
+        assert Weighting().decide(123, 2.0, 1.0) == WeightDecision(1.0, Branch.CONSTANT)
 
     def test_linear_mode_dispatch(self):
         w = Weighting(WeightMode.LINEAR, linear=PLAIN)
-        assert w.decide(6000).value == pytest.approx(4.5)
+        assert w.decide(6000, 2.0, 1.0).value == pytest.approx(4.5)
 
     def test_dynamic_mode_needs_averages(self):
         w = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="avg_low"):
             w.decide(1)
         assert w.decide(1, avg_low=2.0, avg_high=1.0).value == 2.0
 

@@ -32,6 +32,8 @@ from langwce.synthlang import (
 )
 from langwce.util import DataFormatError
 
+TINY_LANGS = make_languages(TINY.n_langs, TINY.seed)
+
 
 class TestMakeLanguages:
     def test_language_zero_is_identity(self):
@@ -225,10 +227,12 @@ class TestCorpusConfig:
     @pytest.mark.parametrize(
         "value, message",
         [
-            ("0.1", "must be a real number, got '0.1'"),
-            (True, "must be a real number, got True"),
-            (float("nan"), r"must be in \(0, 1\], got nan"),
-            (float("inf"), r"must be in \(0, 1\], got inf"),
+            ("0.1", "must be a finite real number, got '0.1'"),
+            (True, "must be a finite real number, got True"),
+            (float("nan"), "must be a finite real number, got nan"),
+            (float("inf"), "must be a finite real number, got inf"),
+            (0.0, r"must be in \(0, 1\], got 0.0"),
+            (1.5, r"must be in \(0, 1\], got 1.5"),
         ],
     )
     def test_bad_low_fraction_rejected(self, value, message):
@@ -274,7 +278,7 @@ class TestGenerateCorpus:
 
 class TestLoadExamples:
     def test_examples_are_featurized_and_labeled(self, tiny_corpus):
-        examples = load_examples(tiny_corpus, "test")
+        examples = load_examples(tiny_corpus, "test", TINY_LANGS)
         assert len(examples) == 3 * TINY.test_per_lang
         for ex in examples[:5]:
             assert ex.features.shape == (FRAMES_PER_SYMBOL * len(ex.text), 8)
@@ -286,7 +290,7 @@ class TestLoadExamples:
         from langwce.util import DataFormatError
 
         with pytest.raises(DataFormatError):
-            load_examples(tiny_corpus, "nope")
+            load_examples(tiny_corpus, "nope", TINY_LANGS)
 
     # case -> (the bad entry's text, the sample rate of its WAV of "AB"'s samples or None for
     # no WAV, what the error says); at 16 kHz the WAV has 20 frames
@@ -301,8 +305,7 @@ class TestLoadExamples:
     @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
     def test_bad_entry_names_manifest_and_id(self, tmp_path, tiny_corpus, case):
         text, wav_rate, message = self.BAD_ENTRIES[case]
-        (tmp_path / "corpus.json").write_bytes((tiny_corpus / "corpus.json").read_bytes())
-        lang = make_languages(TINY.n_langs, TINY.seed)[0]
+        lang = TINY_LANGS[0]
         good = ManifestEntry(id="ok-0", lang="L0", text="AB", wav="ok.wav", split="test")
         write_wav(tmp_path / "ok.wav", synthesize_utterance(lang, "AB"))
         if wav_rate is not None:
@@ -310,7 +313,15 @@ class TestLoadExamples:
         bad = ManifestEntry(id=f"bad-{case}", lang="L0", text=text, wav="bad.wav", split="test")
         manifest = write_manifest(tmp_path / "manifest.jsonl", [good, bad])
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(manifest))}: entry 'bad-{case}': .*{message}"):
-            load_examples(tmp_path, "test")
+            load_examples(tmp_path, "test", TINY_LANGS)
+
+    def test_empty_wav_names_manifest_id_and_file(self, tmp_path):
+        write_wav(tmp_path / "empty.wav", AudioClip(np.zeros(0)))
+        entry = ManifestEntry(id="empty-0", lang="L0", text="AB", wav="empty.wav", split="test")
+        manifest = write_manifest(tmp_path / "manifest.jsonl", [entry])
+        message = rf"^{re.escape(str(manifest))}: entry 'empty-0': {re.escape(str(tmp_path / 'empty.wav'))}: no samples$"
+        with pytest.raises(DataFormatError, match=message):
+            load_examples(tmp_path, "test", TINY_LANGS)
 
 
 def _set_config(**fields):
@@ -336,7 +347,7 @@ class TestLoadCorpusMeta:
         "seed-a-float": (_set_config(seed=1.5), "seed must be an int, got 1.5"),
         "count-a-float": (_set_config(finetune_per_lang=2.5), "finetune_per_lang must be an int, got 2.5"),
         "n-langs-a-bool": (_set_config(n_langs=True), "n_langs must be an int, got True"),
-        "low-fraction-a-string": (_set_config(low_fraction="0.1"), "low_fraction must be a real number, got '0.1'"),
+        "low-fraction-a-string": (_set_config(low_fraction="0.1"), "low_fraction must be a finite real number, got '0.1'"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_META))
