@@ -1,6 +1,7 @@
 """Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
-A clip carries no rate of its own: ``read_wav`` refuses any other rate, and a WAV with no samples.
+A clip carries no rate of its own: ``read_wav`` refuses any other rate, a WAV with no samples, and
+one whose data chunk is shorter than its header declares.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
 Every transform is a pure function of (input, parameters, seed) and hard-clips
@@ -86,6 +87,10 @@ def read_wav(path: str | Path) -> AudioClip:
             if w.getframerate() != SAMPLE_RATE:
                 raise DataFormatError(f"{path}: sampled at {w.getframerate()} Hz, need {SAMPLE_RATE} Hz")
             raw = w.readframes(w.getnframes())
+            if len(raw) != 2 * w.getnframes():
+                raise DataFormatError(
+                    f"{path}: data chunk holds {len(raw)} of the {2 * w.getnframes()} bytes its header declares"
+                )
     except wave.Error as e:
         raise DataFormatError(f"{path}: not a readable RIFF/WAVE PCM file: {e}") from e
     except EOFError as e:
@@ -126,8 +131,8 @@ def apply_gain(clip: AudioClip, gain_db: float) -> AudioClip:
 
 def add_gaussian_noise(clip: AudioClip, sigma: float, seed: int) -> AudioClip:
     """Add i.i.d. Normal(0, sigma^2) noise from a seeded generator."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     noise = np.random.default_rng(seed).normal(0.0, sigma, size=len(clip))
     return AudioClip(_clipped(clip.samples + noise))
 
@@ -259,7 +264,6 @@ def augment_clip(clip: AudioClip, spec: AugmentSpec, sample_seed: int) -> AudioC
 
 @dataclass
 class AugmentResult:
-    manifest_path: Path
     n_augmented: int
     failures: list[tuple[str, str]] = field(default_factory=list)
 
@@ -275,11 +279,12 @@ def augment_dataset(
     """Write augmented copies of the selected manifest entries under out_dir.
 
     Selection is by language and split (None means no filtering on that axis).
-    The output manifest lists every original entry (paths re-relativized to
-    out_dir) followed by the augmented entries. Each file's seed is derived
-    from (spec.seed, entry id), so reruns are byte-identical regardless of order.
-    Inputs ``read_wav`` cannot read or refuses (an empty WAV among them) are
-    recorded as failures and skipped. An unreadable or malformed manifest, or
+    The output manifest, ``out_dir / "manifest.jsonl"``, lists every original
+    entry (paths re-relativized to out_dir) followed by the augmented entries.
+    Each file's seed is derived from (spec.seed, entry id), so reruns are
+    byte-identical regardless of order. Inputs ``read_wav`` cannot read or
+    refuses (an empty or truncated WAV among them) are recorded as failures
+    and skipped. An unreadable or malformed manifest, or
     one holding an id a copy would get (``<id>-aug<k>``), raises
     ``DataFormatError`` before ``out_dir`` is created.
     """
@@ -318,5 +323,5 @@ def augment_dataset(
                 ManifestEntry(id=aug_id, lang=e.lang, text=e.text, wav=str(wav_rel), split=e.split, augmented=True)
             )
 
-    manifest_path = write_manifest(out_dir / "manifest.jsonl", out_entries + augmented)
-    return AugmentResult(manifest_path=manifest_path, n_augmented=len(augmented), failures=failures)
+    write_manifest(out_dir / "manifest.jsonl", out_entries + augmented)
+    return AugmentResult(n_augmented=len(augmented), failures=failures)

@@ -11,10 +11,11 @@ frame f of utterance j is
 
     utt_weights[j] / (B * F_j) * (softmax(logits_f) - onehot(label_f)).
 
-``model`` computes every loss and gradient through ``segment_nll``,
-``combine_sentence_losses`` and ``logit_gradient``. ``segment_nll`` takes the
-row maxima in one sweep over the V columns and exponentiates and normalises
-one fresh ``probs`` in place, which ``logit_gradient`` leaves unchanged.
+``model`` computes every loss, gradient and per-language average through
+``segment_nll``, ``combine_sentence_losses``, ``logit_gradient`` and
+``group_means``. ``segment_nll`` takes the row maxima in one sweep over the V
+columns and exponentiates and normalises one fresh ``probs`` in place, which
+``logit_gradient`` leaves unchanged.
 Everything here is double precision and hand-differentiated; there is no
 autodiff framework underneath.
 """
@@ -22,7 +23,7 @@ autodiff framework underneath.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,16 +87,13 @@ def logit_gradient(
     return grad
 
 
-def per_language_average(pairs: Iterable[tuple[int, float]]) -> dict[int, float]:
-    """Arithmetic mean of losses grouped by language id."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for lang, value in pairs:
-        sums[lang] = sums.get(lang, 0.0) + float(value)
-        counts[lang] = counts.get(lang, 0) + 1
-    if not sums:
-        raise ValueError("no (language, loss) pairs given")
-    return {lang: sums[lang] / counts[lang] for lang in sums}
+def group_means(losses: np.ndarray, groups: Sequence | np.ndarray) -> dict:
+    """``{g: losses[groups == g].mean()}`` for each distinct group ``g``, in ascending order."""
+    groups = np.asarray(groups)
+    if len(losses) != len(groups) or len(losses) == 0:
+        raise ValueError(f"need one group label per loss, at least one of each; got {len(losses)} and {len(groups)}")
+    # sorting a set of the few labels is cheaper than np.unique on a batch this short
+    return {g: float(losses[groups == g].mean()) for g in sorted(set(groups.tolist()))}
 
 
 def combine_sentence_losses(per_sentence: Sequence[float], utt_weights: Sequence[float] | np.ndarray) -> float:

@@ -91,8 +91,8 @@ def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, edits
         csv.writer(f).writerows([EVAL_FIELDS, [run, language, n_utts, ref_tokens, edits]])
 
 
-def read_eval_csv(path: str | Path) -> tuple[str, float]:
-    """(language, WER %) of an evaluation CSV, the WER computed from its counts."""
+def read_eval_csv(path: str | Path) -> tuple[str, str, float]:
+    """(run, language, WER %) of an evaluation CSV, the WER computed from its counts."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
@@ -109,15 +109,17 @@ def read_eval_csv(path: str | Path) -> tuple[str, float]:
         raise DataFormatError(f"{path}: total_ref_tokens must be >= 1, got {tokens}")
     if min(n_utts, edits) < 0:
         raise DataFormatError(f"{path}: counts must be non-negative, got n_utts={n_utts}, total_edits={edits}")
-    return rows[0]["language"], edits / tokens * 100.0
+    return rows[0]["run"], rows[0]["language"], edits / tokens * 100.0
 
 
 def collect_run_wers(run_dir: str | Path) -> dict[str, float]:
-    """Per-language WER percents from a run directory's eval/ CSVs, one CSV per language."""
+    """Per-language WER percents from a run directory's eval/ CSVs, one per language, each naming that run."""
     eval_dir = Path(run_dir) / "eval"
     out = {}
     for path in sorted(eval_dir.glob("*.csv")):
-        language, wer = read_eval_csv(path)
+        run, language, wer = read_eval_csv(path)
+        if run != eval_dir.parent.name:
+            raise DataFormatError(f"{path}: run {run!r} does not match its run directory {eval_dir.parent.name!r}")
         if language in out:
             raise DataFormatError(f"{path}: language {language!r} has another evaluation CSV in {eval_dir}")
         out[language] = wer
@@ -138,15 +140,15 @@ def build_tables(
     run_wers: dict[str, dict[str, float]],
     low_lang: str,
     baseline: str,
-    run_order: Sequence[str] | None = None,
-    pretrain_run: str | None = None,
+    run_order: Sequence[str],
+    pretrain_run: str,
 ) -> ResultTables:
     """Render the WER table, then derive the reduction-vs-baseline table from its cells.
 
-    Each WER and row mean is rounded once, as it is rendered. ``pretrain_run``
-    (if given) is shown in the WER table but excluded from the reduction table.
+    Rows follow ``run_order``, skipping runs ``run_wers`` lacks; ``pretrain_run``
+    is in the WER table only. Each WER and row mean is rounded once, as rendered.
     """
-    names = [n for n in (run_order or sorted(run_wers)) if n in run_wers]
+    names = [n for n in run_order if n in run_wers]
     if baseline not in names:
         raise DataFormatError(f"baseline run {baseline!r} not found among the reported runs {names}")
     langs = sorted(run_wers[baseline])
@@ -175,12 +177,19 @@ def report(
     runs_dir: str | Path,
     out_dir: str | Path,
     low_lang: str,
-    baseline: str = "WS-FT",
-    run_order: Sequence[str] | None = None,
-    pretrain_run: str | None = "WS",
+    baseline: str,
+    run_order: Sequence[str],
+    pretrain_run: str,
 ) -> dict[str, Path]:
-    """Build report.md / table1.csv / table2.csv from a directory of run dirs."""
-    run_wers = {p.name: collect_run_wers(p) for p in sorted(Path(runs_dir).iterdir()) if (p / "eval").is_dir()}
+    """Build report.md / table1.csv / table2.csv from the run dirs under runs_dir, in ``run_order``.
+
+    A listed run with no ``eval/`` directory is left out; an unlisted one raises ``DataFormatError``.
+    """
+    run_dirs = [p for p in sorted(Path(runs_dir).iterdir()) if (p / "eval").is_dir()]
+    unlisted = [str(p) for p in run_dirs if p.name not in run_order]
+    if unlisted:
+        raise DataFormatError(f"{runs_dir}: run directories {unlisted} are not in the run order {list(run_order)}")
+    run_wers = {p.name: collect_run_wers(p) for p in run_dirs}
     if not run_wers:
         raise DataFormatError(f"{runs_dir}: no run directories with evaluations")
     tables = build_tables(run_wers, low_lang=low_lang, baseline=baseline, run_order=run_order, pretrain_run=pretrain_run)

@@ -242,9 +242,9 @@ def train_step(
 
     When the batch contains the low-resource language the scheduler is
     consulted for the step weight (the dynamic scheduler sees this batch's
-    unweighted language averages, treated as constants), and each
-    low-resource utterance's loss is scaled by it; otherwise weighting is a
-    no-op and the recorded applied weight is 1.
+    unweighted language averages from ``loss.group_means``, treated as
+    constants), and each low-resource utterance's loss is scaled by it;
+    otherwise weighting is a no-op and the recorded applied weight is 1.
 
     Raises ``DivergenceError`` on a non-finite loss, on an unweighted mean
     utterance loss above ``LOSS_EXPLOSION_FACTOR * ln(len(SYMBOLS))``, or when the
@@ -273,9 +273,8 @@ def train_step(
     utt_weights = np.ones(len(batch))
     applied_weight = 1.0
     if is_low.any():
-        high_losses = per_sentence[~is_low]
-        avg_high = float(high_losses.mean()) if len(high_losses) else 0.0
-        decision = config.weighting.decide(t, float(per_sentence[is_low].mean()), avg_high)
+        means = loss_mod.group_means(per_sentence, is_low)
+        decision = config.weighting.decide(t, means[True], means.get(False, 0.0))
         applied_weight = float(decision.value)
         utt_weights[is_low] = applied_weight
 
@@ -305,7 +304,7 @@ def train_step(
 def validation_losses(
     model: AcousticModel, examples: list[FrameExample], inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> dict[int, float]:
-    """Per-language mean utterance loss, the split run as one batch.
+    """Per-language mean utterance loss by ascending language id, from ``loss.group_means``; the split is one batch.
 
     ``inputs`` is the split's (inputs, labels, sizes), as ``train_step`` takes
     them; ``run_phase`` builds them once per phase.
@@ -314,7 +313,7 @@ def validation_losses(
     if len(sizes) != len(examples):
         raise ValueError(f"inputs hold {len(sizes)} utterances but the split has {len(examples)}")
     losses, _ = loss_mod.segment_nll(_layers(model, x)[1], labels, sizes)
-    return loss_mod.per_language_average(zip([ex.lang for ex in examples], losses))
+    return loss_mod.group_means(losses, [ex.lang for ex in examples])
 
 
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
@@ -459,6 +458,6 @@ def run_phase(
             }
         )
         if t % config.eval_every == 0:
-            for lang_id, vloss in sorted(validation_losses(model, valid_examples, valid_inputs).items()):
+            for lang_id, vloss in validation_losses(model, valid_examples, valid_inputs).items():
                 rows.append({"step": t, "split": "valid", "language": lang_names[lang_id], "loss": vloss})
     return PhaseResult(model=model, metrics=rows)

@@ -103,26 +103,30 @@ def make_languages(n: int, seed: int) -> list[LanguageSpec]:
     return [LanguageSpec(id=i, freq_map=tuple(FREQ_GRID[j] for j in perm)) for i, perm in enumerate(perms)]
 
 
+def symbol_ids(text: str) -> np.ndarray:
+    """Each symbol's index in ``SYMBOLS``; raises ``ValueError`` for an empty text or a symbol outside it."""
+    if not text:
+        raise ValueError("text must be non-empty")
+    unknown = sorted(set(text) - set(SYMBOLS))
+    if unknown:
+        raise ValueError(f"unknown symbols {unknown} in text; alphabet is {SYMBOLS}")
+    return np.array([SYMBOLS.index(s) for s in text], dtype=np.int64)
+
+
 def synthesize_utterance(spec: LanguageSpec, text: str) -> AudioClip:
     """Concatenated ``SYMBOL_SAMPLES``-long sine segments, one per symbol.
 
     Each segment is a 0.3-amplitude tone at the language's frequency for that
-    symbol, with 5 ms raised-cosine onset/offset ramps.
+    symbol, with 5 ms raised-cosine onset/offset ramps; ``symbol_ids`` checks the text.
     """
-    if not text:
-        raise ValueError("text must be non-empty")
+    ids = symbol_ids(text)
     ramp = round(0.005 * SAMPLE_RATE)
     env = np.ones(SYMBOL_SAMPLES)
     edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
     env[:ramp] = edge
     env[-ramp:] = edge[::-1]
     t = np.arange(SYMBOL_SAMPLES) / SAMPLE_RATE
-    segments = []
-    for sym in text:
-        idx = SYMBOLS.find(sym)
-        if idx < 0:
-            raise ValueError(f"unknown symbol {sym!r}; alphabet is {SYMBOLS}")
-        segments.append(0.3 * np.sin(2 * np.pi * spec.freq_map[idx] * t) * env)
+    segments = [0.3 * np.sin(2 * np.pi * spec.freq_map[idx] * t) * env for idx in ids]
     return AudioClip(np.concatenate(segments))
 
 
@@ -247,19 +251,12 @@ def frame_labels(text: str, n_frames: int) -> np.ndarray:
     """Proportional frame-to-symbol alignment: label[f] = text[floor(f * len / n)].
 
     Works for time-stretched audio where frames per symbol are not constant.
-    Raises ``ValueError`` for an empty text, a symbol outside ``SYMBOLS``, or
-    more symbols than frames, where some symbols would get no frame.
+    Raises ``ValueError`` for a text ``symbol_ids`` refuses, or more symbols
+    than frames, where some symbols would get no frame.
     """
-    if not text:
-        raise ValueError("text must be non-empty")
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    unknown = sorted(set(text) - set(SYMBOLS))
-    if unknown:
-        raise ValueError(f"unknown symbols {unknown} in text; alphabet is {SYMBOLS}")
+    symbols = symbol_ids(text)
     if len(text) > n_frames:
         raise ValueError(f"text has {len(text)} symbols but the audio only {n_frames} frames")
-    symbols = np.array([SYMBOLS.index(s) for s in text], dtype=np.int64)
     return symbols[(np.arange(n_frames) * len(text)) // n_frames]
 
 

@@ -110,6 +110,15 @@ class TestWavIO:
         with pytest.raises(DataFormatError):
             read_wav(path)
 
+    @pytest.mark.parametrize("cut, kept", [(500, 1500), (501, 1499), (2000, 0)])
+    def test_truncated_data_chunk_rejected_naming_the_file(self, tmp_path, cut, kept):
+        path = tmp_path / "cut.wav"
+        write_wav(path, AudioClip(np.full(1000, 0.25)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        message = rf"^{re.escape(str(path))}: data chunk holds {kept} of the 2000 bytes its header declares$"
+        with pytest.raises(DataFormatError, match=message):
+            read_wav(path)
+
 
 class TestApplyGain:
     def test_zero_db_is_identity(self):
@@ -160,9 +169,10 @@ class TestGaussianNoise:
         rms_out2 = float(np.mean(out.samples**2))
         assert rms_out2 <= (rms_in2 + sigma**2) * 1.1
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            add_gaussian_noise(make_tone(500), -0.01, seed=0)
+    @pytest.mark.parametrize("sigma", [-0.01, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=rf"^sigma must be finite and non-negative, got {sigma}$"):
+            add_gaussian_noise(make_tone(500), sigma, seed=0)
 
 
 class TestTimeStretch:
@@ -415,34 +425,36 @@ class TestAugmentDataset:
         )
         assert result.n_augmented == 2
         assert not result.failures
-        entries = read_manifest(result.manifest_path)
+        out_manifest = tmp_path / "aug" / "manifest.jsonl"
+        entries = read_manifest(out_manifest)
         assert len(entries) == 6
         aug = [e for e in entries if e.augmented]
         assert {e.id for e in aug} == {"ft-L0-0-aug1", "ft-L0-1-aug1"}
         assert all(e.split == "finetune" and e.lang == "L0" for e in aug)
         for e in entries:
-            assert resolve_wav(result.manifest_path, e).exists()
+            assert resolve_wav(out_manifest, e).exists()
 
     def test_empty_selection_keeps_manifest_content(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
-        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=5), languages={"ZZ"})
-        entries = read_manifest(result.manifest_path)
+        augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=5), languages={"ZZ"})
+        out_manifest = tmp_path / "aug" / "manifest.jsonl"
+        entries = read_manifest(out_manifest)
         originals = read_manifest(manifest)
         assert [e.id for e in entries] == [e.id for e in originals]
-        assert [resolve_wav(result.manifest_path, e) for e in entries] == [
+        assert [resolve_wav(out_manifest, e) for e in entries] == [
             resolve_wav(manifest, e) for e in originals
         ]
 
     def test_rerun_is_byte_identical_and_order_independent(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
-        r1 = augment_dataset(manifest, tmp_path / "a", AugmentSpec(seed=9), languages={"L0"})
+        augment_dataset(manifest, tmp_path / "a", AugmentSpec(seed=9), languages={"L0"})
         # rewrite the manifest with lines reversed, then rerun with the same seed
         shuffled = read_manifest(manifest)[::-1]
         manifest2 = write_manifest(tmp_path / "corpus" / "manifest.jsonl", shuffled)
-        r2 = augment_dataset(manifest2, tmp_path / "b", AugmentSpec(seed=9), languages={"L0"})
-        for e in read_manifest(r1.manifest_path):
+        augment_dataset(manifest2, tmp_path / "b", AugmentSpec(seed=9), languages={"L0"})
+        for e in read_manifest(tmp_path / "a" / "manifest.jsonl"):
             if e.augmented:
-                a = resolve_wav(r1.manifest_path, e).read_bytes()
+                a = resolve_wav(tmp_path / "a" / "manifest.jsonl", e).read_bytes()
                 b = (tmp_path / "b" / e.wav).read_bytes()
                 assert a == b
 
@@ -466,21 +478,36 @@ class TestAugmentDataset:
         assert result.failures[0][1].endswith("slow.wav: sampled at 8000 Hz, need 16000 Hz")
         assert result.n_augmented == 3
         assert not (tmp_path / "aug" / "finetune" / "L0" / "slow-aug1.wav").exists()
-        assert "slow-aug1" not in {e.id for e in read_manifest(result.manifest_path)}
+        assert "slow-aug1" not in {e.id for e in read_manifest(tmp_path / "aug" / "manifest.jsonl")}
+
+    def test_truncated_input_is_recorded_and_skipped(self, tmp_path):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
+        cut = tmp_path / "corpus" / "finetune" / "L0" / "cut.wav"
+        write_wav(cut, make_tone(500, seconds=0.3))
+        cut.write_bytes(cut.read_bytes()[:-501])
+        entry = ManifestEntry(id="cut", lang="L0", text="AB", wav="finetune/L0/cut.wav", split="finetune")
+        write_manifest(manifest, read_manifest(manifest) + [entry])
+        result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=1), languages={"L0"})
+        assert [(utt_id, message.startswith(f"{cut}: data chunk holds")) for utt_id, message in result.failures] == [
+            ("cut", True)
+        ]
+        assert result.n_augmented == 3
+        assert "cut-aug1" not in {e.id for e in read_manifest(tmp_path / "aug" / "manifest.jsonl")}
 
     def test_clashing_augmented_id_rejected_before_writing(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
-        once = augment_dataset(manifest, tmp_path / "once", AugmentSpec(seed=1), splits={"finetune"})
+        augment_dataset(manifest, tmp_path / "once", AugmentSpec(seed=1), splits={"finetune"})
+        once = tmp_path / "once" / "manifest.jsonl"
         # augmenting the augmented manifest again would give ft-L0-0 a second ft-L0-0-aug1
-        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(once.manifest_path))}: augmented id 'ft-L0-0-aug1'"):
-            augment_dataset(once.manifest_path, tmp_path / "twice", AugmentSpec(seed=2), splits={"finetune"})
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(once))}: augmented id 'ft-L0-0-aug1'"):
+            augment_dataset(once, tmp_path / "twice", AugmentSpec(seed=2), splits={"finetune"})
         assert not (tmp_path / "twice").exists()
 
     def test_multiplier(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT[:1])
         result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=2), multiplier=3)
         assert result.n_augmented == 3
-        assert {e.id for e in read_manifest(result.manifest_path) if e.augmented} == {
+        assert {e.id for e in read_manifest(tmp_path / "aug" / "manifest.jsonl") if e.augmented} == {
             "ft-L0-0-aug1",
             "ft-L0-0-aug2",
             "ft-L0-0-aug3",
@@ -509,7 +536,7 @@ class TestAugmentDataset:
         result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=seed), languages={"L0"})
         assert [(utt_id, message.endswith("empty.wav: no samples")) for utt_id, message in result.failures] == [("empty", True)]
         assert result.n_augmented == 3
-        assert "empty-aug1" not in {e.id for e in read_manifest(result.manifest_path)}
+        assert "empty-aug1" not in {e.id for e in read_manifest(tmp_path / "aug" / "manifest.jsonl")}
         assert not (tmp_path / "aug" / "finetune" / "L0" / "empty-aug1.wav").exists()
 
     def test_missing_manifest_rejected_before_writing(self, tmp_path):

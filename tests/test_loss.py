@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from helpers import oracle_segment_nll, same_bits
 from langwce.loss import (
     combine_sentence_losses,
+    group_means,
     logit_gradient,
-    per_language_average,
     segment_nll,
 )
 
@@ -100,24 +100,41 @@ class TestSentenceCrossEntropy:
             segment_nll(logits, np.array([0, 1, 3, 0]), [4])
 
 
-class TestPerLanguageAverage:
+class TestGroupMeans:
     def test_two_languages(self):
-        assert per_language_average([(0, 1.0), (0, 3.0), (1, 2.0)]) == {0: 2.0, 1: 2.0}
+        assert group_means(np.array([1.0, 3.0, 2.0]), [0, 0, 1]) == {0: 2.0, 1: 2.0}
 
     def test_single_pair_identity(self):
-        assert per_language_average([(5, 0.125)]) == {5: 0.125}
+        assert group_means(np.array([0.125]), [5]) == {5: 0.125}
 
     def test_matches_grouping_oracle(self):
         rng = np.random.default_rng(3)
         pairs = [(int(rng.integers(0, 3)), float(rng.uniform(0, 5))) for _ in range(10)]
-        got = per_language_average(pairs)
+        got = group_means(np.array([v for _, v in pairs]), [k for k, _ in pairs])
         for lang in {k for k, _ in pairs}:
             vals = [v for k, v in pairs if k == lang]
             assert got[lang] == pytest.approx(sum(vals) / len(vals), abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            per_language_average([])
+        with pytest.raises(ValueError, match="got 0 and 0"):
+            group_means(np.array([]), [])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one group label per loss.*got 3 and 2"):
+            group_means(np.array([1.0, 2.0, 3.0]), [0, 1])
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 16, 120])
+    def test_equals_masked_means_bit_for_bit_in_ascending_order(self, n):
+        # the masked mean is what train_step fed the scheduler before group_means;
+        # from 8 values NumPy sums pairwise, so a running sum would differ in the last bit
+        rng = np.random.default_rng(n)
+        losses = rng.uniform(0, 5, size=n)
+        for groups in (rng.integers(0, 6, size=n), rng.random(n) < 0.3):
+            got = group_means(losses, groups)
+            assert list(got) == sorted(set(groups.tolist()))
+            for g, mean in got.items():
+                assert type(mean) is float
+                assert same_bits(np.float64(mean), losses[groups == g].mean())
 
 
 class TestWeightedBatchLoss:

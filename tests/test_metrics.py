@@ -222,7 +222,7 @@ class TestEvalCsv:
         path = tmp_path / "L0.csv"
         write_eval_csv(path, "WS", "L0", 4, 5, 20)
         assert path.read_bytes() == b"run,language,n_utts,total_ref_tokens,total_edits\r\nWS,L0,4,20,5\r\n"
-        assert read_eval_csv(path) == ("L0", 25.0)
+        assert read_eval_csv(path) == ("WS", "L0", 25.0)
 
     def test_wer_percent_column_rejected(self, tmp_path):
         path = tmp_path / "L0.csv"
@@ -256,6 +256,14 @@ class TestEvalCsv:
         write_eval_csv(eval_dir / "L0.csv", "WS", "L0", 4, 2, 20)
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(eval_dir / 'L0.csv'))}: language 'L0' has another"):
             collect_run_wers(tmp_path / "WS")
+
+    def test_run_column_other_than_run_directory_rejected(self, tmp_path):
+        write_eval_csv(tmp_path / "WS-FT" / "eval" / "L0.csv", "WS-FT", "L0", 4, 1, 20)
+        path = tmp_path / "WS-FT" / "eval" / "L1.csv"
+        write_eval_csv(path, "SOMETHING-ELSE", "L1", 4, 1, 20)
+        message = rf"^{re.escape(str(path))}: run 'SOMETHING-ELSE' does not match its run directory 'WS-FT'$"
+        with pytest.raises(DataFormatError, match=message):
+            collect_run_wers(tmp_path / "WS-FT")
 
     def test_run_without_evaluations_rejected(self, tmp_path):
         (tmp_path / "empty" / "eval").mkdir(parents=True)
@@ -300,25 +308,39 @@ class TestTables:
 
     def test_baseline_only_runs_reduce_to_zero(self, tmp_path):
         write_fixture_runs(tmp_path, {"WS-FT": FIXTURE_WERS["WS-FT"]})
-        out = report(tmp_path, tmp_path / "out", baseline="WS-FT", low_lang="L5")
+        out = report(tmp_path, tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
         rows = (out["table2"]).read_text().splitlines()
         assert rows[1].split(",")[1:] == ["0.00", "0.00"]
 
     def test_rendered_tables_deterministic(self, tmp_path):
         write_fixture_runs(tmp_path)
-        a = report(tmp_path, tmp_path / "a", baseline="WS-FT", low_lang="L5", run_order=RUN_ORDER)
-        b = report(tmp_path, tmp_path / "b", baseline="WS-FT", low_lang="L5", run_order=RUN_ORDER)
+        a = report(tmp_path, tmp_path / "a", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
+        b = report(tmp_path, tmp_path / "b", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes()
 
     def test_missing_baseline_rejected(self, tmp_path):
         write_fixture_runs(tmp_path, {"WS": FIXTURE_WERS["WS"]})
         with pytest.raises(DataFormatError):
-            report(tmp_path, tmp_path / "out", baseline="WS-FT", low_lang="L5")
+            report(tmp_path, tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
 
     def test_run_order_without_baseline_rejected(self):
         with pytest.raises(DataFormatError, match=r"baseline run 'WS-FT' not found among the reported runs \['WS', 'WS-FT-GL\+'\]"):
-            build_tables(FIXTURE_WERS, low_lang="L5", baseline="WS-FT", run_order=["WS", "WS-FT-GL+"])
+            build_tables(FIXTURE_WERS, low_lang="L5", baseline="WS-FT", run_order=["WS", "WS-FT-GL+"], pretrain_run="WS")
+
+    def test_runs_listed_without_evaluations_left_out(self, tmp_path):
+        write_fixture_runs(tmp_path, {name: FIXTURE_WERS[name] for name in ("WS-FT", "WS-FT-GL+")})
+        out = report(tmp_path, tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
+        assert [row.split(",")[0] for row in out["table1"].read_text().splitlines()] == ["run", "WS-FT", "WS-FT-GL+"]
+
+    def test_unlisted_run_directories_rejected(self, tmp_path):
+        write_fixture_runs(tmp_path / "runs")
+        for typo in ("LWCE-typo", "WS-FT-GL"):
+            write_eval_csv(tmp_path / "runs" / typo / "eval" / "L5.csv", typo, "L5", 200, 1000, 100000)
+        unlisted = [str(tmp_path / "runs" / "LWCE-typo"), str(tmp_path / "runs" / "WS-FT-GL")]
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(tmp_path / 'runs'))}: run directories {re.escape(str(unlisted))} "):
+            report(tmp_path / "runs", tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
+        assert not (tmp_path / "out").exists()
 
     def test_percent_formatting_two_decimals(self):
         assert format_percent(12.935001) == "12.94"

@@ -346,6 +346,23 @@ class TestTrainStep:
         assert bl.weighted_mean == pytest.approx(weighted, abs=1e-12)
         assert bl.applied_weight == 3.0
 
+    @pytest.mark.parametrize("langs", [[2, 2, 2], [0, 2, 1, 0, 2, 1, 0, 1, 0, 1, 2, 0], [1] * 9 + [2] * 9])
+    def test_scheduler_sees_masked_language_means(self, monkeypatch, langs):
+        seen = []
+        decide = Weighting.decide
+        monkeypatch.setattr(Weighting, "decide", lambda self, *args: seen.append(args) or decide(self, *args))
+        rng = np.random.default_rng(len(langs))
+        batch = fake_batch(rng, langs)
+        m = init_model(TINY_MODEL, seed=17)
+        inputs = example_inputs(m.config, batch)
+        per_sentence, _ = loss_mod.segment_nll(_layers(m, inputs[0])[1], inputs[1], inputs[2])
+        is_low = np.array(langs) == 2
+        want_high = float(per_sentence[~is_low].mean()) if not is_low.all() else 0.0
+        cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2, weighting=WEIGHTINGS["dynamic"])
+        train_step(m, batch, 3, cfg, low_lang=2, inputs=inputs)
+        assert seen == [(3, float(per_sentence[is_low].mean()), want_high)]
+        assert all(type(v) is float for v in seen[0][1:])
+
     @pytest.mark.parametrize("mode", sorted(WEIGHTINGS))
     def test_gradients_match_finite_differences(self, mode):
         rng = np.random.default_rng(29)
@@ -694,6 +711,7 @@ class TestRunPhase:
             sums[ex.lang] = sums.get(ex.lang, 0.0) + float(losses[0])
             counts[ex.lang] = counts.get(ex.lang, 0) + 1
         want = {lang: sums[lang] / counts[lang] for lang in sums}
+        # exact: NumPy sums fewer than 8 values in sequence, and the tiny corpus has 2 per language
         assert validation_losses(m, examples, example_inputs(m.config, examples)) == want
 
     @pytest.mark.parametrize("split", ["pretrain", "valid"])

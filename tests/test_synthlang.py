@@ -28,6 +28,7 @@ from langwce.synthlang import (
     load_corpus_meta,
     load_examples,
     make_languages,
+    symbol_ids,
     synthesize_utterance,
 )
 from langwce.util import DataFormatError
@@ -58,6 +59,28 @@ class TestMakeLanguages:
             make_languages(1, seed=0)
         with pytest.raises(ValueError):
             make_languages(9, seed=0)
+
+
+class TestSymbolIds:
+    LANG0 = make_languages(2, seed=0)[0]
+
+    def test_indices_in_alphabet(self):
+        ids = symbol_ids("HAB" + SYMBOLS)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [7, 0, 1, *range(len(SYMBOLS))]
+
+    # case -> (text, what the error says); both callers raise it before any other check
+    BAD_TEXTS = {
+        "empty": ("", "^text must be non-empty$"),
+        "unknown": ("AZBa", r"^unknown symbols \['Z', 'a'\] in text; alphabet is ABCDEFGH$"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_TEXTS))
+    def test_bad_text_rejected_alike_by_both_callers(self, case):
+        text, message = self.BAD_TEXTS[case]
+        for call in (lambda: symbol_ids(text), lambda: synthesize_utterance(self.LANG0, text), lambda: frame_labels(text, 1)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestSynthesizeUtterance:
@@ -183,7 +206,7 @@ class TestFrameLabels:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             frame_labels("", 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="text has 2 symbols but the audio only 0 frames"):
             frame_labels("AB", 0)
         with pytest.raises(ValueError, match=r"unknown symbols \['Z', 'a'\]"):
             frame_labels("AZBa", 40)
@@ -313,6 +336,19 @@ class TestLoadExamples:
         bad = ManifestEntry(id=f"bad-{case}", lang="L0", text=text, wav="bad.wav", split="test")
         manifest = write_manifest(tmp_path / "manifest.jsonl", [good, bad])
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(manifest))}: entry 'bad-{case}': .*{message}"):
+            load_examples(tmp_path, "test", TINY_LANGS)
+
+    def test_truncated_wav_names_manifest_id_and_file(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, synthesize_utterance(TINY_LANGS[0], "AB"))
+        path.write_bytes(path.read_bytes()[:-501])
+        entry = ManifestEntry(id="cut-0", lang="L0", text="AB", wav="cut.wav", split="test")
+        manifest = write_manifest(tmp_path / "manifest.jsonl", [entry])
+        message = (
+            rf"^{re.escape(str(manifest))}: entry 'cut-0': {re.escape(str(path))}: "
+            "data chunk holds 5899 of the 6400 bytes its header declares$"
+        )
+        with pytest.raises(DataFormatError, match=message):
             load_examples(tmp_path, "test", TINY_LANGS)
 
     def test_empty_wav_names_manifest_id_and_file(self, tmp_path):
