@@ -1,14 +1,15 @@
 """JSONL corpus manifests.
 
-One record per line: {"id", "lang", "text", "wav", "split", "augmented"}, all
-strings except the boolean "augmented". No two records share an id.
+One record per line, its keys in sorted order: {"id", "lang", "text", "wav",
+"split", "augmented"}, all strings except the boolean "augmented". No two
+records share an id.
 WAV paths are stored relative to the manifest file's directory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .util import DataFormatError
@@ -71,9 +72,10 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    keys = sorted(FIELDS)
     with open(path, "w") as f:
         for e in entries:
-            f.write(json.dumps(asdict(e), sort_keys=True) + "\n")
+            f.write(json.dumps({k: getattr(e, k) for k in keys}) + "\n")
     return path
 
 

@@ -147,7 +147,10 @@ def build_tables(
 
     Rows follow ``run_order``, skipping runs ``run_wers`` lacks; ``pretrain_run``
     is in the WER table only. Each WER and row mean is rounded once, as rendered.
+    Raises ``ValueError`` when ``pretrain_run`` is not in ``run_order``.
     """
+    if pretrain_run not in run_order:
+        raise ValueError(f"pretrain run {pretrain_run!r} is not in the run order {list(run_order)}")
     names = [n for n in run_order if n in run_wers]
     if baseline not in names:
         raise DataFormatError(f"baseline run {baseline!r} not found among the reported runs {names}")

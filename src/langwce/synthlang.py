@@ -24,6 +24,7 @@ permutation, and ``config.low_lang`` alone names the low-resource one.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -45,6 +46,10 @@ SPLITS = ("pretrain", "finetune", "valid", "test")
 class LanguageSpec:
     id: int
     freq_map: tuple[float, ...]  # symbol index -> grid frequency
+
+    def __post_init__(self):
+        if Counter(self.freq_map) != Counter(FREQ_GRID):
+            raise ValueError(f"freq_map must hold each FREQ_GRID frequency exactly once, got {self.freq_map}")
 
     @property
     def name(self) -> str:
@@ -113,21 +118,32 @@ def symbol_ids(text: str) -> np.ndarray:
     return np.array([SYMBOLS.index(s) for s in text], dtype=np.int64)
 
 
-def synthesize_utterance(spec: LanguageSpec, text: str) -> AudioClip:
-    """Concatenated ``SYMBOL_SAMPLES``-long sine segments, one per symbol.
+def _tone_table() -> np.ndarray:
+    """[grid x ``SYMBOL_SAMPLES``] symbol tones, one row per ``FREQ_GRID`` frequency (read-only).
 
-    Each segment is a 0.3-amplitude tone at the language's frequency for that
-    symbol, with 5 ms raised-cosine onset/offset ramps; ``symbol_ids`` checks the text.
+    Each row is a 0.3-amplitude tone with 5 ms raised-cosine onset/offset ramps.
     """
-    ids = symbol_ids(text)
     ramp = round(0.005 * SAMPLE_RATE)
     env = np.ones(SYMBOL_SAMPLES)
     edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
     env[:ramp] = edge
     env[-ramp:] = edge[::-1]
     t = np.arange(SYMBOL_SAMPLES) / SAMPLE_RATE
-    segments = [0.3 * np.sin(2 * np.pi * spec.freq_map[idx] * t) * env for idx in ids]
-    return AudioClip(np.concatenate(segments))
+    tones = np.array([0.3 * np.sin(2 * np.pi * f * t) * env for f in FREQ_GRID])
+    tones.setflags(write=False)
+    return tones
+
+
+_TONES = _tone_table()
+
+
+def synthesize_utterance(spec: LanguageSpec, text: str) -> AudioClip:
+    """Concatenated ``SYMBOL_SAMPLES``-long tones, one per symbol; ``symbol_ids`` checks the text.
+
+    Each symbol's tone is the ``_TONES`` row of the language's frequency for it.
+    """
+    rows = [FREQ_GRID.index(spec.freq_map[i]) for i in symbol_ids(text)]
+    return AudioClip(_TONES[rows].ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ frequency comes from a plain FFT and bin energy from a per-sample Goertzel
 recurrence, so transform and featurization tests check against independent
 measurements. The exceptions are references that a faster form in the
 package must reproduce bit for bit, each the package's first form:
-``oracle_best_analysis_position``, the waveform-similarity search of
+``oracle_synthesize``, ``synthesize_utterance`` computing each symbol's tone
+on its own; ``oracle_best_analysis_position``, the waveform-similarity search of
 ``audio.time_stretch`` per candidate; ``oracle_featurize``, ``featurize`` with
 its filterbank basis built inline on every call; ``oracle_edit_distance``,
 the Levenshtein table filled by a three-way ``min`` per cell; and the model
@@ -23,7 +24,7 @@ import numpy as np
 from langwce import loss as loss_mod
 from langwce.audio import SAMPLE_RATE, AudioClip
 from langwce.model import build_inputs
-from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOLS
+from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOL_SAMPLES, SYMBOLS
 
 
 def same_bits(a, b):
@@ -74,6 +75,17 @@ def goertzel_power(samples, freq, sample_rate):
         s2 = s1
         s1 = s0
     return float(s1 * s1 + s2 * s2 - coeff * s1 * s2)
+
+
+def oracle_synthesize(spec, text):
+    """``synthesize_utterance``'s samples, each symbol's ramped 0.3-amplitude tone computed on its own."""
+    ramp = round(0.005 * SAMPLE_RATE)
+    env = np.ones(SYMBOL_SAMPLES)
+    edge = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
+    env[:ramp] = edge
+    env[-ramp:] = edge[::-1]
+    t = np.arange(SYMBOL_SAMPLES) / SAMPLE_RATE
+    return np.concatenate([0.3 * np.sin(2 * np.pi * spec.freq_map[SYMBOLS.index(s)] * t) * env for s in text])
 
 
 def oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol):

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import wave
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -550,6 +551,14 @@ class TestManifest:
         entries = [ManifestEntry(id="a", lang="L0", text="AB", wav="x/a.wav", split="test")]
         path = write_manifest(tmp_path / "m.jsonl", entries)
         assert read_manifest(path) == entries
+
+    def test_records_written_as_sorted_key_json(self, tmp_path):
+        entries = [
+            ManifestEntry(id="test-L0-00001", lang="L0", text="HAB", wav="test/L0/test-L0-00001.wav", split="test"),
+            ManifestEntry(id='a"1', lang="L1", text="C", wav="finetune/L1/a\\1.wav", split="finetune", augmented=True),
+        ]
+        lines = write_manifest(tmp_path / "m.jsonl", entries).read_text().split("\n")
+        assert lines == [json.dumps(asdict(e), sort_keys=True) for e in entries] + [""]
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -328,6 +328,12 @@ class TestTables:
         with pytest.raises(DataFormatError, match=r"baseline run 'WS-FT' not found among the reported runs \['WS', 'WS-FT-GL\+'\]"):
             build_tables(FIXTURE_WERS, low_lang="L5", baseline="WS-FT", run_order=["WS", "WS-FT-GL+"], pretrain_run="WS")
 
+    def test_pretrain_run_outside_run_order_rejected(self):
+        # a misspelt pretrain run would otherwise put WS into table 2 as a regression against the baseline
+        order = ["WS", "WS-FT"]
+        with pytest.raises(ValueError, match=r"^pretrain run 'W S' is not in the run order \['WS', 'WS-FT'\]$"):
+            build_tables(FIXTURE_WERS, low_lang="L5", baseline="WS-FT", run_order=order, pretrain_run="W S")
+
     def test_runs_listed_without_evaluations_left_out(self, tmp_path):
         write_fixture_runs(tmp_path, {name: FIXTURE_WERS[name] for name in ("WS-FT", "WS-FT-GL+")})
         out = report(tmp_path, tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")

@@ -1,5 +1,6 @@
 """Tests for the tone-language corpus generator and Goertzel featurization."""
 
+import hashlib
 import json
 import re
 from collections import Counter
@@ -8,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import dominant_frequency, goertzel_power, oracle_featurize, write_wav_at_rate
+from helpers import dominant_frequency, goertzel_power, oracle_featurize, oracle_synthesize, same_bits, write_wav_at_rate
 
 from conftest import TINY
 from langwce.audio import AudioClip, write_wav
@@ -16,12 +17,15 @@ from langwce.manifest import ManifestEntry, read_manifest, write_manifest
 from langwce.synthlang import (
     _COS_BASIS,
     _SIN_BASIS,
+    _TONES,
     FRAME_SAMPLES,
     FRAMES_PER_SYMBOL,
     FREQ_GRID,
     SAMPLE_RATE,
+    SYMBOL_SAMPLES,
     SYMBOLS,
     CorpusConfig,
+    LanguageSpec,
     featurize,
     frame_labels,
     generate_corpus,
@@ -59,6 +63,20 @@ class TestMakeLanguages:
             make_languages(1, seed=0)
         with pytest.raises(ValueError):
             make_languages(9, seed=0)
+
+
+class TestLanguageSpec:
+    # case -> freq_map; synthesis finds each symbol's tone by its frequency's grid index
+    BAD_MAPS = {
+        "repeated": (500.0, 500.0, *FREQ_GRID[2:]),
+        "off_grid": (*FREQ_GRID[:-1], 2100.0),
+        "short": FREQ_GRID[:7],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_MAPS))
+    def test_non_permutation_rejected(self, case):
+        with pytest.raises(ValueError, match=r"^freq_map must hold each FREQ_GRID frequency exactly once, got \("):
+            LanguageSpec(id=0, freq_map=self.BAD_MAPS[case])
 
 
 class TestSymbolIds:
@@ -105,6 +123,14 @@ class TestSynthesizeUtterance:
     def test_amplitude_bound(self):
         clip = synthesize_utterance(self.LANG0, "ABCDEFGH")
         assert np.abs(clip.samples).max() <= 0.3 + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_per_symbol_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        texts = [SYMBOLS] + ["".join(rng.choice(list(SYMBOLS), size=n)) for n in range(1, 13) for _ in range(3)]
+        for lang in make_languages(8, seed):
+            for text in texts:
+                assert same_bits(synthesize_utterance(lang, text).samples, oracle_synthesize(lang, text)), (lang, text)
 
     def test_each_symbol_featurizes_to_frames_per_symbol(self, tiny_corpus):
         _, languages = load_corpus_meta(tiny_corpus)
@@ -177,6 +203,11 @@ class TestFeaturize:
             with pytest.raises(ValueError, match="read-only"):
                 basis[0, 0] = 1.0
         assert _COS_BASIS[0, 0] == 1.0 and _SIN_BASIS[0, 0] == 0.0
+
+    def test_cached_tones_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            _TONES[0, 0] = 1.0
+        assert _TONES.shape == (len(FREQ_GRID), SYMBOL_SAMPLES) and _TONES[0, 0] == 0.0
 
 
 class TestFrameLabels:
@@ -293,6 +324,17 @@ class TestGenerateCorpus:
         a = [(e.id, e.text) for e in read_manifest(tiny_corpus / "manifest.jsonl")]
         b = [(e.id, e.text) for e in read_manifest(again / "manifest.jsonl")]
         assert a == b
+
+    # SHA-256 over every file generate_corpus(TINY) writes, each relative path then its bytes, in path order
+    GOLDEN_SHA256 = "6076089f8fc91abec0f4384a98ea4755a55ca76c040cd5591ceac3d7ec494e6f"
+
+    def test_golden_digest(self, tmp_path):
+        generate_corpus(TINY, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.GOLDEN_SHA256
 
     def test_text_lengths_within_config(self, tiny_corpus):
         entries = read_manifest(tiny_corpus / "manifest.jsonl")
