@@ -1,7 +1,7 @@
 """Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
 A clip carries no rate of its own: ``read_wav`` refuses any other rate, a WAV with no samples, and
-one whose data chunk is shorter than its header declares.
+one whose data chunk is shorter than its header declares; ``write_wav`` refuses a clip with no samples.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
 Every transform is a pure function of (input, parameters, seed) and hard-clips
@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .manifest import ManifestEntry, read_manifest, resolve_wav, write_manifest
+from .manifest import ManifestEntry, read_manifest, repeated_id, resolve_wav, write_manifest
 from .util import DataFormatError, derive_seed, is_int, require_ints
 
 SAMPLE_RATE = 16000
@@ -102,7 +102,14 @@ def read_wav(path: str | Path) -> AudioClip:
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
+    """Write ``clip`` quantized to 16 bits, clipping it to [-1, 1] first.
+
+    Raises ``ValueError``, and writes nothing, when the clip has no samples:
+    ``read_wav`` refuses such a file.
+    """
     path = Path(path)
+    if len(clip) == 0:
+        raise ValueError(f"{path}: no samples")
     path.parent.mkdir(parents=True, exist_ok=True)
     scaled = np.rint(np.clip(clip.samples, -1.0, 1.0) * 32768.0)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
@@ -297,9 +304,10 @@ def augment_dataset(
         key=lambda e: e.id,
     )
     new_ids = [[f"{e.id}-aug{copy}" for copy in range(1, multiplier + 1)] for e in selected]
-    taken = {e.id for e in entries}.intersection(aug_id for ids in new_ids for aug_id in ids)
-    if taken:
-        raise DataFormatError(f"{manifest_in}: augmented id {min(taken)!r} is already the id of an entry")
+    # the entries' ids differ, and so do the new ones, so a repeat is a new id that an entry already has
+    repeat = repeated_id([*(e.id for e in entries), *(aug_id for ids in new_ids for aug_id in ids)])
+    if repeat:
+        raise DataFormatError(f"{manifest_in}: augmented id {repeat[0]!r} is already the id of an entry")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,9 +1,13 @@
 """JSONL corpus manifests.
 
 One record per line, its keys in sorted order: {"id", "lang", "text", "wav",
-"split", "augmented"}, all strings except the boolean "augmented". No two
-records share an id.
+"split", "augmented"}, all strings except the boolean "augmented". A manifest
+holds at least one record, and no two records share an id.
 WAV paths are stored relative to the manifest file's directory.
+
+``ManifestEntry`` states the field types and ``repeated_id`` the id rule;
+``write_manifest`` refuses what ``read_manifest`` would refuse, and then
+writes nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .util import DataFormatError
 
@@ -19,11 +24,14 @@ _JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "number", float: "numbe
 
 
 def _json_type(value) -> str:
-    return "null" if value is None else _JSON_TYPE_NAMES[type(value)]
+    """The JSON name of ``value``'s type, or its Python name for a type JSON lacks (a ``Path``, say)."""
+    return "null" if value is None else _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One manifest record; ``ValueError`` naming the first field whose value has the wrong type."""
+
     id: str
     lang: str
     text: str
@@ -31,9 +39,29 @@ class ManifestEntry:
     split: str
     augmented: bool = False
 
+    def __post_init__(self):
+        for k, kind in FIELDS.items():
+            value = getattr(self, k)
+            if not isinstance(value, kind):
+                raise ValueError(f"field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(value)}")
+
+
+def repeated_id(ids: Iterable[str]) -> tuple[str, int, int] | None:
+    """The first id that repeats an earlier one, with the positions of both (from 0); None when the ids all differ."""
+    first = {}
+    for i, entry_id in enumerate(ids):
+        j = first.setdefault(entry_id, i)
+        if j != i:
+            return entry_id, j, i
+    return None
+
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Every record of a manifest; ``DataFormatError`` naming the file (and line) if any is bad or it cannot be read."""
+    """Every record of a manifest; ``DataFormatError`` naming the file (and line) if any is bad or it cannot be read.
+
+    A record is bad when it is not a JSON object, lacks a field, has a field
+    outside ``FIELDS`` or one ``ManifestEntry`` refuses, or repeats an id.
+    """
     path = Path(path)
     try:
         with open(path) as f:
@@ -41,7 +69,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     except (OSError, UnicodeDecodeError) as e:
         raise DataFormatError(f"{path}: cannot read manifest: {e}") from e
     entries = []
-    first_line = {}
+    linenos = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -55,22 +83,36 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         missing = [k for k in FIELDS if k not in rec]
         if missing:
             raise DataFormatError(f"{path}:{lineno}: missing fields {missing}")
-        for k, kind in FIELDS.items():
-            if not isinstance(rec[k], kind):
-                raise DataFormatError(
-                    f"{path}:{lineno}: field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(rec[k])}"
-                )
-        if rec["id"] in first_line:
-            raise DataFormatError(f"{path}:{lineno}: id {rec['id']!r} already on line {first_line[rec['id']]}")
-        first_line[rec["id"]] = lineno
-        entries.append(ManifestEntry(**{k: rec[k] for k in FIELDS}))
+        unknown = sorted(rec.keys() - FIELDS.keys())
+        if unknown:
+            raise DataFormatError(f"{path}:{lineno}: unknown fields {unknown}")
+        try:
+            entries.append(ManifestEntry(**rec))
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: {e}") from e
+        linenos.append(lineno)
     if not entries:
         raise DataFormatError(f"{path}: empty manifest")
+    repeat = repeated_id(e.id for e in entries)
+    if repeat:
+        entry_id, first, again = repeat
+        raise DataFormatError(f"{path}:{linenos[again]}: id {entry_id!r} already on line {linenos[first]}")
     return entries
 
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> Path:
+    """Write ``entries`` one record per line, in order.
+
+    Raises ``ValueError``, and writes nothing, when ``entries`` is empty or two
+    entries share an id; ``ManifestEntry`` has already refused a mistyped field.
+    """
     path = Path(path)
+    if not entries:
+        raise ValueError(f"{path}: empty manifest")
+    repeat = repeated_id(e.id for e in entries)
+    if repeat:
+        entry_id, first, again = repeat
+        raise ValueError(f"{path}: id {entry_id!r} of entry {again} already belongs to entry {first}")
     path.parent.mkdir(parents=True, exist_ok=True)
     keys = sorted(FIELDS)
     with open(path, "w") as f:

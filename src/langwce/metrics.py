@@ -5,7 +5,10 @@ over pooled reference length rather than averaging per-sentence rates.
 
 An evaluation CSV holds counts only, one run on one language: the header
 ``EVAL_FIELDS`` and one row. Its WER percent, 100 * total_edits /
-total_ref_tokens, is derived when the CSV is read.
+total_ref_tokens, is derived when the CSV is read. ``_check_counts`` states
+the counts' rule for both sides: ``write_eval_csv`` refuses what
+``read_eval_csv`` would refuse, and then writes nothing, and the reader
+accepts each count only as the plain decimal the writer writes.
 
 The report builds two tables of rendered two-decimal cells: per-language WER
 with a mean column, and relative reductions against a baseline run for the
@@ -16,11 +19,12 @@ the two agree. table1.csv, table2.csv and report.md are written from them.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .util import DataFormatError
+from .util import DataFormatError, is_int
 
 EVAL_FIELDS = ["run", "language", "n_utts", "total_ref_tokens", "total_edits"]
 
@@ -80,19 +84,42 @@ def format_percent(x: float) -> str:
 # evaluation CSVs and report assembly
 
 
+def _check_counts(n_utts: int, total_ref_tokens: int, total_edits: int) -> None:
+    """Raise ``ValueError`` unless every count is an int (not a bool), none is negative and total_ref_tokens >= 1."""
+    counts = {"n_utts": n_utts, "total_ref_tokens": total_ref_tokens, "total_edits": total_edits}
+    for name, value in counts.items():
+        if not is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if total_ref_tokens < 1:
+        raise ValueError(f"total_ref_tokens must be >= 1, got {total_ref_tokens}")
+    if min(n_utts, total_edits) < 0:
+        raise ValueError(f"counts must be non-negative, got n_utts={n_utts}, total_edits={total_edits}")
+
+
 def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, edits: int, ref_tokens: int) -> None:
-    """Write one run's evaluation of one language as its counts; nothing is written when a count is invalid."""
-    if ref_tokens < 1:
-        raise ValueError(f"{path}: ref_tokens must be >= 1, got {ref_tokens}")
-    if min(n_utts, edits) < 0:
-        raise ValueError(f"{path}: counts must be non-negative, got n_utts={n_utts}, edits={edits}")
+    """Write one run's evaluation of one language as its counts, UTF-8 encoded.
+
+    Raises ``ValueError`` naming the file, and writes nothing, when the counts
+    break ``_check_counts`` or the text cannot be encoded (a lone surrogate).
+    """
+    text = io.StringIO()
+    try:
+        _check_counts(n_utts, ref_tokens, edits)
+        csv.writer(text).writerows([EVAL_FIELDS, [run, language, n_utts, ref_tokens, edits]])
+        data = text.getvalue().encode("utf-8")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows([EVAL_FIELDS, [run, language, n_utts, ref_tokens, edits]])
+    Path(path).write_bytes(data)
 
 
 def read_eval_csv(path: str | Path) -> tuple[str, str, float]:
-    """(run, language, WER %) of an evaluation CSV, the WER computed from its counts."""
+    """(run, language, WER %) of an evaluation CSV, the WER computed from its counts.
+
+    Raises ``DataFormatError`` naming the file when it cannot be read, holds
+    other columns or rows, writes a count other than as a plain decimal, or
+    holds counts that ``_check_counts`` refuses.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
@@ -102,13 +129,14 @@ def read_eval_csv(path: str | Path) -> tuple[str, str, float]:
     if reader.fieldnames != EVAL_FIELDS or len(rows) != 1 or None in rows[0]:
         raise DataFormatError(f"{path}: expected one evaluation row with fields {EVAL_FIELDS}")
     try:
-        n_utts, tokens, edits = (int(rows[0][name]) for name in EVAL_FIELDS[2:])
+        counts = [int(rows[0][name]) for name in EVAL_FIELDS[2:]]
+        for name, value in zip(EVAL_FIELDS[2:], counts):
+            if str(value) != rows[0][name]:
+                raise ValueError(f"{name} {rows[0][name]!r} is not written as a plain decimal")
+        _check_counts(*counts)
     except (TypeError, ValueError) as e:
         raise DataFormatError(f"{path}: {e}") from e
-    if tokens < 1:
-        raise DataFormatError(f"{path}: total_ref_tokens must be >= 1, got {tokens}")
-    if min(n_utts, edits) < 0:
-        raise DataFormatError(f"{path}: counts must be non-negative, got n_utts={n_utts}, total_edits={edits}")
+    _, tokens, edits = counts
     return rows[0]["run"], rows[0]["language"], edits / tokens * 100.0
 
 

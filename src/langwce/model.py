@@ -14,7 +14,8 @@ batch of one utterance. ``run_phase`` builds its training split's and its
 validation split's inputs once each, with one ``build_inputs`` call per split;
 every step then gathers its batch's rows and labels from the training split's
 arrays with one index array, and every evaluation reuses the validation
-split's; ``train_step`` and ``validation_losses`` take those rows as given.
+split's; ``train_step`` takes its batch's rows as given, and
+``validation_losses`` takes the validation split's rows and language ids.
 The forward and backward passes make each batch-sized array once and add
 the biases, apply ``tanh`` and scale by its derivative in place; ``decode``
 counts every block's votes with one ``np.bincount``.
@@ -84,23 +85,27 @@ class AcousticModel:
     b2: np.ndarray  # [len(SYMBOLS)]
 
     def __post_init__(self):
-        c = self.config
-        shapes = {
-            "W1": (c.d_in, c.hidden),
-            "b1": (c.hidden,),
-            "W2": (c.hidden, len(SYMBOLS)),
-            "b2": (len(SYMBOLS),),
-        }
-        for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if arr.shape != shape:
-                raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
+        for name in ("W1", "b1", "W2", "b2"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        _check_parameters(self.config, self.parameters())
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+
+
+def _check_parameters(config: ModelConfig, params: dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` naming the first parameter whose shape is not the one ``config`` gives it, or that is non-finite."""
+    shapes = {
+        "W1": (config.d_in, config.hidden),
+        "b1": (config.hidden,),
+        "W2": (config.hidden, len(SYMBOLS)),
+        "b2": (len(SYMBOLS),),
+    }
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ValueError(f"{name} has shape {params[name].shape}, expected {shape}")
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"{name} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -191,13 +196,15 @@ class _SplitInputs:
     """A split's model inputs, built once; a batch of its utterances is cut from them.
 
     ``inputs`` is the split's (inputs, labels, sizes), from one ``build_inputs``
-    call, and ``starts[j]`` the first row of its utterance j. Every row depends
-    only on its own utterance, so the rows ``gather`` cuts for a batch equal
-    what ``build_inputs`` builds for it.
+    call, ``languages[j]`` the language id of its utterance j and ``starts[j]``
+    that utterance's first row. Every row depends only on its own utterance,
+    so the rows ``gather`` cuts for a batch equal what ``build_inputs`` builds
+    for it.
     """
 
     def __init__(self, config: ModelConfig, examples: Sequence[FrameExample]):
-        x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
+        self.languages = np.array([ex.lang for ex in examples])
+        x, sizes = build_inputs(config, [ex.features for ex in examples], self.languages)
         self.inputs = x, np.concatenate([ex.labels for ex in examples]), sizes
         self.starts = np.cumsum(sizes) - sizes
 
@@ -301,19 +308,14 @@ def train_step(
     return BatchLoss(weighted_mean, applied_weight)
 
 
-def validation_losses(
-    model: AcousticModel, examples: list[FrameExample], inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> dict[int, float]:
+def validation_losses(model: AcousticModel, split: _SplitInputs) -> dict[int, float]:
     """Per-language mean utterance loss by ascending language id, from ``loss.group_means``; the split is one batch.
 
-    ``inputs`` is the split's (inputs, labels, sizes), as ``train_step`` takes
-    them; ``run_phase`` builds them once per phase.
+    ``run_phase`` builds the split's inputs once per phase.
     """
-    x, labels, sizes = inputs
-    if len(sizes) != len(examples):
-        raise ValueError(f"inputs hold {len(sizes)} utterances but the split has {len(examples)}")
+    x, labels, sizes = split.inputs
     losses, _ = loss_mod.segment_nll(_layers(model, x)[1], labels, sizes)
-    return loss_mod.group_means(losses, [ex.lang for ex in examples])
+    return loss_mod.group_means(losses, split.languages)
 
 
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
@@ -341,21 +343,27 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
 def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
     """Versioned JSON checkpoint; float round-trip is exact.
 
-    Raises ``ValueError``, and writes nothing, when a parameter is non-finite:
-    JSON has no NaN or infinity.
+    Raises ``ValueError`` naming the file, and writes nothing, when a parameter
+    breaks ``_check_parameters`` (JSON has no NaN or infinity) or ``meta`` is
+    not a dict. A ``meta`` that ``json.dumps`` cannot encode also raises before
+    anything is written.
     """
     path = Path(path)
-    for name, arr in model.parameters().items():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: cannot save checkpoint: {name} contains non-finite values")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        _check_parameters(model.config, model.parameters())
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta is {type(meta).__name__}, not a dict")
+    except ValueError as e:
+        raise ValueError(f"{path}: cannot save checkpoint: {e}") from e
     payload = {
         "version": CHECKPOINT_VERSION,
         "model_config": asdict(model.config),
         "params": {name: arr.tolist() for name, arr in model.parameters().items()},
         "meta": meta,
     }
-    path.write_text(json.dumps(payload, allow_nan=False))
+    text = json.dumps(payload, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
     return path
 
 
@@ -378,7 +386,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
         raise DataFormatError(f"{path}: checkpoint config {config} does not match expected {expect_config}")
     try:
         model = AcousticModel(config=config, **params)
-    except (DataFormatError, ValueError) as e:
+    except ValueError as e:
         raise DataFormatError(f"{path}: invalid parameters: {e}") from e
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
@@ -440,7 +448,7 @@ def run_phase(
         )
 
     train_split = _SplitInputs(model.config, train_examples)
-    valid_inputs = _SplitInputs(model.config, valid_examples).inputs
+    valid_split = _SplitInputs(model.config, valid_examples)
     rng = np.random.default_rng(derive_seed(config.seed, "batches", phase))
     n = len(train_examples)
     rows = []
@@ -458,6 +466,6 @@ def run_phase(
             }
         )
         if t % config.eval_every == 0:
-            for lang_id, vloss in validation_losses(model, valid_examples, valid_inputs).items():
+            for lang_id, vloss in validation_losses(model, valid_split).items():
                 rows.append({"step": t, "split": "valid", "language": lang_names[lang_id], "loss": vloss})
     return PhaseResult(model=model, metrics=rows)

@@ -170,8 +170,11 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
 
     Fine-tune/valid/test splits are exactly balanced across languages; the
     pretrain split gives the low-resource language only ``low_fraction`` of a
-    high-resource language's count. Deterministic in ``config.seed``.
+    high-resource language's count. Deterministic in ``config.seed``. A
+    config that ``json`` cannot encode (a ``Fraction`` low_fraction, say)
+    raises before anything is written.
     """
+    meta = json.dumps({"config": asdict(config)}, indent=2, sort_keys=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     languages = make_languages(config.n_langs, config.seed)
@@ -189,7 +192,7 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
                 )
     entries.sort(key=lambda e: e.id)
     write_manifest(out_dir / "manifest.jsonl", entries)
-    (out_dir / "corpus.json").write_text(json.dumps({"config": asdict(config)}, indent=2, sort_keys=True))
+    (out_dir / "corpus.json").write_text(meta)
     return entries
 
 

@@ -12,7 +12,7 @@ class UsageError(Exception):
 
 
 class DataFormatError(Exception):
-    """Malformed input data: WAV format, manifest, checkpoint, CSV (exit code 2)."""
+    """Malformed input data: a WAV file, manifest, checkpoint, evaluation CSV or corpus.json (exit code 2)."""
 
 
 class DivergenceError(Exception):

@@ -12,9 +12,9 @@ its filterbank basis built inline on every call; ``oracle_edit_distance``,
 the Levenshtein table filled by a three-way ``min`` per cell; and the model
 kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
 ``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``. And
-``example_inputs`` builds the (inputs, labels, sizes) that ``train_step`` and
-``validation_losses`` take for any list of examples, with one
-``build_inputs`` call, where ``run_phase`` cuts them from a whole split's.
+``example_inputs`` builds the (inputs, labels, sizes) that ``train_step``
+takes for any list of examples, with one ``build_inputs`` call, where
+``run_phase`` cuts them from a whole split's.
 """
 
 import wave
@@ -170,7 +170,7 @@ def oracle_sgd_update(model, x, labels, sizes, utt_weights, learning_rate):
 
 
 def example_inputs(config, examples):
-    """(inputs, labels, sizes) of ``examples`` in order, as ``train_step`` and ``validation_losses`` take them."""
+    """(inputs, labels, sizes) of ``examples`` in order, as ``train_step`` takes them."""
     x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
     return x, np.concatenate([ex.labels for ex in examples]), sizes
 

@@ -1,12 +1,12 @@
 """Tests for WAV I/O, the four augmentation transforms, and the dataset pipeline."""
 
 import hashlib
-import json
 import math
 import re
 import struct
+import tempfile
 import wave
-from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -59,6 +59,16 @@ class TestWavIO:
         back = read_wav(tmp_path / "f.wav")
         assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
 
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=64))
+    def test_reader_returns_writers_16_bit_quantization(self, samples):
+        # the nearest multiple of 2^-15 (ties to even), the largest positive one 1 - 2^-15
+        quantized = np.clip(np.round(np.array(samples) * 32768), -32768, 32767) / 32768
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "q.wav"
+            write_wav(path, AudioClip(np.array(samples)))
+            assert np.array_equal(read_wav(path).samples, quantized)
+
     def test_eight_bit_rejected(self, tmp_path):
         path = tmp_path / "8bit.wav"
         with wave.open(str(path), "wb") as w:
@@ -82,7 +92,7 @@ class TestWavIO:
 
     def test_empty_wav_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "empty.wav"
-        write_wav(path, AudioClip(np.zeros(0)))
+        write_wav_at_rate(path, 16000, [])  # write_wav refuses an empty clip
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: no samples$"):
             read_wav(path)
 
@@ -531,7 +541,7 @@ class TestAugmentDataset:
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_empty_input_is_recorded_and_skipped(self, tmp_path, seed):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
-        write_wav(tmp_path / "corpus" / "finetune" / "L0" / "empty.wav", AudioClip(np.zeros(0)))
+        write_wav_at_rate(tmp_path / "corpus" / "finetune" / "L0" / "empty.wav", 16000, [])
         empty = ManifestEntry(id="empty", lang="L0", text="AB", wav="finetune/L0/empty.wav", split="finetune")
         write_manifest(manifest, read_manifest(manifest) + [empty])
         result = augment_dataset(manifest, tmp_path / "aug", AugmentSpec(seed=seed), languages={"L0"})
@@ -544,63 +554,3 @@ class TestAugmentDataset:
         with pytest.raises(DataFormatError, match=r"nope/manifest\.jsonl: cannot read manifest"):
             augment_dataset(tmp_path / "nope" / "manifest.jsonl", tmp_path / "outdir", AugmentSpec())
         assert not (tmp_path / "outdir").exists()
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        entries = [ManifestEntry(id="a", lang="L0", text="AB", wav="x/a.wav", split="test")]
-        path = write_manifest(tmp_path / "m.jsonl", entries)
-        assert read_manifest(path) == entries
-
-    def test_records_written_as_sorted_key_json(self, tmp_path):
-        entries = [
-            ManifestEntry(id="test-L0-00001", lang="L0", text="HAB", wav="test/L0/test-L0-00001.wav", split="test"),
-            ManifestEntry(id='a"1', lang="L1", text="C", wav="finetune/L1/a\\1.wav", split="finetune", augmented=True),
-        ]
-        lines = write_manifest(tmp_path / "m.jsonl", entries).read_text().split("\n")
-        assert lines == [json.dumps(asdict(e), sort_keys=True) for e in entries] + [""]
-
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"id": "a", "lang": "L0"}) + "\n")
-        with pytest.raises(DataFormatError):
-            read_manifest(path)
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{not json\n")
-        with pytest.raises(DataFormatError):
-            read_manifest(path)
-
-    def test_mistyped_fields_rejected(self, tmp_path):
-        good = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test", "augmented": False}
-        bad = {"id": 1, "lang": None, "text": "AB", "wav": 3, "split": "test", "augmented": "no"}
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(DataFormatError, match=r"bad\.jsonl:2: field 'id' must be a string, got number"):
-            read_manifest(path)
-        for field, value, got in [("lang", None, "null"), ("wav", 3, "number"), ("augmented", "no", "string")]:
-            path.write_text(json.dumps({**good, field: value}) + "\n")
-            kind = "boolean" if field == "augmented" else "string"
-            with pytest.raises(DataFormatError, match=rf"bad\.jsonl:1: field '{field}' must be a {kind}, got {got}"):
-                read_manifest(path)
-
-    def test_duplicate_id_rejected_naming_the_line(self, tmp_path):
-        entry = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test", "augmented": False}
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join(json.dumps({**entry, "id": i}) for i in ("a", "b", "a")) + "\n")
-        with pytest.raises(DataFormatError, match=r"bad\.jsonl:3: id 'a' already on line 1$"):
-            read_manifest(path)
-
-    def test_non_object_record_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("[1, 2]\n")
-        with pytest.raises(DataFormatError, match=r"bad\.jsonl:1: record must be an object, got array"):
-            read_manifest(path)
-
-    def test_unreadable_file_rejected(self, tmp_path):
-        binary = tmp_path / "binary.jsonl"
-        binary.write_bytes(b"\xff\xfe\x00")
-        for path in (tmp_path / "missing.jsonl", tmp_path, binary):
-            with pytest.raises(DataFormatError, match=rf"{path.name}: cannot read manifest: "):
-                read_manifest(path)

@@ -2,8 +2,10 @@
 
 import hashlib
 import re
+import tempfile
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,7 +210,12 @@ class TestEvalCsv:
         "long-row": ("WS,L0,4,20,3,15.0", "expected one evaluation row"),
         "negative-edits": ("WS,L0,4,10,-3", "counts must be non-negative, got n_utts=4, total_edits=-3"),
         "negative-utterances": ("WS,L0,-1,10,3", "counts must be non-negative, got n_utts=-1, total_edits=3"),
+        "underscored-count": ("WS,L0,4,1_0,3", "total_ref_tokens '1_0' is not written as a plain decimal"),
+        "padded-count": ("WS,L0, 4,10,3", "n_utts ' 4' is not written as a plain decimal"),
+        "signed-count": ("WS,L0,4,10,+3", "total_edits '\\+3' is not written as a plain decimal"),
     }
+    # the cases the writer can be asked for: all three counts are ints, and it refuses them with the reader's message
+    WRITER_CASES = ["negative-edits", "negative-utterances", "no-reference-tokens"]
 
     @pytest.mark.parametrize("case", sorted(BAD_ROWS))
     def test_bad_row_names_csv(self, tmp_path, case):
@@ -237,18 +244,28 @@ class TestEvalCsv:
             with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: unreadable evaluation CSV"):
                 read_eval_csv(path)
 
-    def test_write_without_reference_tokens_rejected(self, tmp_path):
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_bad_counts_not_written(self, tmp_path, case):
+        row, message = self.BAD_ROWS[case]
+        run, language, n_utts, tokens, edits = row.split(",")
         path = tmp_path / "eval" / "L0.csv"
-        with pytest.raises(ValueError, match="ref_tokens must be >= 1, got 0"):
-            write_eval_csv(path, "WS", "L0", 0, 0, 0)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            write_eval_csv(path, run, language, int(n_utts), int(edits), int(tokens))
         assert not path.parent.exists()
 
-    @pytest.mark.parametrize("n_utts, edits", [(-1, 0), (4, -3)])
-    def test_write_negative_count_rejected(self, tmp_path, n_utts, edits):
-        path = tmp_path / "eval" / "L0.csv"
-        with pytest.raises(ValueError, match=f"counts must be non-negative, got n_utts={n_utts}, edits={edits}"):
-            write_eval_csv(path, "WS", "L0", n_utts, edits, 10)
-        assert not path.parent.exists()
+    @settings(max_examples=200, deadline=None)
+    @given(
+        run=st.text(st.characters(blacklist_categories=("Cs",))),
+        language=st.text(st.characters(blacklist_categories=("Cs",))),
+        n_utts=st.integers(0, 10**30),
+        tokens=st.integers(1, 10**30),
+        edits=st.integers(0, 10**30),
+    )
+    def test_reader_returns_what_writer_accepted(self, run, language, n_utts, tokens, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "L0.csv"
+            write_eval_csv(path, run, language, n_utts, edits, tokens)
+            assert read_eval_csv(path) == (run, language, edits / tokens * 100.0)
 
     def test_language_evaluated_twice_rejected(self, tmp_path):
         eval_dir = tmp_path / "WS" / "eval"

@@ -3,6 +3,8 @@
 import copy
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,8 +253,6 @@ class TestSplitInputs:
         m = init_model(TINY_MODEL, seed=5)
         with pytest.raises(ValueError, match="inputs hold 2 utterances but the batch has 3"):
             train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(TINY_MODEL, batch[:2]))
-        with pytest.raises(ValueError, match="inputs hold 2 utterances but the split has 3"):
-            validation_losses(m, batch, example_inputs(TINY_MODEL, batch[:2]))
 
 
 def oracle_utterance_loss(model, ex):
@@ -537,6 +537,14 @@ class TestDecode:
             decode(m, self.features_for([0] * n_frames), 0)
 
 
+# what a checkpoint's meta may hold: the values JSON has, floats finite
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=10,
+)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)
@@ -546,6 +554,21 @@ class TestCheckpoint:
         assert loaded.config == m.config
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(loaded, name), getattr(m, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b2=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(SYMBOLS), max_size=len(SYMBOLS)),
+        meta=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+    )
+    def test_reader_returns_what_writer_accepted(self, seed, b2, meta):
+        m = init_model(TINY_MODEL, seed=seed)
+        m.b2[:] = b2
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded, loaded_meta = load_checkpoint(save_checkpoint(m, meta, Path(tmp) / "ckpt.json"), TINY_MODEL)
+        assert loaded_meta == meta
+        for name, value in m.parameters().items():
+            assert same_bits(getattr(loaded, name), value)
 
     def test_truncated_file_rejected(self, tmp_path):
         m = init_model(TINY_MODEL, seed=19)
@@ -696,7 +719,7 @@ class TestRunPhase:
     def test_validation_losses_shape(self, tiny_corpus):
         examples = load_examples(tiny_corpus, "valid", TINY_LANGS)
         m = init_model(ModelConfig(n_langs=3), seed=1)
-        losses = validation_losses(m, examples, example_inputs(m.config, examples))
+        losses = validation_losses(m, _SplitInputs(m.config, examples))
         assert sorted(losses) == [0, 1, 2]
         assert all(v > 0 for v in losses.values())
 
@@ -712,7 +735,7 @@ class TestRunPhase:
             counts[ex.lang] = counts.get(ex.lang, 0) + 1
         want = {lang: sums[lang] / counts[lang] for lang in sums}
         # exact: NumPy sums fewer than 8 values in sequence, and the tiny corpus has 2 per language
-        assert validation_losses(m, examples, example_inputs(m.config, examples)) == want
+        assert validation_losses(m, _SplitInputs(m.config, examples)) == want
 
     @pytest.mark.parametrize("split", ["pretrain", "valid"])
     def test_empty_preloaded_split_rejected(self, tiny_corpus, split):
@@ -741,7 +764,7 @@ class TestRunPhase:
         out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
 
         train, valid = load_examples(tiny_corpus, "finetune", TINY_LANGS), load_examples(tiny_corpus, "valid", TINY_LANGS)
-        valid_inputs = example_inputs(replay.config, valid)
+        valid_split = _SplitInputs(replay.config, valid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "batches", "finetune"))
         rows = []
         for t in range(1, cfg.total_steps + 1):
@@ -750,7 +773,7 @@ class TestRunPhase:
             rows.append({"step": t, "split": "train", "language": "all", "loss": bl.weighted_mean,
                          "applied_weight": bl.applied_weight})
             if t % cfg.eval_every == 0:
-                for lang, vloss in sorted(validation_losses(replay, valid, valid_inputs).items()):
+                for lang, vloss in sorted(validation_losses(replay, valid_split).items()):
                     rows.append({"step": t, "split": "valid", "language": f"L{lang}", "loss": vloss})
         assert any(r.get("applied_weight", 1.0) > 1.0 for r in rows)
         assert out.metrics == rows

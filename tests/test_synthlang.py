@@ -3,11 +3,14 @@
 import hashlib
 import json
 import re
+import tempfile
 from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dominant_frequency, goertzel_power, oracle_featurize, oracle_synthesize, same_bits, write_wav_at_rate
 
@@ -394,12 +397,29 @@ class TestLoadExamples:
             load_examples(tmp_path, "test", TINY_LANGS)
 
     def test_empty_wav_names_manifest_id_and_file(self, tmp_path):
-        write_wav(tmp_path / "empty.wav", AudioClip(np.zeros(0)))
+        write_wav_at_rate(tmp_path / "empty.wav", 16000, [])  # write_wav refuses an empty clip
         entry = ManifestEntry(id="empty-0", lang="L0", text="AB", wav="empty.wav", split="test")
         manifest = write_manifest(tmp_path / "manifest.jsonl", [entry])
         message = rf"^{re.escape(str(manifest))}: entry 'empty-0': {re.escape(str(tmp_path / 'empty.wav'))}: no samples$"
         with pytest.raises(DataFormatError, match=message):
             load_examples(tmp_path, "test", TINY_LANGS)
+
+
+@st.composite
+def small_corpus_configs(draw):
+    """Corpus configs of at most a few dozen one- to three-symbol utterances."""
+    n_langs = draw(st.integers(2, 3))
+    min_len = draw(st.integers(1, 2))
+    counts = {name: draw(st.integers(1, 2)) for name in ("finetune_per_lang", "pretrain_per_high", "valid_per_lang", "test_per_lang")}
+    return CorpusConfig(
+        n_langs=n_langs,
+        low_lang=draw(st.integers(0, n_langs - 1)),
+        low_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        min_len=min_len,
+        max_len=draw(st.integers(min_len, 3)),
+        seed=draw(st.integers(-(2**63), 2**63)),
+        **counts,
+    )
 
 
 def _set_config(**fields):
@@ -441,3 +461,10 @@ class TestLoadCorpusMeta:
         config, languages = load_corpus_meta(tiny_corpus)
         assert config == TINY
         assert languages == make_languages(TINY.n_langs, TINY.seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=small_corpus_configs())
+    def test_reader_returns_what_writer_accepted(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            generate_corpus(config, tmp)
+            assert load_corpus_meta(tmp) == (config, make_languages(config.n_langs, config.seed))

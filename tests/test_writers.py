@@ -1,0 +1,73 @@
+"""Every writer refuses what its reader would refuse, before it creates any file or directory."""
+
+import re
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import TINY
+from langwce.audio import AudioClip, write_wav
+from langwce.manifest import ManifestEntry, write_manifest
+from langwce.metrics import write_eval_csv
+from langwce.model import ModelConfig, init_model, save_checkpoint
+from langwce.synthlang import generate_corpus
+
+ENTRY = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test"}
+MODEL = init_model(ModelConfig(context=1, hidden=4, n_langs=3), seed=19)
+
+# case -> (write to the target path, the error, its message with {path} for the target)
+REFUSALS = {
+    "manifest-repeated-id": (
+        lambda path: write_manifest(path, [ManifestEntry(**ENTRY)] * 2),
+        ValueError,
+        "^{path}: id 'a' of entry 1 already belongs to entry 0$",
+    ),
+    "manifest-mistyped-field": (
+        lambda path: write_manifest(path, [ManifestEntry(**{**ENTRY, "id": 3})]),
+        ValueError,
+        "^field 'id' must be a string, got number$",
+    ),
+    "manifest-empty": (lambda path: write_manifest(path, []), ValueError, "^{path}: empty manifest$"),
+    "eval-bool-count": (
+        lambda path: write_eval_csv(path, "WS", "L0", 4, True, 20),
+        ValueError,
+        "^{path}: total_edits must be an int, got True$",
+    ),
+    "eval-float-count": (
+        lambda path: write_eval_csv(path, "r", "L0", 1.5, 0, 2),
+        ValueError,
+        "^{path}: n_utts must be an int, got 1.5$",
+    ),
+    "eval-unencodable-run": (
+        lambda path: write_eval_csv(path, "a\ud800", "L0", 1, 0, 2),
+        ValueError,
+        "^{path}: 'utf-8' codec can't encode character '\\\\ud800'",
+    ),
+    "checkpoint-list-meta": (
+        lambda path: save_checkpoint(MODEL, [1], path),
+        ValueError,
+        "^{path}: cannot save checkpoint: meta is list, not a dict$",
+    ),
+    "checkpoint-non-finite-meta": (
+        lambda path: save_checkpoint(MODEL, {"loss": float("nan")}, path),
+        ValueError,
+        "^Out of range float values are not JSON compliant",
+    ),
+    "wav-empty": (lambda path: write_wav(path, AudioClip(np.zeros(0))), ValueError, "^{path}: no samples$"),
+    "corpus-fraction": (
+        lambda path: generate_corpus(replace(TINY, low_fraction=Fraction(1, 10)), path),
+        TypeError,
+        "^Object of type Fraction is not JSON serializable$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_before_anything_is_written(tmp_path, case):
+    write, error, message = REFUSALS[case]
+    target = tmp_path / "new" / "target"
+    with pytest.raises(error, match=message.replace("{path}", re.escape(str(target)))):
+        write(target)
+    assert not (tmp_path / "new").exists()
