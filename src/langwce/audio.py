@@ -1,7 +1,8 @@
 """Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
 A clip carries no rate of its own: ``read_wav`` refuses any other rate, a WAV with no samples, and
-one whose data chunk is shorter than its header declares; ``write_wav`` refuses a clip with no samples.
+one whose data chunk is shorter than its header declares; ``write_wav`` refuses a clip with no samples
+or with a NaN or infinite sample.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
 Every transform is a pure function of (input, parameters, seed) and hard-clips
@@ -104,12 +105,16 @@ def read_wav(path: str | Path) -> AudioClip:
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write ``clip`` quantized to 16 bits, clipping it to [-1, 1] first.
 
-    Raises ``ValueError``, and writes nothing, when the clip has no samples:
-    ``read_wav`` refuses such a file.
+    Raises ``ValueError``, and writes nothing, when the clip has no samples
+    (``read_wav`` refuses such a file) or a sample that is NaN or infinite
+    (it has no 16-bit value: the cast would write a NaN as 0).
     """
     path = Path(path)
     if len(clip) == 0:
         raise ValueError(f"{path}: no samples")
+    if not np.isfinite(clip.samples).all():
+        i = int(np.flatnonzero(~np.isfinite(clip.samples))[0])
+        raise ValueError(f"{path}: sample {i} is {clip.samples[i]}, not finite")
     path.parent.mkdir(parents=True, exist_ok=True)
     scaled = np.rint(np.clip(clip.samples, -1.0, 1.0) * 32768.0)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
@@ -151,6 +156,53 @@ def _hann(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * (m + 0.5) / length)
 
 
+def _window_sums(y: np.ndarray, frame: int) -> np.ndarray:
+    """The sum of ``y[s : s + frame]`` for every start ``s``, equal bit for bit to NumPy's row sums.
+
+    NumPy adds each row's pairwise sum to 0.0. A row shorter than 8 is summed
+    in order. A row of 8 to 128 values is a leaf: accumulator j sums values j,
+    j + 8, ... in order, the eight are added as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the last
+    ``L % 8`` values follow one at a time. A longer row is split at ``L // 2``
+    rounded down to a multiple of 8, and the sums of its halves are added.
+
+    No step depends on the start, so each runs once for all starts, as a
+    vector operation on shifted slices: one strided pass
+    ``r[t] = y[t] + y[t + 8] + ...`` gives every accumulator of every leaf of
+    one length, three shifted adds give their tree, and each length in the
+    split is summed once for every place it occurs. A 400-sample frame (leaves
+    of 96 and 104) takes about 30 vector operations, where NumPy reduces one
+    row per start. ``tests/test_audio.py`` checks the order against NumPy.
+    """
+    return _sums_of_length(y, frame, {})
+
+
+def _sums_of_length(y: np.ndarray, length: int, sums: dict[int, np.ndarray]) -> np.ndarray:
+    """``_window_sums(y, length)``, kept in ``sums`` by length so that each length is summed once."""
+    if length not in sums:
+        m = len(y) - length + 1
+        if length < 8:
+            total = np.zeros(m)
+            for i in range(length):
+                total += y[i : i + m]
+        elif length <= 128:
+            blocks = length // 8
+            span = len(y) - 8 * (blocks - 1)
+            r = y[:span] + 0.0  # NumPy's 0.0, added to a term: it turns only an all -0.0 sum into +0.0
+            for b in range(1, blocks):
+                r += y[8 * b : 8 * b + span]
+            pairs = r[:-1] + r[1:]
+            quads = pairs[:-2] + pairs[2:]
+            total = quads[:m] + quads[4 : m + 4]
+            for i in range(8 * blocks, length):
+                total += y[i : i + m]
+        else:
+            half = length // 2 - length // 2 % 8
+            total = _sums_of_length(y, half, sums)[:m] + _sums_of_length(y, length - half, sums)[half : half + m]
+        sums[length] = total
+    return sums[length]
+
+
 def _best_analysis_position(
     x: np.ndarray, norms: np.ndarray, nominal: int, ideal: int, cmp_len: int, tol: int
 ) -> int:
@@ -160,7 +212,9 @@ def _best_analysis_position(
     continuation segment; ties resolve toward the nominal position so timing
     stays faithful and the search is deterministic. ``norms[i]`` must be the
     Euclidean norm of ``x[i : i + cmp_len]`` for every start ``i`` in
-    ``[0, len(x) - cmp_len]``, which must not be empty; ``time_stretch`` computes them once per call.
+    ``[0, len(x) - cmp_len]``, which must not be empty: ``time_stretch``
+    computes them once per call, as the square roots of ``_window_sums`` of the
+    squares, each equal bit for bit to NumPy's sum over that window's squares.
     """
     n = len(x)
     anchor = max(0, min(nominal, n - cmp_len))
@@ -183,8 +237,11 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     analysis position is refined by a bounded waveform-similarity search
     against the continuation of the previously placed frame. The norm of
     every ``frame``-sample analysis window is computed once, up front, as
-    the square root of a pairwise sum of squares per window; running sums
-    are avoided because their cancellation misstates near-silent windows.
+    the square root of its sum of squares. ``_window_sums`` shares NumPy's
+    pairwise summation order between all windows, so each sum equals
+    NumPy's sum over that window bit for bit, not merely to within rounding;
+    running sums are avoided because their cancellation misstates
+    near-silent windows.
     """
     if not 0.5 <= rate <= 2.0:
         raise ValueError(f"stretch rate must be in [0.5, 2.0], got {rate}")
@@ -202,7 +259,7 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     norm = np.zeros(buf_len)
     x = clip.samples
     # a clip shorter than one frame is never searched (every frame is a tail frame)
-    norms = np.sqrt(np.lib.stride_tricks.sliding_window_view(x * x, frame).sum(axis=1)) if n >= frame else None
+    norms = np.sqrt(_window_sums(x * x, frame)) if n >= frame else None
     prev_ana = prev_syn = 0
     for k in range(n_frames):
         syn = round(k * syn_hop)

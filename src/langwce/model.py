@@ -33,7 +33,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +46,7 @@ from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load
 from .util import DataFormatError, DivergenceError, derive_seed, require_finite_reals, require_ints
 
 CHECKPOINT_VERSION = 2
+_PARAM_NAMES = ("W1", "b1", "W2", "b2")
 # Divergence bound on a batch's unweighted mean utterance loss, in units of
 # ln(len(SYMBOLS)), the loss of a uniform guess; 100 * ln 8 is about 208. On the
 # benchmark's paper-grid corpus (1,000 pretrain steps, then constant and
@@ -85,7 +86,7 @@ class AcousticModel:
     b2: np.ndarray  # [len(SYMBOLS)]
 
     def __post_init__(self):
-        for name in ("W1", "b1", "W2", "b2"):
+        for name in _PARAM_NAMES:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         _check_parameters(self.config, self.parameters())
 
@@ -344,16 +345,19 @@ def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
     """Versioned JSON checkpoint; float round-trip is exact.
 
     Raises ``ValueError`` naming the file, and writes nothing, when a parameter
-    breaks ``_check_parameters`` (JSON has no NaN or infinity) or ``meta`` is
-    not a dict. A ``meta`` that ``json.dumps`` cannot encode also raises before
-    anything is written.
+    breaks ``_check_parameters`` (JSON has no NaN or infinity), or ``meta`` is
+    not a dict, cannot be encoded, or does not read back equal to itself (a
+    tuple reads back as a list, a key that is not a string as a string).
     """
     path = Path(path)
     try:
         _check_parameters(model.config, model.parameters())
         if not isinstance(meta, dict):
             raise ValueError(f"meta is {type(meta).__name__}, not a dict")
-    except ValueError as e:
+        read_back = json.loads(json.dumps(meta, allow_nan=False))
+        if read_back != meta:
+            raise ValueError(f"meta {meta!r} would load as {read_back!r}")
+    except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: cannot save checkpoint: {e}") from e
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -367,20 +371,39 @@ def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
     return path
 
 
+def _check_keys(path: Path, what: str, obj: object, keys: tuple[str, ...]) -> None:
+    """Raise ``DataFormatError`` naming the file unless ``obj`` is an object with exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}: malformed checkpoint: {what} is {type(obj).__name__}, not an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DataFormatError(f"{path}: malformed checkpoint: {what}: missing keys {missing}")
+    unknown = sorted(obj.keys() - set(keys))
+    if unknown:
+        raise DataFormatError(f"{path}: malformed checkpoint: {what}: unknown keys {unknown}")
+
+
 def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) -> tuple[AcousticModel, dict]:
+    """Read what ``save_checkpoint`` wrote; anything else raises ``DataFormatError`` naming the file.
+
+    The file must hold exactly the keys the writer writes, at the top level,
+    in ``model_config`` (a missing one is not read as its default) and in
+    ``params``.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint: {e}") from e
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"{path}: malformed checkpoint: top level is {type(payload).__name__}, not an object")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: checkpoint version {payload.get('version')}, expected {CHECKPOINT_VERSION}")
+    _check_keys(path, "top level", payload, ("version", "model_config", "params", "meta"))
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise DataFormatError(f"{path}: checkpoint version {payload['version']}, expected {CHECKPOINT_VERSION}")
+    _check_keys(path, "model_config", payload["model_config"], tuple(f.name for f in fields(ModelConfig)))
+    _check_keys(path, "params", payload["params"], _PARAM_NAMES)
     try:
         config = ModelConfig(**payload["model_config"])
-        params = {name: np.asarray(payload["params"][name], dtype=np.float64) for name in ("W1", "b1", "W2", "b2")}
-    except (KeyError, TypeError, ValueError) as e:
+        params = {name: np.asarray(payload["params"][name], dtype=np.float64) for name in _PARAM_NAMES}
+    except (TypeError, ValueError) as e:
         raise DataFormatError(f"{path}: malformed checkpoint: {e}") from e
     if expect_config is not None and config != expect_config:
         raise DataFormatError(f"{path}: checkpoint config {config} does not match expected {expect_config}")
@@ -388,7 +411,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
         model = AcousticModel(config=config, **params)
     except ValueError as e:
         raise DataFormatError(f"{path}: invalid parameters: {e}") from e
-    meta = payload.get("meta", {})
+    meta = payload["meta"]
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: malformed checkpoint: meta is {type(meta).__name__}, not an object")
     return model, meta

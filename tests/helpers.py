@@ -7,7 +7,9 @@ measurements. The exceptions are references that a faster form in the
 package must reproduce bit for bit, each the package's first form:
 ``oracle_synthesize``, ``synthesize_utterance`` computing each symbol's tone
 on its own; ``oracle_best_analysis_position``, the waveform-similarity search of
-``audio.time_stretch`` per candidate; ``oracle_featurize``, ``featurize`` with
+``audio.time_stretch`` per candidate; ``oracle_window_sums``, NumPy's sum
+over each window that ``audio._window_sums`` shares between windows;
+``oracle_featurize``, ``featurize`` with
 its filterbank basis built inline on every call; ``oracle_edit_distance``,
 the Levenshtein table filled by a three-way ``min`` per cell; and the model
 kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
@@ -102,6 +104,11 @@ def oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol):
     best = scores.max()
     good = np.nonzero(scores >= best - 1e-9 * max(1.0, abs(best)))[0]
     return int(lo + good[np.argmin(np.abs(good + lo - nominal))])
+
+
+def oracle_window_sums(y, frame):
+    """The sum of ``y[s : s + frame]`` for every start ``s``, one NumPy row sum per window."""
+    return np.lib.stride_tricks.sliding_window_view(y, frame).sum(axis=1)
 
 
 def oracle_featurize(clip, normalize=True):

@@ -1,5 +1,6 @@
 """Tests for WAV I/O, the four augmentation transforms, and the dataset pipeline."""
 
+import gc
 import hashlib
 import math
 import re
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dominant_frequency, make_tone, oracle_best_analysis_position, write_wav_at_rate
+from helpers import (
+    dominant_frequency,
+    make_tone,
+    oracle_best_analysis_position,
+    oracle_window_sums,
+    same_bits,
+    write_wav_at_rate,
+)
 
 from langwce import audio
 from langwce.audio import (
@@ -273,6 +281,56 @@ class TestStretchSearchOracle:
         out = time_stretch(clip, rate)
         assert len(out) == max(1, round(n / rate))
         assert np.array_equal(out.samples, oracle_time_stretch(clip, rate).samples)
+
+
+# every row length below NumPy's 8-way unrolling and around it, leaves of 96 and
+# 104 (the halves of 200), the largest leaf, the first split, and longer rows
+WINDOW_SUM_FRAMES = [*range(1, 10), 96, 104, 128, 129, 256, 400, 700]
+
+
+@st.composite
+def window_sum_inputs(draw):
+    """A frame and an input at least that long: a tone with silence or random values of magnitude 1e-8 to 1.
+
+    Either may be squared, as ``time_stretch`` squares it, and either may be
+    cut or repeated to exactly one frame.
+    """
+    frame = draw(st.sampled_from(WINDOW_SUM_FRAMES))
+    if draw(st.booleans()):
+        y = draw(tones_with_silence()).samples
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1, 4000))
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 0.0, n)
+    if draw(st.booleans()):
+        y = y * y
+    if len(y) < frame or draw(st.booleans()):
+        y = np.resize(y, frame)
+    return y, frame
+
+
+class TestWindowSums:
+    @settings(max_examples=300, deadline=None)
+    @given(data=window_sum_inputs())
+    def test_bit_identical_to_row_sums(self, data):
+        y, frame = data
+        assert same_bits(audio._window_sums(y, frame), oracle_window_sums(y, frame))
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep each call's partial sums alive until the next garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            audio._window_sums(np.ones(1000), 400)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("frame", WINDOW_SUM_FRAMES)
+    def test_negative_zeros_sum_to_positive_zero(self, frame):
+        y = np.full(frame + 20, -0.0)
+        assert same_bits(audio._window_sums(y, frame), oracle_window_sums(y, frame))
+        assert same_bits(audio._window_sums(y, frame), np.zeros(21))
 
 
 class TestPitchShift:

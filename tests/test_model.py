@@ -593,6 +593,30 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: meta is"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: payload.update(extra=5), r"top level: unknown keys \['extra'\]"),
+            (lambda payload: payload.pop("meta"), r"top level: missing keys \['meta'\]"),
+            (lambda payload: payload.pop("params"), r"top level: missing keys \['params'\]"),
+            (lambda payload: payload["model_config"].pop("context"), r"model_config: missing keys \['context'\]"),
+            (lambda payload: payload["model_config"].update(width=8), r"model_config: unknown keys \['width'\]"),
+            (lambda payload: payload.update(params=[1.0]), r"params is list, not an object"),
+            (lambda payload: payload["params"].update(W3=[0.0]), r"params: unknown keys \['W3'\]"),
+            (lambda payload: payload["params"].pop("b2"), r"params: missing keys \['b2'\]"),
+        ],
+        ids=["extra-key", "no-meta", "no-params", "no-context", "extra-config", "params-list", "extra-param", "no-b2"],
+    )
+    def test_only_what_the_writer_writes_accepted(self, tmp_path, edit, message):
+        import json
+
+        path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: {message}$"):
+            load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         import json
 

@@ -53,9 +53,28 @@ REFUSALS = {
     "checkpoint-non-finite-meta": (
         lambda path: save_checkpoint(MODEL, {"loss": float("nan")}, path),
         ValueError,
-        "^Out of range float values are not JSON compliant",
+        "^{path}: cannot save checkpoint: Out of range float values are not JSON compliant",
+    ),
+    "checkpoint-unencodable-meta": (
+        lambda path: save_checkpoint(MODEL, {"langs": {"L0"}}, path),
+        ValueError,
+        "^{path}: cannot save checkpoint: Object of type set is not JSON serializable$",
+    ),
+    "checkpoint-int-key-meta": (
+        lambda path: save_checkpoint(MODEL, {1: "a"}, path),
+        ValueError,
+        r"^{path}: cannot save checkpoint: meta \{1: 'a'\} would load as \{'1': 'a'\}$",
+    ),
+    "checkpoint-tuple-meta": (
+        lambda path: save_checkpoint(MODEL, {"k": (1, 2)}, path),
+        ValueError,
+        r"^{path}: cannot save checkpoint: meta \{'k': \(1, 2\)\} would load as \{'k': \[1, 2\]\}$",
     ),
     "wav-empty": (lambda path: write_wav(path, AudioClip(np.zeros(0))), ValueError, "^{path}: no samples$"),
+    # the cast would write a NaN as 0, and clipping would write an infinity as full scale
+    "wav-nan": (lambda path: write_wav(path, AudioClip([0.5, np.nan])), ValueError, "^{path}: sample 1 is nan, not finite$"),
+    "wav-inf": (lambda path: write_wav(path, AudioClip([0.5, 0.0, np.inf])), ValueError, "^{path}: sample 2 is inf, not finite$"),
+    "wav-minus-inf": (lambda path: write_wav(path, AudioClip([-np.inf, 0.5])), ValueError, "^{path}: sample 0 is -inf, not finite$"),
     "corpus-fraction": (
         lambda path: generate_corpus(replace(TINY, low_fraction=Fraction(1, 10)), path),
         TypeError,
