@@ -5,9 +5,10 @@ One record per line, its keys in sorted order: {"id", "lang", "text", "wav",
 holds at least one record, and no two records share an id.
 WAV paths are stored relative to the manifest file's directory.
 
-``ManifestEntry`` states the field types and ``repeated_id`` the id rule;
-``write_manifest`` refuses what ``read_manifest`` would refuse, and then
-writes nothing.
+Each rule lives in one place: the field types in ``ManifestEntry``, the id
+rule in ``repeated_id`` and the key rule (a record holds exactly ``FIELDS``)
+in ``util.require_keys``. ``write_manifest`` refuses what ``read_manifest``
+would refuse, and then writes nothing.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .util import DataFormatError
+from .util import JSON_TYPE_NAMES, DataFormatError, json_type, require_keys
 
 FIELDS = {"id": str, "lang": str, "text": str, "wav": str, "split": str, "augmented": bool}
-_JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "number", float: "number", list: "array", dict: "object"}
-
-
-def _json_type(value) -> str:
-    """The JSON name of ``value``'s type, or its Python name for a type JSON lacks (a ``Path``, say)."""
-    return "null" if value is None else _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class ManifestEntry:
         for k, kind in FIELDS.items():
             value = getattr(self, k)
             if not isinstance(value, kind):
-                raise ValueError(f"field {k!r} must be a {_JSON_TYPE_NAMES[kind]}, got {_json_type(value)}")
+                raise ValueError(f"field {k!r} must be a {JSON_TYPE_NAMES[kind]}, got {json_type(value)}")
 
 
 def repeated_id(ids: Iterable[str]) -> tuple[str, int, int] | None:
@@ -59,8 +54,8 @@ def repeated_id(ids: Iterable[str]) -> tuple[str, int, int] | None:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Every record of a manifest; ``DataFormatError`` naming the file (and line) if any is bad or it cannot be read.
 
-    A record is bad when it is not a JSON object, lacks a field, has a field
-    outside ``FIELDS`` or one ``ManifestEntry`` refuses, or repeats an id.
+    A record is bad when it is not an object holding exactly ``FIELDS``, has a
+    field ``ManifestEntry`` refuses, or repeats an id.
     """
     path = Path(path)
     try:
@@ -78,15 +73,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise DataFormatError(f"{path}:{lineno}: invalid JSON: {e}") from e
-        if not isinstance(rec, dict):
-            raise DataFormatError(f"{path}:{lineno}: record must be an object, got {_json_type(rec)}")
-        missing = [k for k in FIELDS if k not in rec]
-        if missing:
-            raise DataFormatError(f"{path}:{lineno}: missing fields {missing}")
-        unknown = sorted(rec.keys() - FIELDS.keys())
-        if unknown:
-            raise DataFormatError(f"{path}:{lineno}: unknown fields {unknown}")
         try:
+            require_keys("record", rec, FIELDS)
             entries.append(ManifestEntry(**rec))
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from e

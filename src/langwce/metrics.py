@@ -175,7 +175,8 @@ def build_tables(
 
     Rows follow ``run_order``, skipping runs ``run_wers`` lacks; ``pretrain_run``
     is in the WER table only. Each WER and row mean is rounded once, as rendered.
-    Raises ``ValueError`` when ``pretrain_run`` is not in ``run_order``.
+    Raises ``ValueError`` when ``pretrain_run`` is not in ``run_order``, and
+    ``DataFormatError`` when a run's languages differ from the baseline's.
     """
     if pretrain_run not in run_order:
         raise ValueError(f"pretrain run {pretrain_run!r} is not in the run order {list(run_order)}")
@@ -192,6 +193,9 @@ def build_tables(
         missing = [l for l in langs if l not in run_wers[name]]
         if missing:
             raise DataFormatError(f"run {name!r} is missing languages {missing}")
+        extra = sorted(run_wers[name].keys() - set(langs))
+        if extra:
+            raise DataFormatError(f"run {name!r} has languages {extra} that baseline {baseline!r} lacks")
         cells = [format_percent(run_wers[name][l]) for l in langs]
         table1.append([name, *cells, format_percent(row_mean([float(c) for c in cells]))])
 

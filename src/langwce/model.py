@@ -43,7 +43,7 @@ from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta, load_examples
-from .util import DataFormatError, DivergenceError, derive_seed, require_finite_reals, require_ints
+from .util import DataFormatError, DivergenceError, derive_seed, is_int, json_type, require_finite_reals, require_ints, require_keys
 
 CHECKPOINT_VERSION = 2
 _PARAM_NAMES = ("W1", "b1", "W2", "b2")
@@ -75,6 +75,9 @@ class ModelConfig:
     @property
     def d_in(self) -> int:
         return len(FREQ_GRID) * (2 * self.context + 1) + self.n_langs
+
+
+_MODEL_CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
 
 
 @dataclass
@@ -371,38 +374,35 @@ def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
     return path
 
 
-def _check_keys(path: Path, what: str, obj: object, keys: tuple[str, ...]) -> None:
-    """Raise ``DataFormatError`` naming the file unless ``obj`` is an object with exactly ``keys``."""
-    if not isinstance(obj, dict):
-        raise DataFormatError(f"{path}: malformed checkpoint: {what} is {type(obj).__name__}, not an object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise DataFormatError(f"{path}: malformed checkpoint: {what}: missing keys {missing}")
-    unknown = sorted(obj.keys() - set(keys))
-    if unknown:
-        raise DataFormatError(f"{path}: malformed checkpoint: {what}: unknown keys {unknown}")
-
-
 def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) -> tuple[AcousticModel, dict]:
     """Read what ``save_checkpoint`` wrote; anything else raises ``DataFormatError`` naming the file.
 
     The file must hold exactly the keys the writer writes, at the top level,
-    in ``model_config`` (a missing one is not read as its default) and in
-    ``params``.
+    in ``model_config`` and in ``params`` (``util.require_keys``): a missing
+    key is refused, not read as its default. The version must be an int and
+    each parameter an array of numbers (not strings or booleans).
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint: {e}") from e
-    _check_keys(path, "top level", payload, ("version", "model_config", "params", "meta"))
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: checkpoint version {payload['version']}, expected {CHECKPOINT_VERSION}")
-    _check_keys(path, "model_config", payload["model_config"], tuple(f.name for f in fields(ModelConfig)))
-    _check_keys(path, "params", payload["params"], _PARAM_NAMES)
     try:
+        require_keys("top level", payload, ("version", "model_config", "params", "meta"))
+        version = payload["version"]
+        if not is_int(version):
+            raise ValueError(f"version must be an int, got {version!r}")
+        if version != CHECKPOINT_VERSION:
+            raise DataFormatError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        require_keys("model_config", payload["model_config"], _MODEL_CONFIG_KEYS)
+        require_keys("params", payload["params"], _PARAM_NAMES)
         config = ModelConfig(**payload["model_config"])
-        params = {name: np.asarray(payload["params"][name], dtype=np.float64) for name in _PARAM_NAMES}
+        params = {name: np.asarray(payload["params"][name]) for name in _PARAM_NAMES}
+        for name, arr in params.items():
+            if arr.dtype.kind not in "iuf":
+                raise ValueError(f"{name} is an array of {arr.dtype}, not of numbers")
+        if not isinstance(payload["meta"], dict):
+            raise ValueError(f"meta is {json_type(payload['meta'])}, not an object")
     except (TypeError, ValueError) as e:
         raise DataFormatError(f"{path}: malformed checkpoint: {e}") from e
     if expect_config is not None and config != expect_config:
@@ -411,10 +411,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
         model = AcousticModel(config=config, **params)
     except ValueError as e:
         raise DataFormatError(f"{path}: invalid parameters: {e}") from e
-    meta = payload["meta"]
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{path}: malformed checkpoint: meta is {type(meta).__name__}, not an object")
-    return model, meta
+    return model, payload["meta"]
 
 
 # ---------------------------------------------------------------------------

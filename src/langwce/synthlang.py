@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, read_wav, write_wav
 from .manifest import ManifestEntry, read_manifest, write_manifest
-from .util import DataFormatError, derive_seed, require_finite_reals, require_ints
+from .util import DataFormatError, derive_seed, require_finite_reals, require_ints, require_keys
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
@@ -93,6 +93,9 @@ class CorpusConfig:
     @property
     def low_pretrain_count(self) -> int:
         return max(1, round(self.low_fraction * self.pretrain_per_high))
+
+
+_CORPUS_CONFIG_KEYS = tuple(f.name for f in fields(CorpusConfig))
 
 
 def make_languages(n: int, seed: int) -> list[LanguageSpec]:
@@ -199,21 +202,20 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
 def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[LanguageSpec]]:
     """The config ``generate_corpus`` recorded in corpus.json, and the languages derived from it.
 
-    Raises ``DataFormatError`` naming the file when it cannot be read, is not
-    an object, holds a key other than ``config``, or holds a config that
-    ``CorpusConfig`` rejects.
+    Raises ``DataFormatError`` naming the file when it cannot be read, when
+    ``util.require_keys`` refuses its top level (exactly ``config``) or its
+    config (exactly the ``CorpusConfig`` fields: a missing one is refused, not
+    read as its default), or when ``CorpusConfig`` rejects the config.
     """
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
         raise DataFormatError(f"{corpus_dir}: missing corpus.json")
     try:
         meta = json.loads(path.read_text())
-        if not isinstance(meta, dict):
-            raise DataFormatError(f"{path}: top level is {type(meta).__name__}, not an object")
-        if list(meta) != ["config"]:
-            raise DataFormatError(f"{path}: keys {sorted(meta)}; corpus.json holds only 'config'")
+        require_keys("top level", meta, ("config",))
+        require_keys("config", meta["config"], _CORPUS_CONFIG_KEYS)
         config = CorpusConfig(**meta["config"])
-    except (OSError, ValueError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise DataFormatError(f"{path}: {e}") from e
     return config, make_languages(config.n_langs, config.seed)
 

@@ -1,10 +1,15 @@
-"""Shared plumbing: error types, config field checks and seed derivation."""
+"""Shared plumbing: error types, config field checks, seed derivation and the key rule.
+
+The key rule, checked only by ``require_keys``: a JSON object read from disk
+holds exactly the keys its writer writes. Each reader names its file.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import numbers
+from typing import Collection
 
 
 class UsageError(Exception):
@@ -54,6 +59,25 @@ def require_finite_reals(obj, *names: str) -> None:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "number", float: "number", list: "array", dict: "object"}
+
+
+def json_type(value) -> str:
+    """The JSON name of ``value``'s type, or its Python name for a type JSON lacks (a ``Path``, say)."""
+    return "null" if value is None else JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def require_keys(what: str, obj, keys: Collection[str]) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``obj`` is a dict holding exactly ``keys``, which must be distinct."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is {json_type(obj)}, not an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what}: missing keys {missing}")
+    if len(obj) != len(keys):
+        raise ValueError(f"{what}: unknown keys {sorted(obj.keys() - set(keys))}")
 
 
 def derive_seed(base: int, *tokens) -> int:

@@ -55,7 +55,7 @@ class TestManifest:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"id": "a", "lang": "L0"}) + "\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:1: record: missing keys \['text', 'wav', 'split', 'augmented'\]$"):
             read_manifest(path)
 
     def test_invalid_json_rejected(self, tmp_path):
@@ -87,7 +87,7 @@ class TestManifest:
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.raises(DataFormatError, match=r"bad\.jsonl:1: record must be an object, got array"):
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:1: record is array, not an object$"):
             read_manifest(path)
 
     def test_unreadable_file_rejected(self, tmp_path):
@@ -101,7 +101,7 @@ class TestManifest:
         good = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test", "augmented": False}
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", "speaker": "s1", "gain": 2}) + "\n")
-        with pytest.raises(DataFormatError, match=r"bad\.jsonl:2: unknown fields \['gain', 'speaker'\]$"):
+        with pytest.raises(DataFormatError, match=r"bad\.jsonl:2: record: unknown keys \['gain', 'speaker'\]$"):
             read_manifest(path)
 
     @pytest.mark.parametrize(

@@ -345,6 +345,20 @@ class TestTables:
         with pytest.raises(DataFormatError, match=r"baseline run 'WS-FT' not found among the reported runs \['WS', 'WS-FT-GL\+'\]"):
             build_tables(FIXTURE_WERS, low_lang="L5", baseline="WS-FT", run_order=["WS", "WS-FT-GL+"], pretrain_run="WS")
 
+    @pytest.mark.parametrize(
+        "lwce, message",
+        [
+            ({"L0": 5.0}, r"^run 'LWCE' is missing languages \['L1'\]$"),
+            ({"L0": 5.0, "L1": 10.0, "L2": 90.0}, r"^run 'LWCE' has languages \['L2'\] that baseline 'WS-FT' lacks$"),
+        ],
+        ids=["missing-language", "extra-language"],
+    )
+    def test_run_languages_other_than_the_baselines_rejected(self, lwce, message):
+        # unchecked, an extra language would drop out of table 1 and out of the run's mean
+        run_wers = {"WS-FT": {"L0": 6.0, "L1": 11.0}, "LWCE": lwce}
+        with pytest.raises(DataFormatError, match=message):
+            build_tables(run_wers, low_lang="L0", baseline="WS-FT", run_order=["WS", "WS-FT", "LWCE"], pretrain_run="WS")
+
     def test_pretrain_run_outside_run_order_rejected(self):
         # a misspelt pretrain run would otherwise put WS into table 2 as a regression against the baseline
         order = ["WS", "WS-FT"]

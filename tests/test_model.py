@@ -601,11 +601,26 @@ class TestCheckpoint:
             (lambda payload: payload.pop("params"), r"top level: missing keys \['params'\]"),
             (lambda payload: payload["model_config"].pop("context"), r"model_config: missing keys \['context'\]"),
             (lambda payload: payload["model_config"].update(width=8), r"model_config: unknown keys \['width'\]"),
-            (lambda payload: payload.update(params=[1.0]), r"params is list, not an object"),
+            (lambda payload: payload.update(params=[1.0]), r"params is array, not an object"),
             (lambda payload: payload["params"].update(W3=[0.0]), r"params: unknown keys \['W3'\]"),
             (lambda payload: payload["params"].pop("b2"), r"params: missing keys \['b2'\]"),
+            (lambda payload: payload["params"].update(b2=["0.5"] * len(SYMBOLS)), r"b2 is an array of <U3, not of numbers"),
+            (lambda payload: payload["params"].update(b1=[True, False] * 2), r"b1 is an array of bool, not of numbers"),
+            (lambda payload: payload.update(version=2.0), r"version must be an int, got 2\.0"),
         ],
-        ids=["extra-key", "no-meta", "no-params", "no-context", "extra-config", "params-list", "extra-param", "no-b2"],
+        ids=[
+            "extra-key",
+            "no-meta",
+            "no-params",
+            "no-context",
+            "extra-config",
+            "params-list",
+            "extra-param",
+            "no-b2",
+            "string-b2",
+            "bool-b1",
+            "float-version",
+        ],
     )
     def test_only_what_the_writer_writes_accepted(self, tmp_path, edit, message):
         import json

@@ -5,7 +5,7 @@ import json
 import re
 import tempfile
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -429,19 +429,27 @@ def _set_config(**fields):
     return make
 
 
+def _drop_config(name):
+    def make(meta):
+        return json.dumps({"config": {k: v for k, v in meta["config"].items() if k != name}})
+
+    return make
+
+
 class TestLoadCorpusMeta:
     # case -> (corpus.json's text from the good file's parsed metadata, what the error says)
     BAD_META = {
         "truncated": (lambda meta: "{", "Expecting property name"),
-        "top-level-list": (lambda meta: "[]", "top level is list, not an object"),
-        "no-config": (lambda meta: "{}", r"keys \[\]; corpus.json holds only 'config'"),
+        "top-level-list": (lambda meta: "[]", "top level is array, not an object$"),
+        "no-config": (lambda meta: "{}", r"top level: missing keys \['config'\]$"),
         "language-list-of-an-older-corpus": (
             lambda meta: json.dumps({**meta, "languages": [{"id": 0}]}),
-            r"keys \['config', 'languages'\]; corpus.json holds only 'config'",
+            r"top level: unknown keys \['languages'\]$",
         ),
-        "config-not-an-object": (lambda meta: json.dumps({"config": [3]}), "must be a mapping"),
-        "low-lang-out-of-range": (lambda meta: json.dumps({"config": {"n_langs": 3}}), "low_lang 5 out of range"),
-        "config-with-sample-rate": (_set_config(sample_rate=16000), "unexpected keyword argument 'sample_rate'"),
+        "config-not-an-object": (lambda meta: json.dumps({"config": [3]}), "config is array, not an object$"),
+        "low-lang-out-of-range": (_set_config(n_langs=3, low_lang=5), "low_lang 5 out of range"),
+        "config-with-sample-rate": (_set_config(sample_rate=16000), r"config: unknown keys \['sample_rate'\]$"),
+        **{f"no-{f.name}": (_drop_config(f.name), rf"config: missing keys \['{f.name}'\]$") for f in fields(CorpusConfig)},
         "seed-a-float": (_set_config(seed=1.5), "seed must be an int, got 1.5"),
         "count-a-float": (_set_config(finetune_per_lang=2.5), "finetune_per_lang must be an int, got 2.5"),
         "n-langs-a-bool": (_set_config(n_langs=True), "n_langs must be an int, got True"),
