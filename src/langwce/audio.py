@@ -24,8 +24,9 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import ManifestEntry, read_manifest, repeated_id, resolve_wav, write_manifest
+from .manifest import ManifestEntry, read_manifest, repeated_id, write_manifest
 from .util import DataFormatError, derive_seed, is_int, require_ints
 
 SAMPLE_RATE = 16000
@@ -72,6 +73,13 @@ class AugmentSpec:
             raise ValueError(f"pitch_range_semitones: need -12 <= min <= max <= 12, got {pitch}")
 
 
+def _require_finite(samples: np.ndarray, where: str | Path) -> None:
+    """Raise ``ValueError`` naming ``where`` and the first sample that is NaN or infinite, if one is."""
+    if not np.isfinite(samples).all():
+        i = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise ValueError(f"{where}: sample {i} is {samples[i]}, not finite")
+
+
 # ---------------------------------------------------------------------------
 # WAV I/O (RIFF/WAVE, PCM code 1, 16-bit signed little-endian, mono)
 
@@ -112,9 +120,7 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     path = Path(path)
     if len(clip) == 0:
         raise ValueError(f"{path}: no samples")
-    if not np.isfinite(clip.samples).all():
-        i = int(np.flatnonzero(~np.isfinite(clip.samples))[0])
-        raise ValueError(f"{path}: sample {i} is {clip.samples[i]}, not finite")
+    _require_finite(clip.samples, path)
     path.parent.mkdir(parents=True, exist_ok=True)
     scaled = np.rint(np.clip(clip.samples, -1.0, 1.0) * 32768.0)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
@@ -150,10 +156,18 @@ def add_gaussian_noise(clip: AudioClip, sigma: float, seed: int) -> AudioClip:
 
 
 def _hann(length: int) -> np.ndarray:
-    # evaluated at bin centers so the window never reaches zero and the
-    # overlap-add normalization stays well-conditioned at clip edges
+    """The overlap-add window (read-only), evaluated at bin centers.
+
+    At bin centers the window never reaches zero, so the overlap-add
+    normalization stays well-conditioned at clip edges.
+    """
     m = np.arange(length)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * (m + 0.5) / length)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * (m + 0.5) / length)
+    window.setflags(write=False)
+    return window
+
+
+_WINDOW = _hann(WINDOW_SAMPLES)
 
 
 def _window_sums(y: np.ndarray, frame: int) -> np.ndarray:
@@ -204,27 +218,54 @@ def _sums_of_length(y: np.ndarray, length: int, sums: dict[int, np.ndarray]) -> 
 
 
 def _best_analysis_position(
-    x: np.ndarray, norms: np.ndarray, nominal: int, ideal: int, cmp_len: int, tol: int
+    x: np.ndarray, denoms: np.ndarray, nominal: int, ideal: int, cmp_len: int, tol: int
 ) -> int:
     """Analysis start near ``nominal`` whose waveform best continues the previous frame.
 
     Scores candidates by normalized cross-correlation against the ideal
     continuation segment; ties resolve toward the nominal position so timing
-    stays faithful and the search is deterministic. ``norms[i]`` must be the
-    Euclidean norm of ``x[i : i + cmp_len]`` for every start ``i`` in
-    ``[0, len(x) - cmp_len]``, which must not be empty: ``time_stretch``
-    computes them once per call, as the square roots of ``_window_sums`` of the
-    squares, each equal bit for bit to NumPy's sum over that window's squares.
+    stays faithful and the search is deterministic. ``denoms[i]`` must be the
+    Euclidean norm of ``x[i : i + cmp_len]`` plus 1e-12 for every start ``i``
+    in ``[0, len(x) - cmp_len]``, which must not be empty: ``time_stretch``
+    computes them once per call, the norms as the square roots of
+    ``_window_sums`` of the squares, each sum equal bit for bit to NumPy's sum
+    over that window's squares. A candidate ties with the best when its score
+    falls short of the best score s by at most 1e-9 * max(1, |s|); the
+    nearest-to-nominal rule runs only when more than one candidate ties.
     """
     n = len(x)
     anchor = max(0, min(nominal, n - cmp_len))
     lo = max(0, anchor - tol)
     hi = min(n - cmp_len, anchor + tol)
     template = x[max(0, min(ideal, n - cmp_len)) :][:cmp_len]
-    scores = np.correlate(x[lo : hi + cmp_len], template, "valid") / (norms[lo : hi + 1] + 1e-12)
-    best = scores.max()
-    good = np.nonzero(scores >= best - 1e-9 * max(1.0, abs(best)))[0]
-    return int(lo + good[np.argmin(np.abs(good + lo - nominal))])
+    scores = np.correlate(x[lo : hi + cmp_len], template, "valid")
+    scores /= denoms[lo : hi + 1]
+    pick = scores.argmax()
+    best = scores.item(pick)
+    good = (scores >= best - 1e-9 * max(1.0, abs(best))).nonzero()[0]
+    if len(good) > 1:
+        pick = good[np.abs(good + (lo - nominal)).argmin()]
+    return lo + int(pick)
+
+
+def _overlap_add(x: np.ndarray, analysis: np.ndarray, synthesis: np.ndarray, n_out: int) -> np.ndarray:
+    """The first ``n_out`` samples of the Hann-windowed frames of ``x`` added at their synthesis starts, normalized.
+
+    Frame k is ``x[analysis[k] : analysis[k] + WINDOW_SAMPLES]``, zero-padded
+    where it runs past the clip, and lands at ``synthesis[k]``. Each output
+    sample is the sum of its windowed samples over the sum of its window
+    values (at least 1e-12). One ``np.bincount`` over the frame-major sample
+    index adds each sum in frame order, from 0.0, as a ``+=`` per frame would,
+    so the result is the same bit for bit.
+    """
+    frame = WINDOW_SAMPLES
+    frames = sliding_window_view(np.concatenate([x, np.zeros(frame)]), frame)[analysis]
+    frames *= _WINDOW
+    index = (synthesis[:, None] + np.arange(frame)).ravel()
+    acc = np.bincount(index, frames.ravel(), minlength=n_out)[:n_out]
+    norm = np.bincount(index, np.tile(_WINDOW, len(synthesis)), minlength=n_out)[:n_out]
+    acc /= np.maximum(norm, 1e-12)
+    return acc
 
 
 def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
@@ -235,16 +276,24 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     window, with the accumulated window sum normalizing each output sample.
     Re-spacing alone would scramble the phase of periodic content, so each
     analysis position is refined by a bounded waveform-similarity search
-    against the continuation of the previously placed frame. The norm of
-    every ``frame``-sample analysis window is computed once, up front, as
-    the square root of its sum of squares. ``_window_sums`` shares NumPy's
-    pairwise summation order between all windows, so each sum equals
-    NumPy's sum over that window bit for bit, not merely to within rounding;
-    running sums are avoided because their cancellation misstates
-    near-silent windows.
+    against the continuation of the previously placed frame. The positions
+    are searched one frame at a time, since each search starts from the frame
+    before; then ``_overlap_add`` adds every frame in one pass.
+
+    The search divides each candidate's correlation by its window's norm plus
+    1e-12. These denominators are computed once per call, for every
+    ``frame``-sample window, the norm as the square root of the window's sum
+    of squares. ``_window_sums`` shares NumPy's pairwise summation order
+    between all windows, so each sum equals NumPy's sum over that window bit
+    for bit, not merely to within rounding; running sums are avoided because
+    their cancellation misstates near-silent windows.
+
+    Raises ``ValueError`` naming the first NaN or infinite sample: no window
+    holding one has a score to compare.
     """
     if not 0.5 <= rate <= 2.0:
         raise ValueError(f"stretch rate must be in [0.5, 2.0], got {rate}")
+    _require_finite(clip.samples, "time_stretch")
     n = len(clip)
     if n == 0:
         return clip
@@ -253,13 +302,11 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     n_out = max(1, round(n / rate))
     n_frames = max(1, math.ceil(max(0, n_out - frame) / syn_hop) + 1)
 
-    window = _hann(frame)
-    buf_len = max(n_out, round((n_frames - 1) * syn_hop) + frame)
-    acc = np.zeros(buf_len)
-    norm = np.zeros(buf_len)
     x = clip.samples
     # a clip shorter than one frame is never searched (every frame is a tail frame)
-    norms = np.sqrt(_window_sums(x * x, frame)) if n >= frame else None
+    denoms = np.sqrt(_window_sums(x * x, frame)) + 1e-12 if n >= frame else None
+    analysis = []
+    synthesis = []
     prev_ana = prev_syn = 0
     for k in range(n_frames):
         syn = round(k * syn_hop)
@@ -273,15 +320,11 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
             ana = nominal
         else:
             ideal = prev_ana + (syn - prev_syn)
-            ana = _best_analysis_position(x, norms, nominal, ideal, frame, tol)
-        chunk = x[ana : ana + frame]
-        if len(chunk) < frame:
-            chunk = np.pad(chunk, (0, frame - len(chunk)))
-        acc[syn : syn + frame] += window * chunk
-        norm[syn : syn + frame] += window
+            ana = _best_analysis_position(x, denoms, nominal, ideal, frame, tol)
+        analysis.append(ana)
+        synthesis.append(syn)
         prev_ana, prev_syn = ana, syn
-    out = acc[:n_out] / np.maximum(norm[:n_out], 1e-12)
-    return AudioClip(_clipped(out))
+    return AudioClip(_clipped(_overlap_add(x, np.array(analysis), np.array(synthesis), n_out)))
 
 
 def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
@@ -344,7 +387,12 @@ def augment_dataset(
 
     Selection is by language and split (None means no filtering on that axis).
     The output manifest, ``out_dir / "manifest.jsonl"``, lists every original
-    entry (paths re-relativized to out_dir) followed by the augmented entries.
+    entry followed by the augmented entries. An original's path is the
+    relative path from the resolved ``out_dir`` to the resolved directory of
+    ``manifest_in``, joined to its path there, and each selected input is
+    read from that resolved directory. The two directories are resolved once
+    per call and the entries' own paths never, so a path that runs through a
+    symbolic link still runs through it.
     Each file's seed is derived from (spec.seed, entry id), so reruns are
     byte-identical regardless of order. Inputs ``read_wav`` cannot read or
     refuses (an empty or truncated WAV among them) are recorded as failures
@@ -369,14 +417,15 @@ def augment_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # originals keep pointing at their source files, re-relativized to out_dir
-    out_root = out_dir.resolve()
-    out_entries = [replace(e, wav=os.path.relpath(resolve_wav(manifest_in, e), out_root)) for e in entries]
+    src_root = manifest_in.parent.resolve()
+    to_src = os.path.relpath(src_root, out_dir.resolve())
+    out_entries = [replace(e, wav=os.path.join(to_src, e.wav)) for e in entries]
 
     failures = []
     augmented = []
     for e, ids in zip(selected, new_ids):
         try:
-            clip = read_wav(resolve_wav(manifest_in, e))
+            clip = read_wav(src_root / e.wav)
         except (DataFormatError, OSError) as err:
             failures.append((e.id, str(err)))
             continue

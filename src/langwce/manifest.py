@@ -107,7 +107,3 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> Path:
         for e in entries:
             f.write(json.dumps({k: getattr(e, k) for k in keys}) + "\n")
     return path
-
-
-def resolve_wav(manifest_path: str | Path, entry: ManifestEntry) -> Path:
-    return (Path(manifest_path).parent / entry.wav).resolve()

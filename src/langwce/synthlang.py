@@ -316,7 +316,7 @@ def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSp
         if entry.lang not in by_name:
             raise DataFormatError(f"{manifest_path}: entry {entry.id!r}: unknown language {entry.lang!r}")
         try:
-            # the path the OS opens is the one resolve_wav would name; resolving it costs a stat per component
+            # opened as the manifest names it: the OS follows any link, and resolving it first would cost a stat per component
             feats = featurize(read_wav(corpus_dir / entry.wav))
             labels = frame_labels(entry.text, feats.n_frames)
         except (DataFormatError, OSError, ValueError) as e:

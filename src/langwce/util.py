@@ -54,10 +54,17 @@ def require_ints(obj, *names: str) -> None:
 
 
 def require_finite_reals(obj, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names`` that is not a finite real (a bool is not)."""
+    """Raise ``ValueError`` naming the first of ``obj``'s fields ``names`` that is not a finite real.
+
+    A bool is not a real here, and an int too large for a float is not finite.
+    """
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        try:
+            finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # math.isfinite found no float for an int this large
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 

@@ -7,8 +7,10 @@ measurements. The exceptions are references that a faster form in the
 package must reproduce bit for bit, each the package's first form:
 ``oracle_synthesize``, ``synthesize_utterance`` computing each symbol's tone
 on its own; ``oracle_best_analysis_position``, the waveform-similarity search of
-``audio.time_stretch`` per candidate; ``oracle_window_sums``, NumPy's sum
-over each window that ``audio._window_sums`` shares between windows;
+``audio.time_stretch`` per candidate; ``oracle_overlap_add``, the
+``+=`` per frame that ``audio._overlap_add`` does in one pass;
+``oracle_window_sums``, NumPy's sum over each window that
+``audio._window_sums`` shares between windows;
 ``oracle_featurize``, ``featurize`` with
 its filterbank basis built inline on every call; ``oracle_edit_distance``,
 the Levenshtein table filled by a three-way ``min`` per cell; and the model
@@ -16,10 +18,12 @@ kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
 ``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``. And
 ``example_inputs`` builds the (inputs, labels, sizes) that ``train_step``
 takes for any list of examples, with one ``build_inputs`` call, where
-``run_phase`` cuts them from a whole split's.
+``run_phase`` cuts them from a whole split's; and ``resolve_wav`` names the
+file a manifest entry opens, with every link resolved.
 """
 
 import wave
+from pathlib import Path
 
 import numpy as np
 
@@ -104,6 +108,25 @@ def oracle_best_analysis_position(x, nominal, ideal, cmp_len, tol):
     best = scores.max()
     good = np.nonzero(scores >= best - 1e-9 * max(1.0, abs(best)))[0]
     return int(lo + good[np.argmin(np.abs(good + lo - nominal))])
+
+
+def oracle_overlap_add(x, analysis, synthesis, n_out, window):
+    """``audio._overlap_add``: each windowed frame, zero-padded past the clip, added by ``+=`` in frame order."""
+    frame = len(window)
+    acc = np.zeros(max(n_out, max(synthesis) + frame))
+    norm = np.zeros_like(acc)
+    for ana, syn in zip(analysis, synthesis):
+        chunk = x[ana : ana + frame]
+        if len(chunk) < frame:
+            chunk = np.pad(chunk, (0, frame - len(chunk)))
+        acc[syn : syn + frame] += window * chunk
+        norm[syn : syn + frame] += window
+    return acc[:n_out] / np.maximum(norm[:n_out], 1e-12)
+
+
+def resolve_wav(manifest_path, entry):
+    """The absolute path, links resolved, of the file ``entry`` of the manifest at ``manifest_path`` names."""
+    return (Path(manifest_path).parent / entry.wav).resolve()
 
 
 def oracle_window_sums(y, frame):

@@ -19,7 +19,9 @@ from helpers import (
     dominant_frequency,
     make_tone,
     oracle_best_analysis_position,
+    oracle_overlap_add,
     oracle_window_sums,
+    resolve_wav,
     same_bits,
     write_wav_at_rate,
 )
@@ -37,7 +39,7 @@ from langwce.audio import (
     time_stretch,
     write_wav,
 )
-from langwce.manifest import ManifestEntry, read_manifest, resolve_wav, write_manifest
+from langwce.manifest import ManifestEntry, read_manifest, write_manifest
 from langwce.synthlang import make_languages, synthesize_utterance
 from langwce.util import DataFormatError
 
@@ -226,6 +228,14 @@ class TestTimeStretch:
         with pytest.raises(ValueError):
             time_stretch(make_tone(500), 2.5)
 
+    @pytest.mark.parametrize("n", [300, 4000])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, n, bad):
+        x = make_tone(500, seconds=n / 16000).samples.copy()
+        x[250] = bad
+        with pytest.raises(ValueError, match=f"^time_stretch: sample 250 is {bad}, not finite$"):
+            time_stretch(AudioClip(x), 1.1)
+
     def test_deterministic(self):
         clip = make_tone(1100)
         assert np.array_equal(time_stretch(clip, 1.3).samples, time_stretch(clip, 1.3).samples)
@@ -281,6 +291,44 @@ class TestStretchSearchOracle:
         out = time_stretch(clip, rate)
         assert len(out) == max(1, round(n / rate))
         assert np.array_equal(out.samples, oracle_time_stretch(clip, rate).samples)
+
+    # digital silence scores every candidate 0; a tone whose period is a whole number of
+    # samples (32, 16 and 8) scores a candidate one period away within the tie tolerance
+    @pytest.mark.parametrize("freq", [None, 500, 1000, 2000])
+    @pytest.mark.parametrize("rate", [0.5, 0.9, 1.1, 2.0])
+    def test_tied_candidates_resolve_toward_nominal(self, freq, rate):
+        clip = AudioClip(np.zeros(8000)) if freq is None else make_tone(freq, seconds=0.5)
+        assert same_bits(time_stretch(clip, rate).samples, oracle_time_stretch(clip, rate).samples)
+
+
+@st.composite
+def overlap_add_inputs(draw):
+    """A clip (perhaps shorter than one frame, perhaps holding -0.0), frame positions in it and an output length.
+
+    Analysis starts run anywhere in the clip, so frames near its end are
+    zero-padded; synthesis starts are in any order and may coincide.
+    """
+    n = draw(st.integers(1, 2 * FRAME))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 0.0, n)
+    x[rng.random(n) < draw(st.floats(0.0, 1.0))] = -0.0
+    n_frames = draw(st.integers(1, 8))
+    analysis = draw(st.lists(st.integers(0, n - 1), min_size=n_frames, max_size=n_frames))
+    synthesis = draw(st.lists(st.integers(0, 3 * FRAME), min_size=n_frames, max_size=n_frames))
+    n_out = draw(st.integers(1, max(synthesis) + FRAME + 10))
+    return x, np.array(analysis), np.array(synthesis), n_out
+
+
+class TestOverlapAdd:
+    @settings(max_examples=200, deadline=None)
+    @given(data=overlap_add_inputs())
+    def test_bit_identical_to_per_frame_adds(self, data):
+        x, analysis, synthesis, n_out = data
+        want = oracle_overlap_add(x, analysis, synthesis, n_out, audio._hann(FRAME))
+        assert same_bits(audio._overlap_add(x, analysis, synthesis, n_out), want)
+
+    def test_window_is_read_only(self):
+        assert not audio._WINDOW.flags.writeable
 
 
 # every row length below NumPy's 8-way unrolling and around it, leaves of 96 and
@@ -502,6 +550,20 @@ class TestAugmentDataset:
         assert all(e.split == "finetune" and e.lang == "L0" for e in aug)
         for e in entries:
             assert resolve_wav(out_manifest, e).exists()
+
+    def test_originals_open_the_same_files_through_a_linked_split(self, tmp_path):
+        manifest = build_tiny_corpus(tmp_path / "store", self.LAYOUT)
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "finetune").symlink_to(tmp_path / "store" / "finetune", target_is_directory=True)
+        (tmp_path / "corpus" / "test").symlink_to(tmp_path / "store" / "test", target_is_directory=True)
+        linked = write_manifest(tmp_path / "corpus" / "manifest.jsonl", read_manifest(manifest))
+        result = augment_dataset(linked, tmp_path / "aug", AugmentSpec(seed=5), languages={"L0"})
+        assert result.n_augmented == 3 and not result.failures
+        out_manifest = tmp_path / "aug" / "manifest.jsonl"
+        originals = [e for e in read_manifest(out_manifest) if not e.augmented]
+        assert [resolve_wav(out_manifest, e) for e in originals] == [resolve_wav(linked, e) for e in read_manifest(linked)]
+        # the paths run through the link, as the source manifest's do
+        assert all(e.wav.startswith(f"../corpus/{e.split}/") for e in originals)
 
     def test_empty_selection_keeps_manifest_content(self, tmp_path):
         manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)

@@ -65,7 +65,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be an int, got {re.escape(repr(value))}"):
             TrainConfig(**fields)
 
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, pytest.param(10**400, id="int-too-large-for-a-float")])
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match=f"^learning_rate must be a finite real number, got {rate}$"):
             TrainConfig(learning_rate=rate)

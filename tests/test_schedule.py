@@ -149,7 +149,14 @@ class TestDynamicWeight:
             DynamicSchedule(alpha=2.0, weight_cap=2.0)
 
     @pytest.mark.parametrize(
-        "name, value", [("alpha", math.nan), ("alpha", True), ("weight_cap", math.inf), ("weight_cap", "10")]
+        "name, value",
+        [
+            ("alpha", math.nan),
+            ("alpha", True),
+            pytest.param("alpha", 10**400, id="alpha-int-too-large-for-a-float"),
+            ("weight_cap", math.inf),
+            ("weight_cap", "10"),
+        ],
     )
     def test_mistyped_or_non_finite_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be a finite real number, got {re.escape(repr(value))}$"):

@@ -288,6 +288,7 @@ class TestCorpusConfig:
             (True, "must be a finite real number, got True"),
             (float("nan"), "must be a finite real number, got nan"),
             (float("inf"), "must be a finite real number, got inf"),
+            pytest.param(10**400, f"must be a finite real number, got {10**400}", id="int-too-large-for-a-float"),
             (0.0, r"must be in \(0, 1\], got 0.0"),
             (1.5, r"must be in \(0, 1\], got 1.5"),
         ],
@@ -454,6 +455,10 @@ class TestLoadCorpusMeta:
         "count-a-float": (_set_config(finetune_per_lang=2.5), "finetune_per_lang must be an int, got 2.5"),
         "n-langs-a-bool": (_set_config(n_langs=True), "n_langs must be an int, got True"),
         "low-fraction-a-string": (_set_config(low_fraction="0.1"), "low_fraction must be a finite real number, got '0.1'"),
+        "low-fraction-too-large-for-a-float": (
+            _set_config(low_fraction=10**400),
+            f"low_fraction must be a finite real number, got {10**400}$",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_META))
