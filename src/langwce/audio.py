@@ -1,8 +1,8 @@
 """Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
 A clip carries no rate of its own: ``read_wav`` refuses any other rate, a WAV with no samples, and
-one whose data chunk is shorter than its header declares; ``write_wav`` refuses a clip with no samples
-or with a NaN or infinite sample.
+one whose data chunk is shorter than its header declares. ``AudioClip`` alone holds the sample rule
+(at least one sample, each in [-1, 1]), so ``write_wav`` and the transforms take any clip as it is.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
 Every transform is a pure function of (input, parameters, seed) and hard-clips
@@ -40,7 +40,7 @@ NOISE_SIGMA_RANGE = (0.001, 0.01)
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono waveform in [-1, 1] at ``SAMPLE_RATE``."""
+    """Mono waveform at ``SAMPLE_RATE``; building one with no samples, or with one outside [-1, 1], raises ``ValueError``."""
 
     sample_rate: ClassVar[int] = SAMPLE_RATE  # not a field; the benchmark's tracer reads clip.sample_rate
     samples: np.ndarray
@@ -50,6 +50,12 @@ class AudioClip:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+        if len(samples) == 0:
+            raise ValueError("no samples")
+        # a NaN makes min() and max() NaN, which fails both comparisons
+        if not (samples.min() >= -1.0 and samples.max() <= 1.0):
+            i = int(np.flatnonzero(~(np.abs(samples) <= 1.0))[0])
+            raise ValueError(f"sample {i} is {samples[i]}, not in [-1, 1]")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -71,13 +77,6 @@ class AugmentSpec:
             raise ValueError(f"pitch_range_semitones must be a pair of ints, got {pitch!r}")
         if not -12 <= pitch[0] <= pitch[1] <= 12:
             raise ValueError(f"pitch_range_semitones: need -12 <= min <= max <= 12, got {pitch}")
-
-
-def _require_finite(samples: np.ndarray, where: str | Path) -> None:
-    """Raise ``ValueError`` naming ``where`` and the first sample that is NaN or infinite, if one is."""
-    if not np.isfinite(samples).all():
-        i = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise ValueError(f"{where}: sample {i} is {samples[i]}, not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +110,14 @@ def read_wav(path: str | Path) -> AudioClip:
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write ``clip`` quantized to 16 bits, clipping it to [-1, 1] first.
+    """Write ``clip`` quantized to 16 bits: each sample to the nearest multiple of 2^-15, ties to even.
 
-    Raises ``ValueError``, and writes nothing, when the clip has no samples
-    (``read_wav`` refuses such a file) or a sample that is NaN or infinite
-    (it has no 16-bit value: the cast would write a NaN as 0).
+    ``AudioClip`` holds every sample in [-1, 1], so each has a 16-bit value:
+    one that rounds to 1.0 is written as the largest, 1 - 2^-15.
     """
     path = Path(path)
-    if len(clip) == 0:
-        raise ValueError(f"{path}: no samples")
-    _require_finite(clip.samples, path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    scaled = np.rint(np.clip(clip.samples, -1.0, 1.0) * 32768.0)
-    ints = np.clip(scaled, -32768, 32767).astype("<i2")
+    ints = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
@@ -143,7 +137,10 @@ def apply_gain(clip: AudioClip, gain_db: float) -> AudioClip:
     """Scale by 10^(gain_db/20), hard-clipping at the write bound."""
     if not math.isfinite(gain_db):
         raise ValueError(f"gain must be finite, got {gain_db}")
-    factor = 10.0 ** (gain_db / 20.0)
+    try:
+        factor = 10.0 ** (gain_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"gain must give a finite factor 10^(gain/20), got {gain_db}") from None
     return AudioClip(_clipped(clip.samples * factor))
 
 
@@ -229,8 +226,9 @@ def _best_analysis_position(
     in ``[0, len(x) - cmp_len]``, which must not be empty: ``time_stretch``
     computes them once per call, the norms as the square roots of
     ``_window_sums`` of the squares, each sum equal bit for bit to NumPy's sum
-    over that window's squares. A candidate ties with the best when its score
-    falls short of the best score s by at most 1e-9 * max(1, |s|); the
+    over that window's squares. ``x`` holds a clip's samples, each in [-1, 1],
+    so every norm and score is finite. A candidate ties with the best when its
+    score falls short of the best score s by at most 1e-9 * max(1, |s|); the
     nearest-to-nominal rule runs only when more than one candidate ties.
     """
     n = len(x)
@@ -286,17 +284,12 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     of squares. ``_window_sums`` shares NumPy's pairwise summation order
     between all windows, so each sum equals NumPy's sum over that window bit
     for bit, not merely to within rounding; running sums are avoided because
-    their cancellation misstates near-silent windows.
-
-    Raises ``ValueError`` naming the first NaN or infinite sample: no window
-    holding one has a score to compare.
+    their cancellation misstates near-silent windows. A clip's samples are in
+    [-1, 1], so no sum of squares overflows and every score compares.
     """
     if not 0.5 <= rate <= 2.0:
         raise ValueError(f"stretch rate must be in [0.5, 2.0], got {rate}")
-    _require_finite(clip.samples, "time_stretch")
     n = len(clip)
-    if n == 0:
-        return clip
     frame, hop, tol = WINDOW_SAMPLES, HOP_SAMPLES, SEARCH_SAMPLES
     syn_hop = hop / rate
     n_out = max(1, round(n / rate))

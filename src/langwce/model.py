@@ -42,7 +42,8 @@ import numpy as np
 from . import loss as loss_mod
 from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
-from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta, load_examples
+from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta
+from .synthlang import load_examples  # unused here: kept only for the benchmark's tracer, which binds model.load_examples
 from .util import DataFormatError, DivergenceError, derive_seed, is_int, json_type, require_finite_reals, require_ints, require_keys
 
 CHECKPOINT_VERSION = 2
@@ -429,16 +430,18 @@ def run_phase(
     corpus_dir: str | Path,
     config: TrainConfig,
     start_model: AcousticModel | None = None,
-    dataset: dict[str, list[FrameExample]] | None = None,
+    *,
+    dataset: dict[str, list[FrameExample]],
 ) -> PhaseResult:
     """Train on one split (``pretrain`` or ``finetune``) with periodic validation.
 
     Pretraining starts from a fresh initialization; fine-tuning trains a copy
     of the shared pretrain model ``start_model`` and leaves it unchanged.
     Batches are sampled uniformly with replacement from the phase split,
-    deterministically in ``config.seed``. ``dataset`` may supply preloaded
-    featurized splits keyed by split name; a split it holds is used as given,
-    and an empty one raises ``DataFormatError``.
+    deterministically in ``config.seed``. ``dataset`` holds the featurized
+    splits by name: a missing ``phase`` or ``"valid"`` split raises
+    ``ValueError``, an empty one ``DataFormatError``. ``corpus_dir`` supplies
+    only ``corpus.json``, for the low language and the language names.
     """
     if phase not in ("pretrain", "finetune"):
         raise ValueError(f"phase must be 'pretrain' or 'finetune', got {phase!r}")
@@ -446,12 +449,12 @@ def run_phase(
     low_lang = corpus_cfg.low_lang
     lang_names = {l.id: l.name for l in languages}
 
-    dataset = dataset or {}
     for split in (phase, "valid"):
-        if split in dataset and not dataset[split]:
+        if split not in dataset:
+            raise ValueError(f"dataset has no {split!r} split")
+        if not dataset[split]:
             raise DataFormatError(f"preloaded split {split!r} has no utterances")
-    train_examples = dataset[phase] if phase in dataset else load_examples(corpus_dir, phase, languages)
-    valid_examples = dataset["valid"] if "valid" in dataset else load_examples(corpus_dir, "valid", languages)
+    train_examples, valid_examples = dataset[phase], dataset["valid"]
 
     if phase == "pretrain":
         if start_model is not None:

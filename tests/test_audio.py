@@ -46,6 +46,40 @@ from langwce.util import DataFormatError
 FRAME = 400  # 25 ms at 16 kHz
 
 
+def sine_with(index, value):
+    """A 4,000-sample sine with one sample replaced."""
+    x = make_tone(500, seconds=0.25).samples.copy()
+    x[index] = value
+    return x
+
+
+class TestAudioClip:
+    @pytest.mark.parametrize(
+        "samples, refusal",
+        [
+            ([], "^no samples$"),
+            ([0.5, math.nan], r"^sample 1 is nan, not in \[-1, 1\]$"),
+            ([0.5, 0.0, math.inf], r"^sample 2 is inf, not in \[-1, 1\]$"),
+            ([-math.inf, 0.5], r"^sample 0 is -inf, not in \[-1, 1\]$"),
+            # finite, but time_stretch's sum of squares of a window holding it overflows
+            (sine_with(1000, 1e200), r"^sample 1000 is 1e\+200, not in \[-1, 1\]$"),
+            ([0.0, 1 + 2**-52], r"^sample 1 is 1.0000000000000002, not in \[-1, 1\]$"),
+            ([-1 - 2**-52, 0.0], r"^sample 0 is -1.0000000000000002, not in \[-1, 1\]$"),
+            ([1.0], None),
+            ([-1.0], None),
+            ([-0.0], None),
+        ],
+        ids=["empty", "nan", "inf", "minus-inf", "1e200", "above-one", "below-minus-one", "one", "minus-one", "minus-zero"],
+    )
+    def test_sample_rule(self, samples, refusal):
+        # refusal is the message a clip of these samples is refused with, or None where it is built as given
+        if refusal is None:
+            assert same_bits(AudioClip(samples).samples, np.array(samples))
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                AudioClip(samples)
+
+
 class TestWavIO:
     def test_zero_clip_round_trips_exactly(self, tmp_path):
         clip = AudioClip(np.zeros(16000))
@@ -70,7 +104,7 @@ class TestWavIO:
         assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
 
     @settings(max_examples=200, deadline=None)
-    @given(samples=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=64))
+    @given(samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
     def test_reader_returns_writers_16_bit_quantization(self, samples):
         # the nearest multiple of 2^-15 (ties to even), the largest positive one 1 - 2^-15
         quantized = np.clip(np.round(np.array(samples) * 32768), -32768, 32767) / 32768
@@ -102,7 +136,7 @@ class TestWavIO:
 
     def test_empty_wav_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "empty.wav"
-        write_wav_at_rate(path, 16000, [])  # write_wav refuses an empty clip
+        write_wav_at_rate(path, 16000, [])  # an empty clip cannot be built
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: no samples$"):
             read_wav(path)
 
@@ -161,6 +195,12 @@ class TestApplyGain:
     def test_non_finite_gain_rejected(self):
         with pytest.raises(ValueError):
             apply_gain(make_tone(500), float("nan"))
+
+    @pytest.mark.parametrize("gain_db", [7000.0, 1e300])
+    def test_gain_whose_factor_overflows_rejected(self, gain_db):
+        message = rf"^gain must give a finite factor 10\^\(gain/20\), got {re.escape(str(gain_db))}$"
+        with pytest.raises(ValueError, match=message):
+            apply_gain(AudioClip([0.1, 0.0]), gain_db)
 
 
 class TestGaussianNoise:
@@ -231,10 +271,11 @@ class TestTimeStretch:
     @pytest.mark.parametrize("n", [300, 4000])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, n, bad):
+        # no window holding such a sample has a score to compare; the clip to stretch is refused when it is built
         x = make_tone(500, seconds=n / 16000).samples.copy()
         x[250] = bad
-        with pytest.raises(ValueError, match=f"^time_stretch: sample 250 is {bad}, not finite$"):
-            time_stretch(AudioClip(x), 1.1)
+        with pytest.raises(ValueError, match=rf"^sample 250 is {bad}, not in \[-1, 1\]$"):
+            AudioClip(x)
 
     def test_deterministic(self):
         clip = make_tone(1100)
@@ -443,6 +484,37 @@ class TestAugmentClip:
         for seed in range(5):
             out = augment_clip(clip, AugmentSpec(), sample_seed=seed)
             assert np.abs(out.samples).max() <= 1.0
+
+
+@st.composite
+def full_scale_clips(draw):
+    """A 16-bit-quantized clip with runs at full scale: exactly 1.0 or -1.0, here and there 2^-15 short of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    x = rng.integers(-32768, 32768, n) / 32768
+    for _ in range(draw(st.integers(1, 4))):
+        run = x[rng.integers(0, n) :][: rng.integers(1, 800)]
+        run[:] = rng.choice([-1.0, 1.0]) * rng.choice([1.0, 1.0 - 2**-15], len(run), p=[0.8, 0.2])
+    return AudioClip(x)
+
+
+class TestEveryClipObeysTheRule:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        clip=full_scale_clips(),
+        rate=st.floats(0.5, 2.0),
+        gain_db=st.floats(*audio.GAIN_RANGE_DB),
+        sigma=st.floats(*audio.NOISE_SIGMA_RANGE),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transforms_build_only_clips_in_range(self, clip, rate, gain_db, sigma, seed):
+        # a transform that let a sample past [-1, 1] would raise when it built its output clip
+        time_stretch(clip, rate)
+        for semitones in range(-12, 13):
+            pitch_shift(clip, semitones)
+        apply_gain(clip, gain_db)
+        add_gaussian_noise(clip, sigma, seed)
+        augment_clip(clip, AugmentSpec(pitch_range_semitones=(-12, 12)), seed)
 
 
 class TestAugmentGoldenBytes:

@@ -692,79 +692,93 @@ class TestCheckpoint:
             load_checkpoint(path, expect_config=other)
 
 
+@pytest.fixture(scope="session")
+def tiny_dataset(tiny_corpus):
+    """The tiny corpus's featurized splits by name, loaded once: the dataset ``run_phase`` takes."""
+    return {split: load_examples(tiny_corpus, split, TINY_LANGS) for split in ("pretrain", "finetune", "valid")}
+
+
 class TestRunPhase:
     CFG = TrainConfig(total_steps=60, batch_size=4, eval_every=30, seed=41)
 
-    def test_deterministic_across_runs(self, tiny_corpus):
-        a = run_phase("pretrain", tiny_corpus, self.CFG)
-        b = run_phase("pretrain", tiny_corpus, self.CFG)
+    def test_deterministic_across_runs(self, tiny_corpus, tiny_dataset):
+        a = run_phase("pretrain", tiny_corpus, self.CFG, dataset=tiny_dataset)
+        b = run_phase("pretrain", tiny_corpus, self.CFG, dataset=tiny_dataset)
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
         assert a.metrics == b.metrics
 
-    def test_finetune_requires_start_model(self, tiny_corpus):
+    def test_finetune_requires_start_model(self, tiny_corpus, tiny_dataset):
         with pytest.raises(ValueError):
-            run_phase("finetune", tiny_corpus, self.CFG)
+            run_phase("finetune", tiny_corpus, self.CFG, dataset=tiny_dataset)
 
-    def test_pretrain_rejects_start_model(self, tiny_corpus):
+    def test_pretrain_rejects_start_model(self, tiny_corpus, tiny_dataset):
         m = init_model(ModelConfig(n_langs=3), seed=1)
         with pytest.raises(ValueError):
-            run_phase("pretrain", tiny_corpus, self.CFG, start_model=m)
+            run_phase("pretrain", tiny_corpus, self.CFG, start_model=m, dataset=tiny_dataset)
 
-    def test_finetune_leaves_start_model_unchanged(self, tiny_corpus, tmp_path):
+    def test_finetune_leaves_start_model_unchanged(self, tiny_corpus, tiny_dataset, tmp_path):
         # so two fine-tunes from one model in memory equal two from reloaded checkpoints
-        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41))
+        pre = run_phase(
+            "pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41), dataset=tiny_dataset
+        )
         before = copy.deepcopy(pre.model)
         ckpt = save_checkpoint(pre.model, {}, tmp_path / "pre.json")
         cfg = TrainConfig(total_steps=10, batch_size=4, eval_every=10, seed=43)
-        in_memory = [run_phase("finetune", tiny_corpus, cfg, start_model=pre.model).model for _ in range(2)]
+        in_memory = [
+            run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset).model for _ in range(2)
+        ]
         for name, value in before.parameters().items():
             assert same_bits(getattr(pre.model, name), value), name
         for ft in in_memory:
-            reloaded = run_phase("finetune", tiny_corpus, cfg, start_model=load_checkpoint(ckpt)[0]).model
+            reloaded = run_phase(
+                "finetune", tiny_corpus, cfg, start_model=load_checkpoint(ckpt)[0], dataset=tiny_dataset
+            ).model
             assert ft is not pre.model
             for name, value in reloaded.parameters().items():
                 assert same_bits(getattr(ft, name), value), name
 
-    def test_language_count_mismatch_names_corpus_json(self, tiny_corpus):
+    def test_language_count_mismatch_names_corpus_json(self, tiny_corpus, tiny_dataset):
         m = init_model(ModelConfig(n_langs=6), seed=1)
         message = rf"^{re.escape(str(tiny_corpus / 'corpus.json'))}: model expects 6 languages but corpus has 3$"
         with pytest.raises(DataFormatError, match=message):
-            run_phase("finetune", tiny_corpus, self.CFG, start_model=m)
+            run_phase("finetune", tiny_corpus, self.CFG, start_model=m, dataset=tiny_dataset)
 
-    def test_linear_weight_is_one_before_ramp(self, tiny_corpus):
+    def test_linear_weight_is_one_before_ramp(self, tiny_corpus, tiny_dataset):
         weighting = Weighting(
             WeightMode.LINEAR, linear=LinearSchedule(alpha_ini=4.0, alpha_fin=5.0, t_min=30, t_total=60)
         )
         cfg = TrainConfig(total_steps=60, batch_size=4, eval_every=30, seed=41, weighting=weighting)
-        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=30, batch_size=4, eval_every=30, seed=41))
-        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
+        pre = run_phase(
+            "pretrain", tiny_corpus, TrainConfig(total_steps=30, batch_size=4, eval_every=30, seed=41), dataset=tiny_dataset
+        )
+        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
         train_rows = [r for r in out.metrics if r["split"] == "train"]
         assert all(r["applied_weight"] == 1.0 for r in train_rows if r["step"] < 30)
         assert any(r["applied_weight"] >= 4.0 for r in train_rows if r["step"] >= 30)
 
-    def test_loss_decreases_on_smoke_run(self, tiny_corpus):
+    def test_loss_decreases_on_smoke_run(self, tiny_corpus, tiny_dataset):
         cfg = TrainConfig(total_steps=200, batch_size=4, eval_every=200, seed=43)
-        out = run_phase("pretrain", tiny_corpus, cfg)
+        out = run_phase("pretrain", tiny_corpus, cfg, dataset=tiny_dataset)
         train = [r["loss"] for r in out.metrics if r["split"] == "train"]
         assert train[199] < train[0]
 
-    def test_validation_rows_cover_languages(self, tiny_corpus):
-        out = run_phase("pretrain", tiny_corpus, self.CFG)
+    def test_validation_rows_cover_languages(self, tiny_corpus, tiny_dataset):
+        out = run_phase("pretrain", tiny_corpus, self.CFG, dataset=tiny_dataset)
         valid_rows = [r for r in out.metrics if r["split"] == "valid"]
         assert {r["language"] for r in valid_rows} == {"L0", "L1", "L2"}
         assert {r["step"] for r in valid_rows} == {30, 60}
 
-    def test_validation_losses_shape(self, tiny_corpus):
-        examples = load_examples(tiny_corpus, "valid", TINY_LANGS)
+    def test_validation_losses_shape(self, tiny_dataset):
+        examples = tiny_dataset["valid"]
         m = init_model(ModelConfig(n_langs=3), seed=1)
         losses = validation_losses(m, _SplitInputs(m.config, examples))
         assert sorted(losses) == [0, 1, 2]
         assert all(v > 0 for v in losses.values())
 
-    def test_validation_losses_match_one_utterance_forward(self, tiny_corpus):
+    def test_validation_losses_match_one_utterance_forward(self, tiny_dataset):
         rng = np.random.default_rng(47)
-        examples = load_examples(tiny_corpus, "valid", TINY_LANGS)
+        examples = tiny_dataset["valid"]
         examples = [examples[i] for i in rng.permutation(len(examples))]
         m = init_model(ModelConfig(n_langs=3), seed=3)
         sums, counts = {}, {}
@@ -777,32 +791,42 @@ class TestRunPhase:
         assert validation_losses(m, _SplitInputs(m.config, examples)) == want
 
     @pytest.mark.parametrize("split", ["pretrain", "valid"])
-    def test_empty_preloaded_split_rejected(self, tiny_corpus, split):
-        data = {name: load_examples(tiny_corpus, name, TINY_LANGS) for name in ("pretrain", "valid")}
-        data[split] = []
+    def test_empty_preloaded_split_rejected(self, tiny_corpus, tiny_dataset, split):
         with pytest.raises(DataFormatError, match=f"preloaded split '{split}' has no utterances"):
-            run_phase("pretrain", tiny_corpus, self.CFG, dataset=data)
+            run_phase("pretrain", tiny_corpus, self.CFG, dataset={**tiny_dataset, split: []})
 
-    def test_validation_rows_carry_no_weight(self, tiny_corpus):
-        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=4, batch_size=4, eval_every=4, seed=41))
+    @pytest.mark.parametrize("phase, split", [("pretrain", "pretrain"), ("finetune", "finetune"), ("finetune", "valid")])
+    def test_missing_split_rejected(self, tiny_corpus, tiny_dataset, phase, split):
+        # run_phase trains only on the data it is given; it reads no split from disk
+        pre = init_model(ModelConfig(n_langs=3), seed=1) if phase == "finetune" else None
+        data = {name: examples for name, examples in tiny_dataset.items() if name != split}
+        with pytest.raises(ValueError, match=f"^dataset has no '{split}' split$"):
+            run_phase(phase, tiny_corpus, self.CFG, start_model=pre, dataset=data)
+
+    def test_validation_rows_carry_no_weight(self, tiny_corpus, tiny_dataset):
+        pre = run_phase(
+            "pretrain", tiny_corpus, TrainConfig(total_steps=4, batch_size=4, eval_every=4, seed=41), dataset=tiny_dataset
+        )
         dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
         cfg = TrainConfig(total_steps=4, batch_size=4, eval_every=2, seed=41, weighting=dynamic)
-        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
+        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
         valid_rows = [r for r in out.metrics if r["split"] == "valid"]
         assert len(valid_rows) == 6
         assert all("applied_weight" not in r for r in valid_rows)
         assert all("applied_weight" in r for r in out.metrics if r["split"] == "train")
 
-    def test_matches_replay_through_train_step(self, tiny_corpus):
+    def test_matches_replay_through_train_step(self, tiny_corpus, tiny_dataset):
         # run_phase gathers each batch's rows from its split's inputs; the replay
         # draws the same batches and builds each one's rows with its own build_inputs call
-        pre = run_phase("pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41))
+        pre = run_phase(
+            "pretrain", tiny_corpus, TrainConfig(total_steps=20, batch_size=4, eval_every=20, seed=41), dataset=tiny_dataset
+        )
         dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
         cfg = TrainConfig(total_steps=40, batch_size=5, eval_every=10, seed=43, weighting=dynamic)
         replay = copy.deepcopy(pre.model)
-        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model)
+        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
 
-        train, valid = load_examples(tiny_corpus, "finetune", TINY_LANGS), load_examples(tiny_corpus, "valid", TINY_LANGS)
+        train, valid = tiny_dataset["finetune"], tiny_dataset["valid"]
         valid_split = _SplitInputs(replay.config, valid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "batches", "finetune"))
         rows = []

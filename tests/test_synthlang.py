@@ -398,7 +398,7 @@ class TestLoadExamples:
             load_examples(tmp_path, "test", TINY_LANGS)
 
     def test_empty_wav_names_manifest_id_and_file(self, tmp_path):
-        write_wav_at_rate(tmp_path / "empty.wav", 16000, [])  # write_wav refuses an empty clip
+        write_wav_at_rate(tmp_path / "empty.wav", 16000, [])  # an empty clip cannot be built
         entry = ManifestEntry(id="empty-0", lang="L0", text="AB", wav="empty.wav", split="test")
         manifest = write_manifest(tmp_path / "manifest.jsonl", [entry])
         message = rf"^{re.escape(str(manifest))}: entry 'empty-0': {re.escape(str(tmp_path / 'empty.wav'))}: no samples$"
