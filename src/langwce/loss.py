@@ -22,22 +22,9 @@ autodiff framework underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class BatchLoss:
-    """A train step's weighted batch mean.
-
-    ``applied_weight`` is the step weight on the low-resource language; 1.0
-    when the batch holds none of its utterances.
-    """
-
-    weighted_mean: float
-    applied_weight: float = 1.0
 
 
 def segment_nll(logits: np.ndarray, labels: np.ndarray, sizes: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

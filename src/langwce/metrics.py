@@ -175,7 +175,8 @@ def build_tables(
 
     Rows follow ``run_order``, skipping runs ``run_wers`` lacks; ``pretrain_run``
     is in the WER table only. Each WER and row mean is rounded once, as rendered.
-    Raises ``ValueError`` when ``pretrain_run`` is not in ``run_order``, and
+    Raises ``ValueError`` when ``pretrain_run`` is not in ``run_order`` or a
+    baseline cell that table 2 divides by renders as ``0.00``, and
     ``DataFormatError`` when a run's languages differ from the baseline's.
     """
     if pretrain_run not in run_order:
@@ -201,6 +202,9 @@ def build_tables(
 
     # the low-resource language is column 1 and the mean the last column
     base = table1[1 + names.index(baseline)]
+    for i in (1, -1):
+        if float(base[i]) <= 0:
+            raise ValueError(f"baseline run {baseline!r} has {table1[0][i]} WER {base[i]}: no reduction is defined against it")
     table2 = [["run", "low_reduction_percent", "mean_reduction_percent"]]
     for row in table1[1:]:
         if row[0] != pretrain_run:

@@ -24,8 +24,11 @@ Training is plain SGD on the language-weighted batch loss. The loss and its
 gradient w.r.t. the logits come from ``loss.segment_nll`` and
 ``loss.logit_gradient``; the rest of the backward pass through the tanh layer
 is derived by hand here, and the test suite pins it against central finite
-differences. Everything runs in double precision, single-threaded, and is
-deterministic given the seeds.
+differences. Everything runs in double precision. Trained parameters are
+defined at one BLAS thread: OpenBLAS splits a long matrix product across its
+threads and rounds it differently, so a caller pins one thread with
+``OPENBLAS_NUM_THREADS=1`` before numpy is first imported, as ``bench/run.py``
+does. So pinned, training is deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from . import loss as loss_mod
-from .loss import BatchLoss
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta
 from .synthlang import load_examples  # unused here: kept only for the benchmark's tracer, which binds model.load_examples
@@ -245,7 +247,7 @@ def train_step(
     config: TrainConfig,
     low_lang: int,
     inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> BatchLoss:
+) -> None:
     """One SGD step on a batch of utterances; updates the model in place.
 
     ``inputs`` is the batch's (inputs, labels, sizes), in batch order, as
@@ -256,7 +258,7 @@ def train_step(
     consulted for the step weight (the dynamic scheduler sees this batch's
     unweighted language averages from ``loss.group_means``, treated as
     constants), and each low-resource utterance's loss is scaled by it;
-    otherwise weighting is a no-op and the recorded applied weight is 1.
+    otherwise every utterance weighs 1.
 
     Raises ``DivergenceError`` on a non-finite loss, on an unweighted mean
     utterance loss above ``LOSS_EXPLOSION_FACTOR * ln(len(SYMBOLS))``, or when the
@@ -283,12 +285,9 @@ def train_step(
 
     is_low = np.array([ex.lang == low_lang for ex in batch])
     utt_weights = np.ones(len(batch))
-    applied_weight = 1.0
     if is_low.any():
         means = loss_mod.group_means(per_sentence, is_low)
-        decision = config.weighting.decide(t, means[True], means.get(False, 0.0))
-        applied_weight = float(decision.value)
-        utt_weights[is_low] = applied_weight
+        utt_weights[is_low] = config.weighting.decide(t, means[True], means.get(False, 0.0)).value
 
     weighted_mean = loss_mod.combine_sentence_losses(per_sentence.tolist(), utt_weights)
     if not math.isfinite(weighted_mean):
@@ -310,7 +309,6 @@ def train_step(
             )
     for name, value in updated.items():
         getattr(model, name)[...] = value
-    return BatchLoss(weighted_mean, applied_weight)
 
 
 def validation_losses(model: AcousticModel, split: _SplitInputs) -> dict[int, float]:
@@ -422,7 +420,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
 @dataclass
 class PhaseResult:
     model: AcousticModel
-    metrics: list[dict]  # rows: step, split, language, loss; train rows also applied_weight
+    valid_losses: dict[int, dict[int, float]]  # evaluation step -> validation_losses at that step
 
 
 def run_phase(
@@ -441,13 +439,13 @@ def run_phase(
     deterministically in ``config.seed``. ``dataset`` holds the featurized
     splits by name: a missing ``phase`` or ``"valid"`` split raises
     ``ValueError``, an empty one ``DataFormatError``. ``corpus_dir`` supplies
-    only ``corpus.json``, for the low language and the language names.
+    only ``corpus.json``, for the low language and the language count. Only
+    ``validation_losses`` every ``config.eval_every`` steps is kept.
     """
     if phase not in ("pretrain", "finetune"):
         raise ValueError(f"phase must be 'pretrain' or 'finetune', got {phase!r}")
     corpus_cfg, languages = load_corpus_meta(corpus_dir)
     low_lang = corpus_cfg.low_lang
-    lang_names = {l.id: l.name for l in languages}
 
     for split in (phase, "valid"):
         if split not in dataset:
@@ -474,21 +472,10 @@ def run_phase(
     valid_split = _SplitInputs(model.config, valid_examples)
     rng = np.random.default_rng(derive_seed(config.seed, "batches", phase))
     n = len(train_examples)
-    rows = []
+    valid_losses = {}
     for t in range(1, config.total_steps + 1):
         idx = rng.integers(0, n, size=config.batch_size)
-        batch = [train_examples[i] for i in idx]
-        batch_loss = train_step(model, batch, t, config, low_lang, train_split.gather(idx))
-        rows.append(
-            {
-                "step": t,
-                "split": "train",
-                "language": "all",
-                "loss": batch_loss.weighted_mean,
-                "applied_weight": batch_loss.applied_weight,
-            }
-        )
+        train_step(model, [train_examples[i] for i in idx], t, config, low_lang, train_split.gather(idx))
         if t % config.eval_every == 0:
-            for lang_id, vloss in validation_losses(model, valid_split).items():
-                rows.append({"step": t, "split": "valid", "language": lang_names[lang_id], "loss": vloss})
-    return PhaseResult(model=model, metrics=rows)
+            valid_losses[t] = validation_losses(model, valid_split)
+    return PhaseResult(model=model, valid_losses=valid_losses)

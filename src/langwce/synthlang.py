@@ -304,8 +304,11 @@ def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSp
     cannot read or refuses (any format but 16-bit mono PCM at ``SAMPLE_RATE``,
     or no samples), whose text is empty or holds a symbol outside ``SYMBOLS``,
     or whose text has more symbols than its audio has frames raises
-    ``DataFormatError`` naming the manifest and the entry id.
+    ``DataFormatError`` naming the manifest and the entry id. A ``split`` not
+    in ``SPLITS`` raises ``ValueError`` before anything is read.
     """
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     corpus_dir = Path(corpus_dir)
     by_name = {l.name: l.id for l in languages}
     manifest_path = corpus_dir / "manifest.jsonl"

@@ -359,6 +359,18 @@ class TestTables:
         with pytest.raises(DataFormatError, match=message):
             build_tables(run_wers, low_lang="L0", baseline="WS-FT", run_order=["WS", "WS-FT", "LWCE"], pretrain_run="WS")
 
+    @pytest.mark.parametrize(
+        "wers, column",
+        [({"L0": 0.004, "L1": 6.0, "L2": 9.0}, "L0"), ({"L0": 0.01, "L1": 0.0, "L2": 0.0}, "mean")],
+        ids=["low-resource", "mean"],
+    )
+    def test_baseline_cell_rendered_zero_rejected(self, wers, column):
+        # table 2 divides by the baseline's rendered low-resource and mean cells
+        run_wers = {"WS-FT": wers, "LWCE": {"L0": 5.0, "L1": 10.0, "L2": 9.0}}
+        message = rf"^baseline run 'WS-FT' has {column} WER 0\.00: no reduction is defined against it$"
+        with pytest.raises(ValueError, match=message):
+            build_tables(run_wers, low_lang="L0", baseline="WS-FT", run_order=["WS", "WS-FT", "LWCE"], pretrain_run="WS")
+
     def test_pretrain_run_outside_run_order_rejected(self):
         # a misspelt pretrain run would otherwise put WS into table 2 as a regression against the baseline
         order = ["WS", "WS-FT"]

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,15 +276,17 @@ def weighted_objective(model, batch, weights):
     return total / len(batch)
 
 
-def analytic_gradients(model, batch, t, config, low_lang):
-    """Recover train_step's gradient from the SGD update on a copy."""
+def analytic_gradients(model, batch, t, config, low_lang, recorded):
+    """Recover train_step's gradient from the SGD update on a copy, and the low-resource weight it applied."""
     probe = copy.deepcopy(model)
-    bl = train_step(probe, batch, t, config, low_lang, example_inputs(model.config, batch))
+    n_decided = len(recorded.weights)
+    train_step(probe, batch, t, config, low_lang, example_inputs(model.config, batch))
     grads = {
         name: (getattr(model, name) - getattr(probe, name)) / config.learning_rate
         for name in ("W1", "b1", "W2", "b2")
     }
-    return grads, bl
+    applied = [w for _, w in recorded.weights[n_decided:]]
+    return grads, applied[0] if applied else 1.0
 
 
 def fd_gradients(model, batch, weights, h=1e-5):
@@ -311,6 +314,30 @@ def max_rel_err(a, b):
     return worst
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """What ``train_step`` decides and combines, in call order.
+
+    ``weights`` holds (t, value) of each ``Weighting.decide`` call, and
+    ``means`` each weighted batch mean ``loss.combine_sentence_losses`` returns.
+    """
+    seen = SimpleNamespace(weights=[], means=[])
+    decide, combine = Weighting.decide, loss_mod.combine_sentence_losses
+
+    def record_decide(self, t, *args):
+        decision = decide(self, t, *args)
+        seen.weights.append((t, decision.value))
+        return decision
+
+    def record_combine(*args):
+        seen.means.append(combine(*args))
+        return seen.means[-1]
+
+    monkeypatch.setattr(Weighting, "decide", record_decide)
+    monkeypatch.setattr(loss_mod, "combine_sentence_losses", record_combine)
+    return seen
+
+
 WEIGHTINGS = {
     "none": Weighting(),
     "constant": Weighting(WeightMode.CONSTANT, constant=2.5),
@@ -320,7 +347,7 @@ WEIGHTINGS = {
 
 
 class TestTrainStep:
-    def test_batch_without_low_language_is_unweighted(self):
+    def test_batch_without_low_language_is_unweighted(self, recorded):
         rng = np.random.default_rng(22)
         batch = fake_batch(rng, [0, 1, 0])
         cfg = TrainConfig(
@@ -328,23 +355,24 @@ class TestTrainStep:
             weighting=Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5)),
         )
         m = init_model(TINY_MODEL, seed=5)
-        bl = train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
-        assert bl.applied_weight == 1.0
+        train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+        assert recorded.weights == []
+        assert len(recorded.means) == 1
 
-    def test_per_sentence_matches_loss_module(self):
+    def test_per_sentence_matches_loss_module(self, recorded):
         rng = np.random.default_rng(23)
         batch = fake_batch(rng, [0, 1, 2])
         m = init_model(TINY_MODEL, seed=7)
         frozen = copy.deepcopy(m)
         cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2,
                           weighting=Weighting(WeightMode.CONSTANT, constant=3.0))
-        bl = train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+        train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
         # straight-line reference: per-frame log-softmax, mean over frames,
         # weight 3 on language 2, divided by the batch size
         per_sentence = [oracle_utterance_loss(frozen, ex) for ex in batch]
         weighted = sum((3.0 if ex.lang == 2 else 1.0) * l for ex, l in zip(batch, per_sentence)) / len(batch)
-        assert bl.weighted_mean == pytest.approx(weighted, abs=1e-12)
-        assert bl.applied_weight == 3.0
+        assert recorded.means == [pytest.approx(weighted, abs=1e-12)]
+        assert recorded.weights == [(1, 3.0)]
 
     @pytest.mark.parametrize("langs", [[2, 2, 2], [0, 2, 1, 0, 2, 1, 0, 1, 0, 1, 2, 0], [1] * 9 + [2] * 9])
     def test_scheduler_sees_masked_language_means(self, monkeypatch, langs):
@@ -364,14 +392,14 @@ class TestTrainStep:
         assert all(type(v) is float for v in seen[0][1:])
 
     @pytest.mark.parametrize("mode", sorted(WEIGHTINGS))
-    def test_gradients_match_finite_differences(self, mode):
+    def test_gradients_match_finite_differences(self, mode, recorded):
         rng = np.random.default_rng(29)
         for _ in range(3):
             batch = fake_batch(rng, [0, 2] if mode == "dynamic" else [int(rng.integers(0, 3)) for _ in range(2)])
             cfg = TrainConfig(total_steps=100, eval_every=100, batch_size=2, weighting=WEIGHTINGS[mode])
             m = init_model(TINY_MODEL, seed=int(rng.integers(1e6)))
-            analytic, bl = analytic_gradients(m, batch, t=5, config=cfg, low_lang=2)
-            numeric = fd_gradients(m, batch, {2: bl.applied_weight})
+            analytic, weight = analytic_gradients(m, batch, t=5, config=cfg, low_lang=2, recorded=recorded)
+            numeric = fd_gradients(m, batch, {2: weight})
             assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_matches_out_of_place_oracle_step(self):
@@ -434,7 +462,7 @@ class TestTrainStep:
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(m, name), getattr(before, name))
 
-    def test_large_weight_does_not_trip_explosion_bound(self):
+    def test_large_weight_does_not_trip_explosion_bound(self, recorded):
         # weight 200 lifts the weighted loss far past the bound while the
         # unweighted losses stay small: the bound must read the unweighted ones
         rng = np.random.default_rng(41)
@@ -444,8 +472,10 @@ class TestTrainStep:
         m = init_model(TINY_MODEL, seed=17)
         bound = LOSS_EXPLOSION_FACTOR * math.log(len(SYMBOLS))
         inputs = example_inputs(m.config, batch)
-        weighted = [train_step(m, batch, t, cfg, low_lang=2, inputs=inputs).weighted_mean for t in range(1, 51)]
-        assert max(weighted) > bound
+        for t in range(1, 51):
+            train_step(m, batch, t, cfg, low_lang=2, inputs=inputs)
+        assert len(recorded.means) == 50
+        assert max(recorded.means) > bound
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_update_raises_and_keeps_model(self):
@@ -465,10 +495,9 @@ class TestTrainStep:
         batch = [fake_example(rng, lang, n_frames=20) for lang in (0, 1, 2, 2)]
         cfg = TrainConfig(total_steps=500, eval_every=500, batch_size=4)
         m = init_model(ModelConfig(n_langs=3), seed=17)
-        final = None
         for t in range(1, 501):
-            final = train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
-        assert final.weighted_mean < 0.05
+            train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+        assert sum(oracle_utterance_loss(m, ex) for ex in batch) / len(batch) < 0.05
 
 
 class TestDecode:
@@ -706,7 +735,7 @@ class TestRunPhase:
         b = run_phase("pretrain", tiny_corpus, self.CFG, dataset=tiny_dataset)
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
-        assert a.metrics == b.metrics
+        assert a.valid_losses == b.valid_losses
 
     def test_finetune_requires_start_model(self, tiny_corpus, tiny_dataset):
         with pytest.raises(ValueError):
@@ -744,7 +773,7 @@ class TestRunPhase:
         with pytest.raises(DataFormatError, match=message):
             run_phase("finetune", tiny_corpus, self.CFG, start_model=m, dataset=tiny_dataset)
 
-    def test_linear_weight_is_one_before_ramp(self, tiny_corpus, tiny_dataset):
+    def test_linear_weight_is_one_before_ramp(self, tiny_corpus, tiny_dataset, recorded):
         weighting = Weighting(
             WeightMode.LINEAR, linear=LinearSchedule(alpha_ini=4.0, alpha_fin=5.0, t_min=30, t_total=60)
         )
@@ -752,22 +781,21 @@ class TestRunPhase:
         pre = run_phase(
             "pretrain", tiny_corpus, TrainConfig(total_steps=30, batch_size=4, eval_every=30, seed=41), dataset=tiny_dataset
         )
-        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
-        train_rows = [r for r in out.metrics if r["split"] == "train"]
-        assert all(r["applied_weight"] == 1.0 for r in train_rows if r["step"] < 30)
-        assert any(r["applied_weight"] >= 4.0 for r in train_rows if r["step"] >= 30)
+        recorded.weights.clear()
+        run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
+        assert all(w == 1.0 for t, w in recorded.weights if t < 30)
+        assert any(w >= 4.0 for t, w in recorded.weights if t >= 30)
 
-    def test_loss_decreases_on_smoke_run(self, tiny_corpus, tiny_dataset):
+    def test_loss_decreases_on_smoke_run(self, tiny_corpus, tiny_dataset, recorded):
         cfg = TrainConfig(total_steps=200, batch_size=4, eval_every=200, seed=43)
-        out = run_phase("pretrain", tiny_corpus, cfg, dataset=tiny_dataset)
-        train = [r["loss"] for r in out.metrics if r["split"] == "train"]
-        assert train[199] < train[0]
+        run_phase("pretrain", tiny_corpus, cfg, dataset=tiny_dataset)
+        assert len(recorded.means) == 200
+        assert recorded.means[199] < recorded.means[0]
 
     def test_validation_rows_cover_languages(self, tiny_corpus, tiny_dataset):
         out = run_phase("pretrain", tiny_corpus, self.CFG, dataset=tiny_dataset)
-        valid_rows = [r for r in out.metrics if r["split"] == "valid"]
-        assert {r["language"] for r in valid_rows} == {"L0", "L1", "L2"}
-        assert {r["step"] for r in valid_rows} == {30, 60}
+        assert list(out.valid_losses) == [30, 60]
+        assert all(list(losses) == [0, 1, 2] for losses in out.valid_losses.values())
 
     def test_validation_losses_shape(self, tiny_dataset):
         examples = tiny_dataset["valid"]
@@ -803,19 +831,7 @@ class TestRunPhase:
         with pytest.raises(ValueError, match=f"^dataset has no '{split}' split$"):
             run_phase(phase, tiny_corpus, self.CFG, start_model=pre, dataset=data)
 
-    def test_validation_rows_carry_no_weight(self, tiny_corpus, tiny_dataset):
-        pre = run_phase(
-            "pretrain", tiny_corpus, TrainConfig(total_steps=4, batch_size=4, eval_every=4, seed=41), dataset=tiny_dataset
-        )
-        dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
-        cfg = TrainConfig(total_steps=4, batch_size=4, eval_every=2, seed=41, weighting=dynamic)
-        out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
-        valid_rows = [r for r in out.metrics if r["split"] == "valid"]
-        assert len(valid_rows) == 6
-        assert all("applied_weight" not in r for r in valid_rows)
-        assert all("applied_weight" in r for r in out.metrics if r["split"] == "train")
-
-    def test_matches_replay_through_train_step(self, tiny_corpus, tiny_dataset):
+    def test_matches_replay_through_train_step(self, tiny_corpus, tiny_dataset, recorded):
         # run_phase gathers each batch's rows from its split's inputs; the replay
         # draws the same batches and builds each one's rows with its own build_inputs call
         pre = run_phase(
@@ -824,21 +840,25 @@ class TestRunPhase:
         dynamic = Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5))
         cfg = TrainConfig(total_steps=40, batch_size=5, eval_every=10, seed=43, weighting=dynamic)
         replay = copy.deepcopy(pre.model)
+        recorded.weights.clear()
+        recorded.means.clear()
         out = run_phase("finetune", tiny_corpus, cfg, start_model=pre.model, dataset=tiny_dataset)
+        ran = recorded.weights[:], recorded.means[:]
+        recorded.weights.clear()
+        recorded.means.clear()
 
         train, valid = tiny_dataset["finetune"], tiny_dataset["valid"]
         valid_split = _SplitInputs(replay.config, valid)
         rng = np.random.default_rng(derive_seed(cfg.seed, "batches", "finetune"))
-        rows = []
+        valid_losses = {}
         for t in range(1, cfg.total_steps + 1):
             batch = [train[i] for i in rng.integers(0, len(train), size=cfg.batch_size)]
-            bl = train_step(replay, batch, t, cfg, TINY.low_lang, example_inputs(replay.config, batch))
-            rows.append({"step": t, "split": "train", "language": "all", "loss": bl.weighted_mean,
-                         "applied_weight": bl.applied_weight})
+            train_step(replay, batch, t, cfg, TINY.low_lang, example_inputs(replay.config, batch))
             if t % cfg.eval_every == 0:
-                for lang, vloss in sorted(validation_losses(replay, valid_split).items()):
-                    rows.append({"step": t, "split": "valid", "language": f"L{lang}", "loss": vloss})
-        assert any(r.get("applied_weight", 1.0) > 1.0 for r in rows)
-        assert out.metrics == rows
+                valid_losses[t] = validation_losses(replay, valid_split)
+        assert any(w > 1.0 for _, w in recorded.weights)
+        assert ran == (recorded.weights, recorded.means)
+        assert len(recorded.means) == cfg.total_steps
+        assert out.valid_losses == valid_losses
         for name, value in replay.parameters().items():
             assert np.array_equal(getattr(out.model, name), value)

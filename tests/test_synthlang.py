@@ -355,11 +355,17 @@ class TestLoadExamples:
             assert set(ex.labels.tolist()) == {SYMBOLS.index(s) for s in ex.text}
         assert sorted({ex.lang for ex in examples}) == [0, 1, 2]
 
-    def test_missing_split_rejected(self, tiny_corpus):
-        from langwce.util import DataFormatError
+    def test_missing_split_rejected(self, tmp_path):
+        write_wav(tmp_path / "ok.wav", synthesize_utterance(TINY_LANGS[0], "AB"))
+        write_manifest(tmp_path / "manifest.jsonl", [ManifestEntry(id="ok-0", lang="L0", text="AB", wav="ok.wav", split="test")])
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(tmp_path))}: split 'valid' has no utterances$"):
+            load_examples(tmp_path, "valid", TINY_LANGS)
 
-        with pytest.raises(DataFormatError):
-            load_examples(tiny_corpus, "nope", TINY_LANGS)
+    def test_unknown_split_rejected_before_any_read(self, tmp_path):
+        # a misspelt split is a usage fault, not malformed data; the directory holds no manifest to read
+        message = r"^split must be one of \('pretrain', 'finetune', 'valid', 'test'\), got 'tset'$"
+        with pytest.raises(ValueError, match=message):
+            load_examples(tmp_path, "tset", TINY_LANGS)
 
     # case -> (the bad entry's text, the sample rate of its WAV of "AB"'s samples or None for
     # no WAV, what the error says); at 16 kHz the WAV has 20 frames
