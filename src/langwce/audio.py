@@ -1,7 +1,9 @@
 """Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
 
-A clip carries no rate of its own: ``read_wav`` refuses any other rate, a WAV with no samples, and
-one whose data chunk is shorter than its header declares. ``AudioClip`` alone holds the sample rule
+WAVs are read and written with ``struct`` alone, in one layout: ``RIFF``, ``WAVE``, a ``fmt `` chunk
+of format tag 1 (PCM), one channel, ``SAMPLE_RATE`` and 16 bits, then ``data`` (``read_wav`` and
+``write_wav`` give the exact bytes). So what ``read_wav`` accepts does not depend on the Python
+version. A clip carries no rate of its own. ``AudioClip`` alone holds the sample rule
 (at least one sample, each in [-1, 1]), so ``write_wav`` and the transforms take any clip as it is.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-import wave
+import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
@@ -83,46 +85,77 @@ class AugmentSpec:
 # WAV I/O (RIFF/WAVE, PCM code 1, 16-bit signed little-endian, mono)
 
 
+_CHUNK = struct.Struct("<4sI")  # chunk id and size
+_FMT = struct.Struct("<HHIIHH")  # format tag, channels, rate, byte rate, block align, bits
+_HEADER = struct.Struct("<4sI4s" + "4sI" + "HHIIHH" + "4sI")  # RIFF, size, WAVE; fmt chunk; data chunk header
+
+
 def read_wav(path: str | Path) -> AudioClip:
-    try:
-        with wave.open(str(path), "rb") as w:
-            if w.getcomptype() != "NONE":
-                raise DataFormatError(f"{path}: compressed WAV (comptype {w.getcomptype()}), need PCM")
-            if w.getnchannels() != 1:
-                raise DataFormatError(f"{path}: {w.getnchannels()} channels, need mono")
-            if w.getsampwidth() != 2:
-                raise DataFormatError(f"{path}: {8 * w.getsampwidth()}-bit samples, need 16-bit")
-            if w.getframerate() != SAMPLE_RATE:
-                raise DataFormatError(f"{path}: sampled at {w.getframerate()} Hz, need {SAMPLE_RATE} Hz")
-            raw = w.readframes(w.getnframes())
-            if len(raw) != 2 * w.getnframes():
-                raise DataFormatError(
-                    f"{path}: data chunk holds {len(raw)} of the {2 * w.getnframes()} bytes its header declares"
-                )
-    except wave.Error as e:
-        raise DataFormatError(f"{path}: not a readable RIFF/WAVE PCM file: {e}") from e
-    except EOFError as e:
-        raise DataFormatError(f"{path}: truncated WAV header") from e
-    if not raw:
+    """The samples of a 16-bit mono PCM WAV at ``SAMPLE_RATE``, each its 16-bit value / 2^15.
+
+    The file is read once. After ``RIFF``, its size (not checked) and ``WAVE``,
+    the chunks are walked up to the first ``data`` chunk, skipping any but
+    ``fmt `` and the pad byte after an odd size. ``fmt `` must hold at least 16
+    bytes: format tag 1 (WAVE_FORMAT_EXTENSIBLE, 0xFFFE, is refused), one
+    channel, ``SAMPLE_RATE``, any byte rate and block align, and 16 bits.
+    Raises ``DataFormatError`` naming the file for any other header, a header
+    cut short, ``data`` before ``fmt ``, a data chunk shorter than its header
+    declares, or no samples; an unreadable file raises ``OSError``.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise DataFormatError(f"{path}: not a RIFF/WAVE file")
+    pos, fmt = 12, None
+    while True:
+        if pos + _CHUNK.size > len(raw):
+            raise DataFormatError(f"{path}: truncated WAV header")
+        name, size = _CHUNK.unpack_from(raw, pos)
+        pos += _CHUNK.size
+        if name == b"data":
+            break
+        if name == b"fmt ":
+            if size < _FMT.size or pos + _FMT.size > len(raw):
+                raise DataFormatError(f"{path}: truncated WAV header")
+            fmt = _FMT.unpack_from(raw, pos)
+        pos += size + size % 2
+    if fmt is None:
+        raise DataFormatError(f"{path}: data chunk before fmt chunk")
+    tag, channels, rate, _, _, bits = fmt
+    if tag != 1:
+        raise DataFormatError(f"{path}: format tag {tag:#06x}, need PCM (0x0001)")
+    if channels != 1:
+        raise DataFormatError(f"{path}: {channels} channels, need mono")
+    if bits != 16:
+        raise DataFormatError(f"{path}: {bits}-bit samples, need 16-bit")
+    if rate != SAMPLE_RATE:
+        raise DataFormatError(f"{path}: sampled at {rate} Hz, need {SAMPLE_RATE} Hz")
+    n = size // 2  # an odd last byte holds no sample
+    if len(raw) - pos < 2 * n:
+        raise DataFormatError(f"{path}: data chunk holds {len(raw) - pos} of the {2 * n} bytes its header declares")
+    if n == 0:
         raise DataFormatError(f"{path}: no samples")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioClip(samples)
+    return AudioClip(np.frombuffer(raw, dtype="<i2", count=n, offset=pos) / 32768.0)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write ``clip`` quantized to 16 bits: each sample to the nearest multiple of 2^-15, ties to even.
 
     ``AudioClip`` holds every sample in [-1, 1], so each has a 16-bit value:
-    one that rounds to 1.0 is written as the largest, 1 - 2^-15.
+    one that rounds to 1.0 is written as the largest, 1 - 2^-15. One ``write``
+    stores the 44-byte header and the samples, the bytes ``wave`` writes:
+    ``RIFF``, 36 + the data size, ``WAVE``, a 16-byte ``fmt `` chunk (tag 1, one
+    channel, ``SAMPLE_RATE``, byte rate 2 * ``SAMPLE_RATE``, block align 2, 16
+    bits), then ``data`` and the data size.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ints = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(SAMPLE_RATE)
-        w.writeframes(ints.tobytes())
+    data = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    header = _HEADER.pack(
+        b"RIFF", 36 + len(data), b"WAVE", b"fmt ", _FMT.size, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data", len(data)
+    )
+    with open(path, "wb") as f:
+        f.write(header + data)
 
 
 # ---------------------------------------------------------------------------

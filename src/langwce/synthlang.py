@@ -235,37 +235,43 @@ class FrameFeatures:
         return self.values.shape[0]
 
 
-def _filterbank_basis() -> tuple[np.ndarray, np.ndarray]:
-    """[FRAME_SAMPLES x grid] cosine and sine projections at ``SAMPLE_RATE`` (read-only)."""
+def _filterbank_basis() -> np.ndarray:
+    """[FRAME_SAMPLES x 2 grid] cosine projections at ``SAMPLE_RATE``, then sine ones (read-only)."""
     n = np.arange(FRAME_SAMPLES)[:, None]
     omega = 2.0 * np.pi * np.asarray(FREQ_GRID)[None, :] / SAMPLE_RATE
-    basis = np.cos(n * omega), np.sin(n * omega)
-    for arr in basis:
-        arr.setflags(write=False)
+    basis = np.hstack([np.cos(n * omega), np.sin(n * omega)])
+    basis.setflags(write=False)
     return basis
 
 
-_COS_BASIS, _SIN_BASIS = _filterbank_basis()
+_BASIS = _filterbank_basis()
 
 
 def featurize(clip: AudioClip) -> FrameFeatures:
     """Per-frame Goertzel energies at the grid frequencies, then ln(1 + E), normalized.
 
-    Frames are ``FRAME_SAMPLES`` long with no overlap; the energies are
-    computed by direct projection, which equals the Goertzel recurrence value.
-    Each coordinate is then mean-variance normalized over the utterance
-    (coordinates with vanishing variance are left centered).
+    Frames are ``FRAME_SAMPLES`` long with no overlap. One product against
+    ``_BASIS``, the cosine and sine bases side by side, is squared in place,
+    and each frequency's two squares add to its Goertzel energy. Each coordinate
+    is then mean-variance normalized over the utterance (coordinates with
+    vanishing variance are left centered). The log energies are centred once
+    and the standard deviation reuses the centred values; ``ndarray.mean`` and
+    ``ndarray.std`` do these same operations in this order, so the features
+    equal theirs bit for bit.
     Raises ``ValueError`` for a clip shorter than one frame.
     """
     n_frames = len(clip) // FRAME_SAMPLES
     if n_frames < 1:
         raise ValueError(f"clip too short to featurize: {len(clip)} samples < {FRAME_SAMPLES}")
     frames = clip.samples[: n_frames * FRAME_SAMPLES].reshape(n_frames, FRAME_SAMPLES)
-    energy = (frames @ _COS_BASIS) ** 2 + (frames @ _SIN_BASIS) ** 2
-    values = np.log1p(energy)
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)
-    return FrameFeatures(values=(values - mean) / np.where(std > 1e-12, std, 1.0))
+    projections = frames @ _BASIS
+    projections *= projections
+    grid = len(FREQ_GRID)
+    values = np.log1p(projections[:, :grid] + projections[:, grid:])
+    values -= values.sum(axis=0) / n_frames
+    std = np.sqrt((values * values).sum(axis=0) / n_frames)
+    values /= np.where(std > 1e-12, std, 1.0)
+    return FrameFeatures(values=values)
 
 
 def frame_labels(text: str, n_frames: int) -> np.ndarray:

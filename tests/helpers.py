@@ -12,7 +12,10 @@ on its own; ``oracle_best_analysis_position``, the waveform-similarity search of
 ``oracle_window_sums``, NumPy's sum over each window that
 ``audio._window_sums`` shares between windows;
 ``oracle_featurize``, ``featurize`` with
-its filterbank basis built inline on every call; ``oracle_edit_distance``,
+its cosine and sine bases built inline on every call and its normalization
+by ``ndarray.mean`` and ``ndarray.std``; ``wave_bytes``, the WAV file
+Python's ``wave`` module writes, which ``audio.write_wav`` must equal byte
+for byte and ``audio.read_wav`` must read as ``wave`` does; ``oracle_edit_distance``,
 the Levenshtein table filled by a three-way ``min`` per cell; and the model
 kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
 ``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``. And
@@ -22,6 +25,7 @@ takes for any list of examples, with one ``build_inputs`` call, where
 file a manifest entry opens, with every link resolved.
 """
 
+import io
 import wave
 from pathlib import Path
 
@@ -50,13 +54,20 @@ def make_tone(freq, seconds=1.0, amplitude=0.5, ramp_ms=5.0):
     return AudioClip(x)
 
 
-def write_wav_at_rate(path, rate, samples):
-    """A 16-bit mono PCM WAV of ``samples`` (floats in [-1, 1]) at any rate, written with ``wave`` alone."""
-    with wave.open(str(path), "wb") as w:
+def wave_bytes(ints, rate=SAMPLE_RATE):
+    """The 16-bit mono PCM WAV file that ``wave`` writes for the sample values ``ints`` at ``rate``."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(rate)
-        w.writeframes(np.rint(np.asarray(samples) * 32767).astype("<i2").tobytes())
+        w.writeframes(np.asarray(ints, dtype="<i2").tobytes())
+    return buf.getvalue()
+
+
+def write_wav_at_rate(path, rate, samples):
+    """A 16-bit mono PCM WAV of ``samples`` (floats in [-1, 1]) at any rate, written with ``wave`` alone."""
+    Path(path).write_bytes(wave_bytes(np.rint(np.asarray(samples) * 32767), rate))
 
 
 def dominant_frequency(clip, fmin=50.0):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     oracle_window_sums,
     resolve_wav,
     same_bits,
+    wave_bytes,
     write_wav_at_rate,
 )
 
@@ -44,6 +45,7 @@ from langwce.synthlang import make_languages, synthesize_utterance
 from langwce.util import DataFormatError
 
 FRAME = 400  # 25 ms at 16 kHz
+PCM_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)  # a 16-byte fmt chunk read_wav accepts
 
 
 def sine_with(index, value):
@@ -51,6 +53,14 @@ def sine_with(index, value):
     x = make_tone(500, seconds=0.25).samples.copy()
     x[index] = value
     return x
+
+
+def riff(chunks):
+    """A RIFF/WAVE file of ``chunks`` (id, payload) in order, each payload of odd size followed by its pad byte."""
+    body = b"WAVE" + b"".join(
+        name + struct.pack("<I", len(payload)) + payload + bytes(len(payload) % 2) for name, payload in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 class TestAudioClip:
@@ -173,6 +183,69 @@ class TestWavIO:
         message = rf"^{re.escape(str(path))}: data chunk holds {kept} of the 2000 bytes its header declares$"
         with pytest.raises(DataFormatError, match=message):
             read_wav(path)
+
+    def test_extensible_format_rejected_naming_the_file(self, tmp_path):
+        # WAVE_FORMAT_EXTENSIBLE holding 16-bit mono PCM: some Python versions' wave reads it, read_wav never does
+        path = tmp_path / "extensible.wav"
+        pcm_guid = bytes.fromhex("0100000000001000800000aa00389b71")
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 4) + pcm_guid
+        path.write_bytes(riff([(b"fmt ", fmt), (b"data", bytes(4))]))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: format tag 0xfffe, need PCM \(0x0001\)$"):
+            read_wav(path)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "not a RIFF/WAVE file"),
+            (b"RIFX" + riff([(b"fmt ", PCM_FMT), (b"data", bytes(4))])[4:], "not a RIFF/WAVE file"),
+            (riff([(b"data", bytes(4)), (b"fmt ", PCM_FMT)]), "data chunk before fmt chunk"),
+            (riff([(b"fmt ", PCM_FMT[:14]), (b"data", bytes(4))]), "truncated WAV header"),
+            (riff([(b"fmt ", PCM_FMT)]), "truncated WAV header"),
+            (riff([(b"fmt ", PCM_FMT[:14] + struct.pack("<H", 12)), (b"data", bytes(4))]), "12-bit samples, need 16-bit"),
+        ],
+        ids=["empty", "rifx", "data-before-fmt", "fmt-of-14-bytes", "no-data-chunk", "12-bit"],
+    )
+    def test_malformed_header_rejected_naming_the_file(self, tmp_path, content, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_wav(path)
+
+
+@st.composite
+def sample_values(draw):
+    """1 to 3,000 uniform 16-bit sample values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(-32768, 32768, draw(st.integers(1, 3000))).astype("<i2")
+
+
+class TestWavAgainstWave:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ints=sample_values(),
+        chunks=st.lists(
+            st.tuples(st.sampled_from([b"LIST", b"junk", b"fact", b"cue "]), st.binary(max_size=9)), max_size=3
+        ),
+        fmt_extra=st.sampled_from([b"", b"\x00\x00"]),  # an 18-byte fmt chunk ends in a zero cbSize
+    )
+    def test_reader_returns_the_samples_wave_reads(self, ints, chunks, fmt_extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.wav"
+            wav = wave_bytes(ints)  # its fmt chunk's payload is bytes 20-36, its samples follow byte 44
+            path.write_bytes(riff([(b"fmt ", wav[20:36] + fmt_extra), *chunks, (b"data", wav[44:])]))
+            with wave.open(str(path), "rb") as w:
+                expected = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2") / 32768.0
+            assert same_bits(read_wav(path).samples, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ints=sample_values())
+    @example(ints=np.array([0], dtype="<i2")).via("one sample")
+    @example(ints=np.array([-32768, 32767], dtype="<i2")).via("two samples, both extremes")
+    def test_writer_bytes_equal_what_wave_writes(self, ints):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.wav"
+            write_wav(path, AudioClip(ints / 32768.0))
+            assert path.read_bytes() == wave_bytes(ints)
 
 
 class TestApplyGain:

@@ -18,8 +18,7 @@ from conftest import TINY
 from langwce.audio import AudioClip, write_wav
 from langwce.manifest import ManifestEntry, read_manifest, write_manifest
 from langwce.synthlang import (
-    _COS_BASIS,
-    _SIN_BASIS,
+    _BASIS,
     _TONES,
     FRAME_SAMPLES,
     FRAMES_PER_SYMBOL,
@@ -199,13 +198,35 @@ class TestFeaturize:
         tone = synthesize_utterance(lang, "HACEB")
         noise = AudioClip(rng.uniform(-0.9, 0.9, 17 * FRAME_SAMPLES + 33))
         for clip in (tone, noise):
-            assert np.array_equal(featurize(clip).values, oracle_featurize(clip))
+            assert same_bits(featurize(clip).values, oracle_featurize(clip))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        r=st.integers(0, FRAME_SAMPLES - 1),
+        amplitude=st.floats(0.0, 1.0),
+        tiled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_inline_basis_oracle(self, k, r, amplitude, tiled, seed):
+        # a tiled clip repeats one frame, so every coordinate is constant over its frames
+        rng = np.random.default_rng(seed)
+        if tiled:
+            x = np.tile(rng.uniform(-amplitude, amplitude, FRAME_SAMPLES), k + 1)[: k * FRAME_SAMPLES + r]
+        else:
+            x = rng.uniform(-amplitude, amplitude, k * FRAME_SAMPLES + r)
+        clip = AudioClip(x)
+        values = featurize(clip).values
+        assert same_bits(values, oracle_featurize(clip))
+        if tiled:  # every coordinate took the std <= 1e-12 branch: centred, not scaled up
+            assert np.abs(values).max() <= 1e-12
 
     def test_cached_basis_is_read_only(self):
-        for basis in (_COS_BASIS, _SIN_BASIS):
-            with pytest.raises(ValueError, match="read-only"):
-                basis[0, 0] = 1.0
-        assert _COS_BASIS[0, 0] == 1.0 and _SIN_BASIS[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            _BASIS[0, 0] = 1.0
+        grid = len(FREQ_GRID)
+        assert _BASIS.shape == (FRAME_SAMPLES, 2 * grid)
+        assert np.all(_BASIS[0, :grid] == 1.0) and np.all(_BASIS[0, grid:] == 0.0)
 
     def test_cached_tones_are_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
