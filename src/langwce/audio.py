@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .manifest import ManifestEntry, read_manifest, repeated_id, write_manifest
-from .util import DataFormatError, derive_seed, is_int, require_ints
+from .util import DataFormatError, derive_seed, is_int, read_file, require_ints, write_file
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400  # overlap-add analysis window, 25 ms
@@ -98,12 +98,11 @@ def read_wav(path: str | Path) -> AudioClip:
     ``fmt `` and the pad byte after an odd size. ``fmt `` must hold at least 16
     bytes: format tag 1 (WAVE_FORMAT_EXTENSIBLE, 0xFFFE, is refused), one
     channel, ``SAMPLE_RATE``, any byte rate and block align, and 16 bits.
-    Raises ``DataFormatError`` naming the file for any other header, a header
-    cut short, ``data`` before ``fmt ``, a data chunk shorter than its header
-    declares, or no samples; an unreadable file raises ``OSError``.
+    Raises ``DataFormatError`` naming the file when it cannot be read, for any
+    other header, a header cut short, ``data`` before ``fmt ``, a data chunk
+    shorter than its header declares, or no samples.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    raw = read_file(path, "WAV file", text=False)
     if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise DataFormatError(f"{path}: not a RIFF/WAVE file")
     pos, fmt = 12, None
@@ -148,14 +147,11 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     channel, ``SAMPLE_RATE``, byte rate 2 * ``SAMPLE_RATE``, block align 2, 16
     bits), then ``data`` and the data size.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     data = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
     header = _HEADER.pack(
         b"RIFF", 36 + len(data), b"WAVE", b"fmt ", _FMT.size, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data", len(data)
     )
-    with open(path, "wb") as f:
-        f.write(header + data)
+    write_file(path, header + data)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +416,8 @@ def augment_dataset(
     per call and the entries' own paths never, so a path that runs through a
     symbolic link still runs through it.
     Each file's seed is derived from (spec.seed, entry id), so reruns are
-    byte-identical regardless of order. Inputs ``read_wav`` cannot read or
-    refuses (an empty or truncated WAV among them) are recorded as failures
+    byte-identical regardless of order. Inputs ``read_wav`` refuses (an
+    unreadable, empty or truncated WAV among them) are recorded as failures
     and skipped. An unreadable or malformed manifest, or
     one holding an id a copy would get (``<id>-aug<k>``), raises
     ``DataFormatError`` before ``out_dir`` is created.
@@ -452,7 +448,7 @@ def augment_dataset(
     for e, ids in zip(selected, new_ids):
         try:
             clip = read_wav(src_root / e.wav)
-        except (DataFormatError, OSError) as err:
+        except DataFormatError as err:
             failures.append((e.id, str(err)))
             continue
         for aug_id in ids:

@@ -1,9 +1,9 @@
 """JSONL corpus manifests.
 
-One record per line, its keys in sorted order: {"id", "lang", "text", "wav",
-"split", "augmented"}, all strings except the boolean "augmented". A manifest
-holds at least one record, and no two records share an id.
-WAV paths are stored relative to the manifest file's directory.
+One record per line, its keys in sorted order: {"id", "lang", "text", "wav", "split", "augmented"},
+all strings except the boolean "augmented". A line ends at \\n, \\r or \\r\\n, where ``readlines`` splits
+(``str.splitlines`` would also split a record's text at U+2028). A manifest holds at least one record,
+and no two records share an id. WAV paths are stored relative to the manifest file's directory.
 
 Each rule lives in one place: the field types in ``ManifestEntry``, the id
 rule in ``repeated_id`` and the key rule (a record holds exactly ``FIELDS``)
@@ -13,12 +13,13 @@ would refuse, and then writes nothing.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .util import JSON_TYPE_NAMES, DataFormatError, json_type, require_keys
+from .util import JSON_TYPE_NAMES, DataFormatError, json_type, read_file, require_keys, write_file
 
 FIELDS = {"id": str, "lang": str, "text": str, "wav": str, "split": str, "augmented": bool}
 
@@ -58,11 +59,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     field ``ManifestEntry`` refuses, or repeats an id.
     """
     path = Path(path)
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataFormatError(f"{path}: cannot read manifest: {e}") from e
+    lines = io.StringIO(read_file(path, "manifest"), newline="").readlines()
     entries = []
     linenos = []
     for lineno, line in enumerate(lines, 1):
@@ -101,9 +98,5 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> Path:
     if repeat:
         entry_id, first, again = repeat
         raise ValueError(f"{path}: id {entry_id!r} of entry {again} already belongs to entry {first}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    keys = sorted(FIELDS)
-    with open(path, "w") as f:
-        for e in entries:
-            f.write(json.dumps({k: getattr(e, k) for k in keys}) + "\n")
+    write_file(path, "".join(json.dumps({k: getattr(e, k) for k in sorted(FIELDS)}) + "\n" for e in entries))
     return path

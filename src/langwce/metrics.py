@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .util import DataFormatError, is_int
+from .manifest import repeated_id
+from .util import DataFormatError, is_int, read_file, write_file
 
 EVAL_FIELDS = ["run", "language", "n_utts", "total_ref_tokens", "total_edits"]
 
@@ -109,8 +110,7 @@ def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, edits
         data = text.getvalue().encode("utf-8")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
+    write_file(path, data)
 
 
 def read_eval_csv(path: str | Path) -> tuple[str, str, float]:
@@ -120,12 +120,8 @@ def read_eval_csv(path: str | Path) -> tuple[str, str, float]:
     other columns or rows, writes a count other than as a plain decimal, or
     holds counts that ``_check_counts`` refuses.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataFormatError(f"{path}: unreadable evaluation CSV: {e}") from e
+    reader = csv.DictReader(io.StringIO(read_file(path, "evaluation CSV"), newline=""))
+    rows = list(reader)
     if reader.fieldnames != EVAL_FIELDS or len(rows) != 1 or None in rows[0]:
         raise DataFormatError(f"{path}: expected one evaluation row with fields {EVAL_FIELDS}")
     try:
@@ -175,10 +171,13 @@ def build_tables(
 
     Rows follow ``run_order``, skipping runs ``run_wers`` lacks; ``pretrain_run``
     is in the WER table only. Each WER and row mean is rounded once, as rendered.
-    Raises ``ValueError`` when ``pretrain_run`` is not in ``run_order`` or a
-    baseline cell that table 2 divides by renders as ``0.00``, and
-    ``DataFormatError`` when a run's languages differ from the baseline's.
+    Raises ``ValueError`` when ``run_order`` lists a run twice or lacks
+    ``pretrain_run``, or a baseline cell that table 2 divides by renders as
+    ``0.00``, and ``DataFormatError`` when a run's languages differ from the baseline's.
     """
+    repeat = repeated_id(run_order)
+    if repeat:
+        raise ValueError(f"run {repeat[0]!r} is listed twice in the run order {list(run_order)}")
     if pretrain_run not in run_order:
         raise ValueError(f"pretrain run {pretrain_run!r} is not in the run order {list(run_order)}")
     names = [n for n in run_order if n in run_wers]
@@ -222,9 +221,13 @@ def report(
 ) -> dict[str, Path]:
     """Build report.md / table1.csv / table2.csv from the run dirs under runs_dir, in ``run_order``.
 
-    A listed run with no ``eval/`` directory is left out; an unlisted one raises ``DataFormatError``.
+    A listed run with no ``eval/`` directory is left out; an unlisted one, or a
+    ``runs_dir`` that cannot be listed, raises ``DataFormatError``.
     """
-    run_dirs = [p for p in sorted(Path(runs_dir).iterdir()) if (p / "eval").is_dir()]
+    try:
+        run_dirs = [p for p in sorted(Path(runs_dir).iterdir()) if (p / "eval").is_dir()]
+    except OSError as e:
+        raise DataFormatError(f"{runs_dir}: cannot list run directories: {e}") from e
     unlisted = [str(p) for p in run_dirs if p.name not in run_order]
     if unlisted:
         raise DataFormatError(f"{runs_dir}: run directories {unlisted} are not in the run order {list(run_order)}")
@@ -233,15 +236,15 @@ def report(
         raise DataFormatError(f"{runs_dir}: no run directories with evaluations")
     tables = build_tables(run_wers, low_lang=low_lang, baseline=baseline, run_order=run_order, pretrain_run=pretrain_run)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"report": out_dir / "report.md", "table1": out_dir / "table1.csv", "table2": out_dir / "table2.csv"}
     for key, rows in (("table1", tables.table1), ("table2", tables.table2)):
-        with open(paths[key], "w", newline="") as f:
-            csv.writer(f).writerows(rows)
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        write_file(paths[key], text.getvalue())
     md = ["# Benchmark results", ""]
     reductions = [["run", f"{low_lang} reduction", "mean reduction"], *tables.table2[1:]]
     for title, rows in (("Per-language WER (%)", tables.table1), (f"Relative WER reduction vs {baseline} (%)", reductions)):
         lines = ["| " + " | ".join(row) + " |" for row in rows]
         md += [f"## {title}", "", lines[0], "|" + "---|" * len(rows[0]), *lines[1:], ""]
-    paths["report"].write_text("\n".join(md))
+    write_file(paths["report"], "\n".join(md))
     return paths

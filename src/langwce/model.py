@@ -46,7 +46,8 @@ from . import loss as loss_mod
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta
 from .synthlang import load_examples  # unused here: kept only for the benchmark's tracer, which binds model.load_examples
-from .util import DataFormatError, DivergenceError, derive_seed, is_int, json_type, require_finite_reals, require_ints, require_keys
+from .util import DataFormatError, DivergenceError, derive_seed, is_int, json_type, read_file, write_file
+from .util import require_finite_reals, require_ints, require_keys
 
 CHECKPOINT_VERSION = 2
 _PARAM_NAMES = ("W1", "b1", "W2", "b2")
@@ -367,9 +368,7 @@ def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
         "params": {name: arr.tolist() for name, arr in model.parameters().items()},
         "meta": meta,
     }
-    text = json.dumps(payload, allow_nan=False)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    write_file(path, json.dumps(payload, allow_nan=False))
     return path
 
 
@@ -383,10 +382,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"{path}: unreadable checkpoint: {e}") from e
-    try:
+        payload = json.loads(read_file(path, "checkpoint"))
         require_keys("top level", payload, ("version", "model_config", "params", "meta"))
         version = payload["version"]
         if not is_int(version):

@@ -135,13 +135,17 @@ class Weighting:
     dynamic: DynamicSchedule | None = None
 
     def __post_init__(self):
+        if not isinstance(self.mode, WeightMode):
+            raise ValueError(f"mode must be a WeightMode, got {self.mode!r}")
         require_finite_reals(self, "constant")
         if self.constant < 1:
             raise ValueError(f"constant weight must be >= 1, got {self.constant}")
         if self.mode is not WeightMode.CONSTANT and self.constant != 1:
             raise ValueError(f"{self.mode.name} weighting does not read constant={self.constant}")
-        for mode, name in ((WeightMode.LINEAR, "linear"), (WeightMode.DYNAMIC, "dynamic")):
+        for mode, name, kind in ((WeightMode.LINEAR, "linear", LinearSchedule), (WeightMode.DYNAMIC, "dynamic", DynamicSchedule)):
             schedule = getattr(self, name)
+            if schedule is not None and not isinstance(schedule, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {schedule!r}")
             if self.mode is mode and schedule is None:
                 raise ValueError(f"{mode.name} weighting requires a {name} schedule")
             if self.mode is not mode and schedule is not None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, read_wav, write_wav
 from .manifest import ManifestEntry, read_manifest, write_manifest
-from .util import DataFormatError, derive_seed, require_finite_reals, require_ints, require_keys
+from .util import DataFormatError, derive_seed, read_file, require_finite_reals, require_ints, require_keys, write_file
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
@@ -195,7 +195,7 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
                 )
     entries.sort(key=lambda e: e.id)
     write_manifest(out_dir / "manifest.jsonl", entries)
-    (out_dir / "corpus.json").write_text(meta)
+    write_file(out_dir / "corpus.json", meta)
     return entries
 
 
@@ -208,14 +208,12 @@ def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[Languag
     read as its default), or when ``CorpusConfig`` rejects the config.
     """
     path = Path(corpus_dir) / "corpus.json"
-    if not path.exists():
-        raise DataFormatError(f"{corpus_dir}: missing corpus.json")
     try:
-        meta = json.loads(path.read_text())
+        meta = json.loads(read_file(path, "corpus metadata"))
         require_keys("top level", meta, ("config",))
         require_keys("config", meta["config"], _CORPUS_CONFIG_KEYS)
         config = CorpusConfig(**meta["config"])
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from e
     return config, make_languages(config.n_langs, config.seed)
 
@@ -328,7 +326,7 @@ def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSp
             # opened as the manifest names it: the OS follows any link, and resolving it first would cost a stat per component
             feats = featurize(read_wav(corpus_dir / entry.wav))
             labels = frame_labels(entry.text, feats.n_frames)
-        except (DataFormatError, OSError, ValueError) as e:
+        except (DataFormatError, ValueError) as e:
             raise DataFormatError(f"{manifest_path}: entry {entry.id!r}: {e}") from e
         examples.append(
             FrameExample(

@@ -1,4 +1,7 @@
-"""Shared plumbing: error types, config field checks, seed derivation and the key rule.
+"""Shared plumbing: error types, config field checks, seed derivation, the file rule and the key rule.
+
+The file rule, kept only by ``read_file`` and ``write_file``, which open every file the package reads
+or writes: text is UTF-8 whatever the locale, and a file that cannot be opened or decoded raises ``DataFormatError``.
 
 The key rule, checked only by ``require_keys``: a JSON object read from disk
 holds exactly the keys its writer writes. Each reader names its file.
@@ -9,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from pathlib import Path
 from typing import Collection
 
 
@@ -17,7 +21,7 @@ class UsageError(Exception):
 
 
 class DataFormatError(Exception):
-    """Malformed input data: a WAV file, manifest, checkpoint, evaluation CSV or corpus.json (exit code 2)."""
+    """Malformed or unreadable input data: a WAV file, manifest, checkpoint, evaluation CSV or corpus.json (exit code 2)."""
 
 
 class DivergenceError(Exception):
@@ -38,6 +42,24 @@ class DivergenceError(Exception):
     The message names the step, the criterion, and the offending value with
     its bound.
     """
+
+
+def read_file(path: str | Path, what: str, text: bool = True) -> str | bytes:
+    """``path``'s UTF-8 text, line ends as stored, or its bytes if not ``text``; else ``DataFormatError("<path>: cannot read <what>: …")``."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        return data.decode("utf-8") if text else data
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataFormatError(f"{path}: cannot read {what}: {e}") from e
+
+
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` to ``path``, text as UTF-8 with its line ends as given, creating the parent directory."""
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def is_int(value) -> bool:

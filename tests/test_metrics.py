@@ -237,13 +237,6 @@ class TestEvalCsv:
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: expected one evaluation row"):
             read_eval_csv(path)
 
-    def test_unreadable_file_names_csv(self, tmp_path):
-        undecodable = tmp_path / "L0.csv"
-        undecodable.write_bytes(b"run,language\n\xff\xfe\n")
-        for path in (undecodable, tmp_path / "missing.csv", tmp_path):
-            with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: unreadable evaluation CSV"):
-                read_eval_csv(path)
-
     @pytest.mark.parametrize("case", WRITER_CASES)
     def test_bad_counts_not_written(self, tmp_path, case):
         row, message = self.BAD_ROWS[case]
@@ -370,6 +363,17 @@ class TestTables:
         message = rf"^baseline run 'WS-FT' has {column} WER 0\.00: no reduction is defined against it$"
         with pytest.raises(ValueError, match=message):
             build_tables(run_wers, low_lang="L0", baseline="WS-FT", run_order=["WS", "WS-FT", "LWCE"], pretrain_run="WS")
+
+    def test_run_listed_twice_rejected(self):
+        # unchecked, FT's row would be rendered twice in both tables
+        with pytest.raises(ValueError, match=r"^run 'FT' is listed twice in the run order \['WS', 'FT', 'FT'\]$"):
+            build_tables({"FT": {"L0": 5.0}}, low_lang="L0", baseline="FT", run_order=["WS", "FT", "FT"], pretrain_run="WS")
+
+    def test_missing_runs_directory_rejected(self, tmp_path):
+        runs = tmp_path / "nonexistent_runs"
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(runs))}: cannot list run directories: "):
+            report(runs, tmp_path / "out", low_lang="L5", baseline="WS-FT", run_order=RUN_ORDER, pretrain_run="WS")
+        assert not (tmp_path / "out").exists()
 
     def test_pretrain_run_outside_run_order_rejected(self):
         # a misspelt pretrain run would otherwise put WS into table 2 as a regression against the baseline

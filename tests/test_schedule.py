@@ -242,6 +242,22 @@ class TestWeighting:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Weighting(**fields)
 
+    # case -> (the Weighting's fields, what the error says); each names a field whose value has the wrong type
+    MISTYPED = {
+        "mode-a-string": (dict(mode="linear", linear=PLAIN), "mode must be a WeightMode, got 'linear'"),
+        "dynamic-schedule-as-linear": (
+            dict(mode=WeightMode.LINEAR, linear=DynamicSchedule(1.5)),
+            re.escape("linear must be a LinearSchedule, got DynamicSchedule(alpha=1.5, weight_cap=10.0)"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED))
+    def test_mistyped_field_rejected_when_built(self, case):
+        # unchecked, the first refused a str's .name at once and the second at its first decide
+        fields, message = self.MISTYPED[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Weighting(**fields)
+
 
 class TestScheduleProperties:
     @settings(max_examples=300, deadline=None)
