@@ -1,19 +1,9 @@
-"""Deterministic waveform augmentation over one WAV format: 16-bit mono PCM at ``SAMPLE_RATE`` (16 kHz).
+"""Deterministic waveform augmentation for the low-resource language, and the corpus's one WAV format.
 
-WAVs are read and written with ``struct`` alone, in one layout: ``RIFF``, ``WAVE``, a ``fmt `` chunk
-of format tag 1 (PCM), one channel, ``SAMPLE_RATE`` and 16 bits, then ``data`` (``read_wav`` and
-``write_wav`` give the exact bytes). So what ``read_wav`` accepts does not depend on the Python
-version. A clip carries no rate of its own. ``AudioClip`` alone holds the sample rule
-(at least one sample, each in [-1, 1]), so ``write_wav`` and the transforms take any clip as it is.
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
-resample plus inverse stretch), gain in dB, and additive Gaussian noise.
-Every transform is a pure function of (input, parameters, seed) and hard-clips
-its output to [-1, 1], matching 16-bit write semantics. Per clip,
-``augment_clip`` draws a stretch rate in [0.9, 1.1], a gain in [-6, 6] dB and
-a noise sigma in [0.001, 0.01] (the fixed ranges below), and whole semitones
-from the one range ``AugmentSpec`` holds. The dataset pipeline derives one
-seed per file from the entry id, so augmented outputs do not depend on
-processing order.
+resample plus inverse stretch), gain in dB, and additive Gaussian noise. Each
+is a pure function of (clip, parameters, seed) and hard-clips its output, so
+that it is again an ``AudioClip``.
 """
 
 from __future__ import annotations
@@ -42,7 +32,10 @@ NOISE_SIGMA_RANGE = (0.001, 0.01)
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono waveform at ``SAMPLE_RATE``; building one with no samples, or with one outside [-1, 1], raises ``ValueError``."""
+    """Mono waveform at ``SAMPLE_RATE``; building one with no samples, or with one outside [-1, 1], raises ``ValueError``.
+
+    This is the sample rule, so ``write_wav`` and the transforms take any clip as it is.
+    """
 
     sample_rate: ClassVar[int] = SAMPLE_RATE  # not a field; the benchmark's tracer reads clip.sample_rate
     samples: np.ndarray
@@ -82,7 +75,7 @@ class AugmentSpec:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (RIFF/WAVE, PCM code 1, 16-bit signed little-endian, mono)
+# WAV I/O
 
 
 _CHUNK = struct.Struct("<4sI")  # chunk id and size
@@ -93,14 +86,15 @@ _HEADER = struct.Struct("<4sI4s" + "4sI" + "HHIIHH" + "4sI")  # RIFF, size, WAVE
 def read_wav(path: str | Path) -> AudioClip:
     """The samples of a 16-bit mono PCM WAV at ``SAMPLE_RATE``, each its 16-bit value / 2^15.
 
-    The file is read once. After ``RIFF``, its size (not checked) and ``WAVE``,
-    the chunks are walked up to the first ``data`` chunk, skipping any but
-    ``fmt `` and the pad byte after an odd size. ``fmt `` must hold at least 16
-    bytes: format tag 1 (WAVE_FORMAT_EXTENSIBLE, 0xFFFE, is refused), one
+    Parsed with ``struct``, not ``wave``, so that what it accepts does not
+    depend on the Python version. After ``RIFF``, its size (not checked) and
+    ``WAVE``, the chunks are walked up to the first ``data`` chunk, skipping any
+    but ``fmt `` and the pad byte after an odd size. ``fmt `` must hold at least
+    16 bytes: format tag 1 (WAVE_FORMAT_EXTENSIBLE, 0xFFFE, is refused), one
     channel, ``SAMPLE_RATE``, any byte rate and block align, and 16 bits.
-    Raises ``DataFormatError`` naming the file when it cannot be read, for any
-    other header, a header cut short, ``data`` before ``fmt ``, a data chunk
-    shorter than its header declares, or no samples.
+    Raises ``DataFormatError`` naming the file for any other header, a header
+    cut short, ``data`` before ``fmt ``, a data chunk shorter than its header
+    declares, or no samples.
     """
     raw = read_file(path, "WAV file", text=False)
     if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -140,9 +134,8 @@ def read_wav(path: str | Path) -> AudioClip:
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write ``clip`` quantized to 16 bits: each sample to the nearest multiple of 2^-15, ties to even.
 
-    ``AudioClip`` holds every sample in [-1, 1], so each has a 16-bit value:
-    one that rounds to 1.0 is written as the largest, 1 - 2^-15. One ``write``
-    stores the 44-byte header and the samples, the bytes ``wave`` writes:
+    A sample that rounds to 1.0 is written as the largest value, 1 - 2^-15.
+    The file is a 44-byte header and the samples, the bytes ``wave`` writes:
     ``RIFF``, 36 + the data size, ``WAVE``, a 16-byte ``fmt `` chunk (tag 1, one
     channel, ``SAMPLE_RATE``, byte rate 2 * ``SAMPLE_RATE``, block align 2, 16
     bits), then ``data`` and the data size.
@@ -250,15 +243,16 @@ def _best_analysis_position(
 
     Scores candidates by normalized cross-correlation against the ideal
     continuation segment; ties resolve toward the nominal position so timing
-    stays faithful and the search is deterministic. ``denoms[i]`` must be the
-    Euclidean norm of ``x[i : i + cmp_len]`` plus 1e-12 for every start ``i``
-    in ``[0, len(x) - cmp_len]``, which must not be empty: ``time_stretch``
-    computes them once per call, the norms as the square roots of
-    ``_window_sums`` of the squares, each sum equal bit for bit to NumPy's sum
-    over that window's squares. ``x`` holds a clip's samples, each in [-1, 1],
-    so every norm and score is finite. A candidate ties with the best when its
-    score falls short of the best score s by at most 1e-9 * max(1, |s|); the
-    nearest-to-nominal rule runs only when more than one candidate ties.
+    stays faithful and the search is deterministic. A candidate ties with the
+    best when its score falls short of the best score s by at most
+    1e-9 * max(1, |s|); the nearest-to-nominal rule runs only when more than
+    one candidate ties.
+
+    ``denoms[i]`` must be the Euclidean norm of ``x[i : i + cmp_len]`` plus
+    1e-12, its sum of squares equal bit for bit to NumPy's (``_window_sums``),
+    for every start ``i`` in ``[0, len(x) - cmp_len]``, which must not be
+    empty. ``x`` holds an ``AudioClip``'s samples, so every norm and score is
+    finite.
     """
     n = len(x)
     anchor = max(0, min(nominal, n - cmp_len))
@@ -307,14 +301,8 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
     are searched one frame at a time, since each search starts from the frame
     before; then ``_overlap_add`` adds every frame in one pass.
 
-    The search divides each candidate's correlation by its window's norm plus
-    1e-12. These denominators are computed once per call, for every
-    ``frame``-sample window, the norm as the square root of the window's sum
-    of squares. ``_window_sums`` shares NumPy's pairwise summation order
-    between all windows, so each sum equals NumPy's sum over that window bit
-    for bit, not merely to within rounding; running sums are avoided because
-    their cancellation misstates near-silent windows. A clip's samples are in
-    [-1, 1], so no sum of squares overflows and every score compares.
+    The search's denominators come from ``_window_sums`` once per call, not
+    from running sums, whose cancellation misstates near-silent windows.
     """
     if not 0.5 <= rate <= 2.0:
         raise ValueError(f"stretch rate must be in [0.5, 2.0], got {rate}")
@@ -416,11 +404,10 @@ def augment_dataset(
     per call and the entries' own paths never, so a path that runs through a
     symbolic link still runs through it.
     Each file's seed is derived from (spec.seed, entry id), so reruns are
-    byte-identical regardless of order. Inputs ``read_wav`` refuses (an
-    unreadable, empty or truncated WAV among them) are recorded as failures
-    and skipped. An unreadable or malformed manifest, or
+    byte-identical regardless of order. Inputs ``read_wav`` refuses are
+    recorded as failures and skipped. A manifest ``read_manifest`` refuses, or
     one holding an id a copy would get (``<id>-aug<k>``), raises
-    ``DataFormatError`` before ``out_dir`` is created.
+    ``DataFormatError`` before anything is written.
     """
     if not is_int(multiplier) or multiplier < 1:
         raise ValueError(f"multiplier must be a positive int, got {multiplier!r}")
@@ -436,7 +423,6 @@ def augment_dataset(
     if repeat:
         raise DataFormatError(f"{manifest_in}: augmented id {repeat[0]!r} is already the id of an entry")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # originals keep pointing at their source files, re-relativized to out_dir
     src_root = manifest_in.parent.resolve()

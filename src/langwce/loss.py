@@ -4,20 +4,9 @@ A batch is one [N x V] frame-logit matrix with N frame labels, cut into
 consecutive utterance segments of ``sizes[j]`` frames each; there is no
 padding. An utterance's loss is the mean over its frames of the negative
 log-likelihood of the true label. The batch loss is the mean over utterances
-of each utterance loss scaled by its weight ``utt_weights[j]`` (the step
-weight w_t for a low-resource utterance, 1 for any other), so with all
-weights at 1 it reduces to the plain batch mean, and its gradient w.r.t.
-frame f of utterance j is
-
-    utt_weights[j] / (B * F_j) * (softmax(logits_f) - onehot(label_f)).
-
-``model`` computes every loss, gradient and per-language average through
-``segment_nll``, ``combine_sentence_losses``, ``logit_gradient`` and
-``group_means``. ``segment_nll`` takes the row maxima in one sweep over the V
-columns and exponentiates and normalises one fresh ``probs`` in place, which
-``logit_gradient`` leaves unchanged.
-Everything here is double precision and hand-differentiated; there is no
-autodiff framework underneath.
+of each utterance loss scaled by its weight ``utt_weights[j]``, so with all
+weights at 1 it reduces to the plain batch mean. Everything here is double
+precision and hand-differentiated; there is no autodiff framework underneath.
 """
 
 from __future__ import annotations
@@ -33,7 +22,7 @@ def segment_nll(logits: np.ndarray, labels: np.ndarray, sizes: Sequence[int] | n
     ``logits`` is [N x V], ``labels`` holds N ints in [0, V), and ``sizes``
     the frame count of each consecutive utterance segment, summing to N. The
     log-softmax subtracts each row's maximum first, so large logits cannot
-    overflow. Returns (losses [B], probs [N x V]).
+    overflow. Returns (losses [B], probs [N x V]), ``probs`` a fresh array.
     """
     sizes = np.asarray(sizes)
     n_frames, n_classes = logits.shape
@@ -84,10 +73,7 @@ def group_means(losses: np.ndarray, groups: Sequence | np.ndarray) -> dict:
 
 
 def combine_sentence_losses(per_sentence: Sequence[float], utt_weights: Sequence[float] | np.ndarray) -> float:
-    """Weighted batch mean of already-computed per-sentence losses.
-
-    It divides by the batch size, not the weight sum.
-    """
+    """Weighted batch mean of already-computed per-sentence losses; it divides by the batch size, not the weight sum."""
     if len(per_sentence) == 0:
         raise ValueError("empty batch")
     if len(per_sentence) != len(utt_weights):

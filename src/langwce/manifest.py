@@ -1,15 +1,4 @@
-"""JSONL corpus manifests.
-
-One record per line, its keys in sorted order: {"id", "lang", "text", "wav", "split", "augmented"},
-all strings except the boolean "augmented". A line ends at \\n, \\r or \\r\\n, where ``readlines`` splits
-(``str.splitlines`` would also split a record's text at U+2028). A manifest holds at least one record,
-and no two records share an id. WAV paths are stored relative to the manifest file's directory.
-
-Each rule lives in one place: the field types in ``ManifestEntry``, the id
-rule in ``repeated_id`` and the key rule (a record holds exactly ``FIELDS``)
-in ``util.require_keys``. ``write_manifest`` refuses what ``read_manifest``
-would refuse, and then writes nothing.
-"""
+"""JSONL corpus manifests: one ``ManifestEntry`` per line, its WAV path relative to the manifest file's directory."""
 
 from __future__ import annotations
 
@@ -53,12 +42,9 @@ def repeated_id(ids: Iterable[str]) -> tuple[str, int, int] | None:
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Every record of a manifest; ``DataFormatError`` naming the file (and line) if any is bad or it cannot be read.
-
-    A record is bad when it is not an object holding exactly ``FIELDS``, has a
-    field ``ManifestEntry`` refuses, or repeats an id.
-    """
+    """Every record of a manifest; ``DataFormatError`` naming the file (and line) if any is bad."""
     path = Path(path)
+    # lines end at \n, \r or \r\n, where readlines splits; str.splitlines would also split a text at U+2028
     lines = io.StringIO(read_file(path, "manifest"), newline="").readlines()
     entries = []
     linenos = []
@@ -86,11 +72,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> Path:
-    """Write ``entries`` one record per line, in order.
-
-    Raises ``ValueError``, and writes nothing, when ``entries`` is empty or two
-    entries share an id; ``ManifestEntry`` has already refused a mistyped field.
-    """
+    """Write ``entries`` one record per line, in order; ``ValueError``, with nothing written, for what ``read_manifest`` would refuse."""
     path = Path(path)
     if not entries:
         raise ValueError(f"{path}: empty manifest")

@@ -1,20 +1,4 @@
-"""Word-error-rate computation and benchmark result tables.
-
-Edit distance is the unit-cost Levenshtein distance. Corpus WER pools edits
-over pooled reference length rather than averaging per-sentence rates.
-
-An evaluation CSV holds counts only, one run on one language: the header
-``EVAL_FIELDS`` and one row. Its WER percent, 100 * total_edits /
-total_ref_tokens, is derived when the CSV is read. ``_check_counts`` states
-the counts' rule for both sides: ``write_eval_csv`` refuses what
-``read_eval_csv`` would refuse, and then writes nothing, and the reader
-accepts each count only as the plain decimal the writer writes.
-
-The report builds two tables of rendered two-decimal cells: per-language WER
-with a mean column, and relative reductions against a baseline run for the
-low-resource language and the mean, computed from the first table's cells so
-the two agree. table1.csv, table2.csv and report.md are written from them.
-"""
+"""Word error rates, the evaluation CSVs that hold their counts, and the result tables built from them."""
 
 from __future__ import annotations
 
@@ -86,7 +70,11 @@ def format_percent(x: float) -> str:
 
 
 def _check_counts(n_utts: int, total_ref_tokens: int, total_edits: int) -> None:
-    """Raise ``ValueError`` unless every count is an int (not a bool), none is negative and total_ref_tokens >= 1."""
+    """Raise ``ValueError`` unless every count is an int (not a bool), none is negative and total_ref_tokens >= 1.
+
+    ``write_eval_csv`` and ``read_eval_csv`` both apply it, so the writer
+    refuses what the reader would refuse.
+    """
     counts = {"n_utts": n_utts, "total_ref_tokens": total_ref_tokens, "total_edits": total_edits}
     for name, value in counts.items():
         if not is_int(value):
@@ -98,7 +86,7 @@ def _check_counts(n_utts: int, total_ref_tokens: int, total_edits: int) -> None:
 
 
 def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, edits: int, ref_tokens: int) -> None:
-    """Write one run's evaluation of one language as its counts, UTF-8 encoded.
+    """Write one run's evaluation of one language as its counts: the header ``EVAL_FIELDS`` and one row.
 
     Raises ``ValueError`` naming the file, and writes nothing, when the counts
     break ``_check_counts`` or the text cannot be encoded (a lone surrogate).
@@ -114,10 +102,10 @@ def write_eval_csv(path: str | Path, run: str, language: str, n_utts: int, edits
 
 
 def read_eval_csv(path: str | Path) -> tuple[str, str, float]:
-    """(run, language, WER %) of an evaluation CSV, the WER computed from its counts.
+    """(run, language, WER %) of an evaluation CSV, the WER 100 * total_edits / total_ref_tokens of its counts.
 
-    Raises ``DataFormatError`` naming the file when it cannot be read, holds
-    other columns or rows, writes a count other than as a plain decimal, or
+    Raises ``DataFormatError`` naming the file when it holds other columns or
+    rows, writes a count other than as the plain decimal the writer writes, or
     holds counts that ``_check_counts`` refuses.
     """
     reader = csv.DictReader(io.StringIO(read_file(path, "evaluation CSV"), newline=""))
@@ -167,10 +155,11 @@ def build_tables(
     run_order: Sequence[str],
     pretrain_run: str,
 ) -> ResultTables:
-    """Render the WER table, then derive the reduction-vs-baseline table from its cells.
+    """Render the WER table, then derive the reduction-vs-baseline table from its cells, so the two agree.
 
     Rows follow ``run_order``, skipping runs ``run_wers`` lacks; ``pretrain_run``
-    is in the WER table only. Each WER and row mean is rounded once, as rendered.
+    is in the WER table only. Each WER and row mean is rounded once, to the two
+    decimals rendered.
     Raises ``ValueError`` when ``run_order`` lists a run twice or lacks
     ``pretrain_run``, or a baseline cell that table 2 divides by renders as
     ``0.00``, and ``DataFormatError`` when a run's languages differ from the baseline's.

@@ -5,30 +5,16 @@ concatenated with a one-hot language vector:
 
     logits = W2' * tanh(W1' * input + b1) + b2
 
-Training, validation and decoding share one input path: ``build_inputs``
-turns a batch of utterances into one [frames x d_in] matrix, with each
-utterance's frames in order and no padding between them, and ``_layers``
-applies the tanh and output layers to it. A train step and a whole
-validation split are each one such batch; ``forward`` and ``decode`` are a
-batch of one utterance. ``run_phase`` builds its training split's and its
-validation split's inputs once each, with one ``build_inputs`` call per split;
-every step then gathers its batch's rows and labels from the training split's
-arrays with one index array, and every evaluation reuses the validation
-split's; ``train_step`` takes its batch's rows as given, and
-``validation_losses`` takes the validation split's rows and language ids.
-The forward and backward passes make each batch-sized array once and add
-the biases, apply ``tanh`` and scale by its derivative in place; ``decode``
-counts every block's votes with one ``np.bincount``.
+Training, validation and decoding share one input path, ``build_inputs``.
 
-Training is plain SGD on the language-weighted batch loss. The loss and its
-gradient w.r.t. the logits come from ``loss.segment_nll`` and
-``loss.logit_gradient``; the rest of the backward pass through the tanh layer
-is derived by hand here, and the test suite pins it against central finite
-differences. Everything runs in double precision. Trained parameters are
-defined at one BLAS thread: OpenBLAS splits a long matrix product across its
-threads and rounds it differently, so a caller pins one thread with
-``OPENBLAS_NUM_THREADS=1`` before numpy is first imported, as ``bench/run.py``
-does. So pinned, training is deterministic given the seeds.
+Training is plain SGD on the language-weighted batch loss of ``loss``; the
+backward pass through the tanh layer is derived by hand here, and the test
+suite pins it against central finite differences. Everything runs in double
+precision. Trained parameters are defined at one BLAS thread: OpenBLAS
+splits a long matrix product across its threads and rounds it differently,
+so a caller pins one thread with ``OPENBLAS_NUM_THREADS=1`` before numpy is
+first imported, as ``bench/run.py`` does. So pinned, training is
+deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -46,13 +32,12 @@ from . import loss as loss_mod
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta
 from .synthlang import load_examples  # unused here: kept only for the benchmark's tracer, which binds model.load_examples
-from .util import DataFormatError, DivergenceError, derive_seed, is_int, json_type, read_file, write_file
+from .util import DataFormatError, DivergenceError, derive_seed, is_int, read_file, write_file
 from .util import require_finite_reals, require_ints, require_keys
 
 CHECKPOINT_VERSION = 2
 _PARAM_NAMES = ("W1", "b1", "W2", "b2")
-# Divergence bound on a batch's unweighted mean utterance loss, in units of
-# ln(len(SYMBOLS)), the loss of a uniform guess; 100 * ln 8 is about 208. On the
+# train_step's explosion bound, in units of the loss of a uniform guess. On the
 # benchmark's paper-grid corpus (1,000 pretrain steps, then constant and
 # dynamic LWCE fine-tunes) the largest batch mean was 2.4 at the default
 # learning rate of 0.1 and 36 at 10; at 100 it reached 568, which trips it.
@@ -261,11 +246,19 @@ def train_step(
     constants), and each low-resource utterance's loss is scaled by it;
     otherwise every utterance weighs 1.
 
-    Raises ``DivergenceError`` on a non-finite loss, on an unweighted mean
-    utterance loss above ``LOSS_EXPLOSION_FACTOR * ln(len(SYMBOLS))``, or when the
-    update would leave a non-finite parameter. The losses are checked before
-    the scheduler sees them. In every case the model is left as it was before
-    the failing step.
+    Raises ``DivergenceError``, and leaves the model as it was, when:
+
+    1. a loss is non-finite: the batch's unweighted mean utterance loss, or
+       the weighted batch loss;
+    2. the unweighted mean utterance loss exceeds the explosion bound
+       ``LOSS_EXPLOSION_FACTOR * ln(len(SYMBOLS))``, about 208 at 8 symbols,
+       ln(len(SYMBOLS)) being the loss of a uniform guess. The bound reads
+       unweighted losses, so a large language weight alone cannot trip it;
+    3. the update would leave a non-finite parameter.
+
+    The unweighted losses are checked before the scheduler sees them. The
+    message names the step, the criterion, and the offending value with its
+    bound.
     """
     x_all, labels, sizes = inputs
     if len(sizes) != len(batch):
@@ -313,10 +306,7 @@ def train_step(
 
 
 def validation_losses(model: AcousticModel, split: _SplitInputs) -> dict[int, float]:
-    """Per-language mean utterance loss by ascending language id, from ``loss.group_means``; the split is one batch.
-
-    ``run_phase`` builds the split's inputs once per phase.
-    """
+    """Per-language mean utterance loss by ascending language id, from ``loss.group_means``; the split is one batch."""
     x, labels, sizes = split.inputs
     losses, _ = loss_mod.segment_nll(_layers(model, x)[1], labels, sizes)
     return loss_mod.group_means(losses, split.languages)
@@ -344,22 +334,28 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
 # checkpointing
 
 
+def _check_meta(meta) -> None:
+    """Raise ``ValueError`` unless ``meta`` is a dict that JSON encodes without NaN or infinity and reads back equal.
+
+    A tuple reads back as a list, and a key that is not a string as a string.
+    """
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta is {type(meta).__name__}, not a dict")
+    read_back = json.loads(json.dumps(meta, allow_nan=False))
+    if read_back != meta:
+        raise ValueError(f"meta {meta!r} would load as {read_back!r}")
+
+
 def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
     """Versioned JSON checkpoint; float round-trip is exact.
 
-    Raises ``ValueError`` naming the file, and writes nothing, when a parameter
-    breaks ``_check_parameters`` (JSON has no NaN or infinity), or ``meta`` is
-    not a dict, cannot be encoded, or does not read back equal to itself (a
-    tuple reads back as a list, a key that is not a string as a string).
+    Raises ``ValueError`` naming the file, and writes nothing, for what
+    ``_check_parameters`` or ``_check_meta`` refuses.
     """
     path = Path(path)
     try:
         _check_parameters(model.config, model.parameters())
-        if not isinstance(meta, dict):
-            raise ValueError(f"meta is {type(meta).__name__}, not a dict")
-        read_back = json.loads(json.dumps(meta, allow_nan=False))
-        if read_back != meta:
-            raise ValueError(f"meta {meta!r} would load as {read_back!r}")
+        _check_meta(meta)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: cannot save checkpoint: {e}") from e
     payload = {
@@ -373,13 +369,7 @@ def save_checkpoint(model: AcousticModel, meta: dict, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) -> tuple[AcousticModel, dict]:
-    """Read what ``save_checkpoint`` wrote; anything else raises ``DataFormatError`` naming the file.
-
-    The file must hold exactly the keys the writer writes, at the top level,
-    in ``model_config`` and in ``params`` (``util.require_keys``): a missing
-    key is refused, not read as its default. The version must be an int and
-    each parameter an array of numbers (not strings or booleans).
-    """
+    """Read what ``save_checkpoint`` wrote; anything else raises ``DataFormatError`` naming the file."""
     path = Path(path)
     try:
         payload = json.loads(read_file(path, "checkpoint"))
@@ -396,8 +386,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
         for name, arr in params.items():
             if arr.dtype.kind not in "iuf":
                 raise ValueError(f"{name} is an array of {arr.dtype}, not of numbers")
-        if not isinstance(payload["meta"], dict):
-            raise ValueError(f"meta is {json_type(payload['meta'])}, not an object")
+        _check_meta(payload["meta"])
     except (TypeError, ValueError) as e:
         raise DataFormatError(f"{path}: malformed checkpoint: {e}") from e
     if expect_config is not None and config != expect_config:

@@ -11,10 +11,7 @@ sentences in the weighted batch loss:
   batch loss to the high-resource average, thresholded at 1 when r * alpha < 1
   and floored at alpha otherwise, with a configurable safety cap.
 
-``Weighting`` bundles the chosen strategy with its parameters and checks them
-when it is built. Schedules are immutable values and weight computation is
-pure; ``model.train_step`` spreads the step weight over the batch's
-low-resource utterances.
+Schedules are immutable values and weight computation is pure.
 """
 
 from __future__ import annotations
@@ -121,7 +118,7 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True)
 class Weighting:
-    """Weighting strategy for a training run; bundles the mode with its parameters.
+    """Weighting strategy for a training run; bundles the mode with its parameters, checked when it is built.
 
     The default, CONSTANT with weight 1, is unweighted training. A Weighting
     holds only what its mode reads: ``constant`` stays 1 outside CONSTANT,

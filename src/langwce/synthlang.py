@@ -6,19 +6,6 @@ depends on which language is being spoken. The model therefore has to use
 the language conditioning signal, and a language that is rare in pretraining
 ends up systematically mistranscribed: the bias the fine-tuning experiments
 work against.
-
-The geometry is fixed: audio is at ``SAMPLE_RATE`` (16 kHz, from ``audio``), each
-symbol is a 100 ms tone of ``SYMBOL_SAMPLES`` samples, and features come in
-10 ms frames of ``FRAME_SAMPLES`` samples with no overlap, so a clean
-utterance has ``FRAMES_PER_SYMBOL`` (10) frames per symbol.
-
-Featurization is a Goertzel filterbank: per frame, log-compressed energy at
-each grid frequency, mean-variance normalized per utterance.
-
-A corpus directory holds the WAVs, ``manifest.jsonl`` and ``corpus.json``,
-which records only the ``CorpusConfig``. The languages are derived from it:
-``make_languages(config.n_langs, config.seed)`` gives each language's
-permutation, and ``config.low_lang`` alone names the low-resource one.
 """
 
 from __future__ import annotations
@@ -179,7 +166,6 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
     """
     meta = json.dumps({"config": asdict(config)}, indent=2, sort_keys=True)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     languages = make_languages(config.n_langs, config.seed)
     entries = []
     for lang in languages:
@@ -202,10 +188,8 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> list[ManifestE
 def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[LanguageSpec]]:
     """The config ``generate_corpus`` recorded in corpus.json, and the languages derived from it.
 
-    Raises ``DataFormatError`` naming the file when it cannot be read, when
-    ``util.require_keys`` refuses its top level (exactly ``config``) or its
-    config (exactly the ``CorpusConfig`` fields: a missing one is refused, not
-    read as its default), or when ``CorpusConfig`` rejects the config.
+    Raises ``DataFormatError`` naming the file for what ``util.require_keys``
+    or ``CorpusConfig`` refuses.
     """
     path = Path(corpus_dir) / "corpus.json"
     try:
@@ -305,9 +289,7 @@ def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSp
 
     ``languages`` are the corpus's, from ``load_corpus_meta``: an augmented
     directory has no corpus.json of its own. An entry whose WAV ``read_wav``
-    cannot read or refuses (any format but 16-bit mono PCM at ``SAMPLE_RATE``,
-    or no samples), whose text is empty or holds a symbol outside ``SYMBOLS``,
-    or whose text has more symbols than its audio has frames raises
+    refuses, or whose text ``frame_labels`` refuses for its frame count, raises
     ``DataFormatError`` naming the manifest and the entry id. A ``split`` not
     in ``SPLITS`` raises ``ValueError`` before anything is read.
     """

@@ -1,10 +1,7 @@
 """Shared plumbing: error types, config field checks, seed derivation, the file rule and the key rule.
 
-The file rule, kept only by ``read_file`` and ``write_file``, which open every file the package reads
-or writes: text is UTF-8 whatever the locale, and a file that cannot be opened or decoded raises ``DataFormatError``.
-
-The key rule, checked only by ``require_keys``: a JSON object read from disk
-holds exactly the keys its writer writes. Each reader names its file.
+The file rule: only ``read_file`` and ``write_file`` open a file or make a directory. Text is UTF-8
+whatever the locale, and a file that cannot be opened or decoded raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -25,27 +22,11 @@ class DataFormatError(Exception):
 
 
 class DivergenceError(Exception):
-    """Training diverged (exit code 3).
-
-    ``model.train_step`` raises it at step t, before touching the model, when
-    any of these holds:
-
-    1. a loss is non-finite: the batch's unweighted mean utterance loss, or
-       the language-weighted batch loss;
-    2. the batch's unweighted mean utterance loss exceeds the explosion bound
-       ``K * ln(len(SYMBOLS))``, with K = ``model.LOSS_EXPLOSION_FACTOR`` = 100
-       (about 208 at 8 symbols; ln(len(SYMBOLS)) is the loss of a uniform guess).
-       The bound reads unweighted losses, so a large language weight alone
-       cannot trip it;
-    3. the SGD update would leave a non-finite parameter.
-
-    The message names the step, the criterion, and the offending value with
-    its bound.
-    """
+    """Training diverged (exit code 3); ``model.train_step`` states when."""
 
 
 def read_file(path: str | Path, what: str, text: bool = True) -> str | bytes:
-    """``path``'s UTF-8 text, line ends as stored, or its bytes if not ``text``; else ``DataFormatError("<path>: cannot read <what>: …")``."""
+    """``path``'s text, line ends as stored, or its bytes if not ``text``; else ``DataFormatError("<path>: cannot read <what>: …")``."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -55,7 +36,7 @@ def read_file(path: str | Path, what: str, text: bool = True) -> str | bytes:
 
 
 def write_file(path: str | Path, data: str | bytes) -> None:
-    """Write ``data`` to ``path``, text as UTF-8 with its line ends as given, creating the parent directory."""
+    """Write ``data`` to ``path``, text with its line ends as given, making the parent directory if it is missing."""
     data = data.encode("utf-8") if isinstance(data, str) else data
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
@@ -99,7 +80,11 @@ def json_type(value) -> str:
 
 
 def require_keys(what: str, obj, keys: Collection[str]) -> None:
-    """Raise ``ValueError`` naming ``what`` unless ``obj`` is a dict holding exactly ``keys``, which must be distinct."""
+    """Raise ``ValueError`` naming ``what`` unless ``obj`` is a dict holding exactly ``keys``, which must be distinct.
+
+    This is the key rule: a JSON object read from disk holds exactly the keys
+    its writer writes, so a missing key is refused, not read as its default.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is {json_type(obj)}, not an object")
     missing = [k for k in keys if k not in obj]

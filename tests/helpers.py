@@ -1,28 +1,10 @@
-"""Shared test utilities: tone synthesis and spectrum analysis oracles.
+"""Shared test utilities: tone synthesis and the oracles the tests measure against.
 
-The analysis here deliberately avoids the package's own DSP: dominant
-frequency comes from a plain FFT and bin energy from a per-sample Goertzel
-recurrence, so transform and featurization tests check against independent
-measurements. The exceptions are references that a faster form in the
-package must reproduce bit for bit, each the package's first form:
-``oracle_synthesize``, ``synthesize_utterance`` computing each symbol's tone
-on its own; ``oracle_best_analysis_position``, the waveform-similarity search of
-``audio.time_stretch`` per candidate; ``oracle_overlap_add``, the
-``+=`` per frame that ``audio._overlap_add`` does in one pass;
-``oracle_window_sums``, NumPy's sum over each window that
-``audio._window_sums`` shares between windows;
-``oracle_featurize``, ``featurize`` with
-its cosine and sine bases built inline on every call and its normalization
-by ``ndarray.mean`` and ``ndarray.std``; ``wave_bytes``, the WAV file
-Python's ``wave`` module writes, which ``audio.write_wav`` must equal byte
-for byte and ``audio.read_wav`` must read as ``wave`` does; ``oracle_edit_distance``,
-the Levenshtein table filled by a three-way ``min`` per cell; and the model
-kernel written out of place: ``oracle_segment_nll``, ``oracle_layers``,
-``oracle_sgd_update``, ``oracle_window`` and ``oracle_vote``. And
-``example_inputs`` builds the (inputs, labels, sizes) that ``train_step``
-takes for any list of examples, with one ``build_inputs`` call, where
-``run_phase`` cuts them from a whole split's; and ``resolve_wav`` names the
-file a manifest entry opens, with every link resolved.
+The oracles measure independently of the package: dominant frequency comes
+from a plain FFT and bin energy from a per-sample Goertzel recurrence, not
+from the package's own DSP. The exceptions are the bit-for-bit references,
+each the package's first form of a function that a faster form must
+reproduce exactly.
 """
 
 import io
@@ -55,7 +37,7 @@ def make_tone(freq, seconds=1.0, amplitude=0.5, ramp_ms=5.0):
 
 
 def wave_bytes(ints, rate=SAMPLE_RATE):
-    """The 16-bit mono PCM WAV file that ``wave`` writes for the sample values ``ints`` at ``rate``."""
+    """The 16-bit mono PCM WAV file that ``wave`` writes for the sample values ``ints`` at ``rate``: ``audio.write_wav``'s bytes."""
     buf = io.BytesIO()
     with wave.open(buf, "wb") as w:
         w.setnchannels(1)

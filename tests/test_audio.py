@@ -341,15 +341,6 @@ class TestTimeStretch:
         with pytest.raises(ValueError):
             time_stretch(make_tone(500), 2.5)
 
-    @pytest.mark.parametrize("n", [300, 4000])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_sample_rejected(self, n, bad):
-        # no window holding such a sample has a score to compare; the clip to stretch is refused when it is built
-        x = make_tone(500, seconds=n / 16000).samples.copy()
-        x[250] = bad
-        with pytest.raises(ValueError, match=rf"^sample 250 is {bad}, not in \[-1, 1\]$"):
-            AudioClip(x)
-
     def test_deterministic(self):
         clip = make_tone(1100)
         assert np.array_equal(time_stretch(clip, 1.3).samples, time_stretch(clip, 1.3).samples)

@@ -439,9 +439,31 @@ class TestTrainStep:
         batch = fake_batch(rng, [0, 1])
         cfg = TrainConfig(total_steps=100, eval_every=100, batch_size=2, learning_rate=1e307)
         m = init_model(TINY_MODEL, seed=13)
-        with pytest.raises(DivergenceError):
-            for t in range(1, 50):
-                train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+        inputs = example_inputs(m.config, batch)
+        train_step(m, batch, 1, cfg, low_lang=2, inputs=inputs)
+        before = copy.deepcopy(m)
+        message = (
+            r"^step 2: loss explosion: unweighted mean utterance loss 2\.93047e\+306 exceeds "
+            r"the bound 207\.944 = 100 \* ln\(8\)$"
+        )
+        with pytest.raises(DivergenceError, match=message):
+            train_step(m, batch, 2, cfg, low_lang=2, inputs=inputs)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(m, name), getattr(before, name))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_weighted_loss_raises_and_keeps_model(self):
+        # the unweighted losses are finite and small; only the weight overflows the batch loss
+        rng = np.random.default_rng(43)
+        batch = fake_batch(rng, [0, 2])
+        cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2,
+                          weighting=Weighting(WeightMode.CONSTANT, constant=1e308))
+        m = init_model(TINY_MODEL, seed=19)
+        before = copy.deepcopy(m)
+        with pytest.raises(DivergenceError, match=r"^step 1: non-finite loss: weighted batch loss inf \(must be finite\)$"):
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(m, name), getattr(before, name))
 
     def test_non_finite_feature_raises_at_its_step(self):
         # the NaN loss must stop the step before the dynamic scheduler sees it
@@ -620,6 +642,16 @@ class TestCheckpoint:
         path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
         path.write_text(json.dumps({**json.loads(path.read_text()), "meta": meta}))
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: meta is"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_meta_rejected(self, tmp_path, value):
+        # save_checkpoint refuses such a meta, so load_checkpoint must too
+        import json
+
+        path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "meta": {"a": value}}))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: "):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(

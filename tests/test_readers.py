@@ -1,6 +1,6 @@
 """Every reader refuses a file it cannot open or decode as ``DataFormatError`` naming it.
 
-No reader or writer opens a file in the locale's encoding.
+No reader or writer opens a file in the locale's encoding, and no module but ``util`` opens a file or makes a directory.
 """
 
 import json
@@ -82,3 +82,18 @@ def test_no_file_opened_in_the_locale_encoding(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "report.md").is_file()
+
+
+# a call that opens a file or makes a directory; listing one (glob, iterdir) is allowed
+FILE_CALL = re.compile(r"\bopen\(|\.mkdir\(|\bos\.makedirs\(|\.(read|write)_(text|bytes)\(")
+
+
+def test_only_util_opens_files_and_makes_directories():
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(Path(langwce.__file__).parent.glob("*.py"))
+        if path.name != "util.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if FILE_CALL.search(line)
+    ]
+    assert not found, found
