@@ -26,6 +26,7 @@ WINDOW_SAMPLES = 400  # overlap-add analysis window, 25 ms
 HOP_SAMPLES = 160  # analysis hop, 10 ms
 SEARCH_SAMPLES = 160  # waveform-similarity search bound around the nominal analysis position, 10 ms
 STRETCH_RANGE = (0.9, 1.1)
+MAX_SEMITONES = 12  # pitch_shift and AugmentSpec accept shifts in [-MAX_SEMITONES, MAX_SEMITONES]
 GAIN_RANGE_DB = (-6.0, 6.0)
 NOISE_SIGMA_RANGE = (0.001, 0.01)
 
@@ -70,8 +71,10 @@ class AugmentSpec:
         pitch = self.pitch_range_semitones
         if not (isinstance(pitch, tuple) and len(pitch) == 2 and all(map(is_int, pitch))):
             raise ValueError(f"pitch_range_semitones must be a pair of ints, got {pitch!r}")
-        if not -12 <= pitch[0] <= pitch[1] <= 12:
-            raise ValueError(f"pitch_range_semitones: need -12 <= min <= max <= 12, got {pitch}")
+        if not -MAX_SEMITONES <= pitch[0] <= pitch[1] <= MAX_SEMITONES:
+            raise ValueError(
+                f"pitch_range_semitones: need -{MAX_SEMITONES} <= min <= max <= {MAX_SEMITONES}, got {pitch}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +131,9 @@ def read_wav(path: str | Path) -> AudioClip:
         raise DataFormatError(f"{path}: data chunk holds {len(raw) - pos} of the {2 * n} bytes its header declares")
     if n == 0:
         raise DataFormatError(f"{path}: no samples")
-    return AudioClip(np.frombuffer(raw, dtype="<i2", count=n, offset=pos) / 32768.0)
+    samples = np.frombuffer(raw, dtype="<i2", count=n, offset=pos).astype(np.float64)
+    samples *= 1.0 / 32768.0  # a power of two, so this equals the division bit for bit
+    return AudioClip(samples)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
@@ -343,8 +348,8 @@ def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
     Linear-interpolation resampling by 2^(semitones/12) scales frequencies,
     then the inverse time stretch restores the original duration.
     """
-    if not -12 <= semitones <= 12:
-        raise ValueError(f"semitones must be in [-12, 12], got {semitones}")
+    if not -MAX_SEMITONES <= semitones <= MAX_SEMITONES:
+        raise ValueError(f"semitones must be in [-{MAX_SEMITONES}, {MAX_SEMITONES}], got {semitones}")
     if semitones == 0:
         return clip
     factor = 2.0 ** (semitones / 12.0)
@@ -407,11 +412,15 @@ def augment_dataset(
     byte-identical regardless of order. Inputs ``read_wav`` refuses are
     recorded as failures and skipped. A manifest ``read_manifest`` refuses, or
     one holding an id a copy would get (``<id>-aug<k>``), raises
-    ``DataFormatError`` before anything is written.
+    ``DataFormatError`` before anything is written; an output manifest that
+    resolves to ``manifest_in`` raises ``ValueError``.
     """
     if not is_int(multiplier) or multiplier < 1:
         raise ValueError(f"multiplier must be a positive int, got {multiplier!r}")
     manifest_in = Path(manifest_in)
+    out_dir = Path(out_dir)
+    if (out_dir / "manifest.jsonl").resolve() == manifest_in.resolve():
+        raise ValueError(f"output manifest {out_dir / 'manifest.jsonl'} would overwrite the input manifest {manifest_in}")
     entries = read_manifest(manifest_in)
     selected = sorted(
         (e for e in entries if (languages is None or e.lang in languages) and (splits is None or e.split in splits)),
@@ -422,7 +431,6 @@ def augment_dataset(
     repeat = repeated_id([*(e.id for e in entries), *(aug_id for ids in new_ids for aug_id in ids)])
     if repeat:
         raise DataFormatError(f"{manifest_in}: augmented id {repeat[0]!r} is already the id of an entry")
-    out_dir = Path(out_dir)
 
     # originals keep pointing at their source files, re-relativized to out_dir
     src_root = manifest_in.parent.resolve()

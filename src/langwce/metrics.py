@@ -18,6 +18,14 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> int:
     """Unit-cost Levenshtein distance: the fewest substitutions, deletions and insertions turning hyp into ref."""
     if len(ref) == 0:
         raise ValueError("reference must be non-empty")
+    # with unit costs a shared prefix or suffix is matched in some optimal alignment, so it adds nothing
+    start, n = 0, min(len(ref), len(hyp))
+    while start < n and ref[start] == hyp[start]:
+        start += 1
+    end = 0
+    while end < n - start and ref[-1 - end] == hyp[-1 - end]:
+        end += 1
+    ref, hyp = ref[start : len(ref) - end], hyp[start : len(hyp) - end]
     prev = list(range(len(hyp) + 1))
     for i, ri in enumerate(ref, 1):
         row = [i]

@@ -288,12 +288,16 @@ def train_step(
         raise DivergenceError(f"step {t}: non-finite loss: weighted batch loss {weighted_mean} (must be finite)")
 
     dlogits = loss_mod.logit_gradient(probs, labels, sizes, utt_weights)
+    # grad_W2 reads hidden, so it comes before hidden is overwritten by the tanh derivative
+    grad_W2 = hidden.T @ dlogits
     d_z = dlogits @ model.W2.T
-    tanh_grad = hidden * hidden
-    d_z *= np.subtract(1.0, tanh_grad, out=tanh_grad)
-    grads = {"W1": x_all.T @ d_z, "b1": d_z.sum(axis=0), "W2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
-    lr = config.learning_rate
-    updated = {name: getattr(model, name) - lr * grad for name, grad in grads.items()}
+    np.multiply(hidden, hidden, out=hidden)
+    d_z *= np.subtract(1.0, hidden, out=hidden)
+    updated = {"W1": x_all.T @ d_z, "b1": d_z.sum(axis=0), "W2": grad_W2, "b2": dlogits.sum(axis=0)}
+    for name, grad in updated.items():
+        # the gradient becomes the parameter's new value in place: param - lr * grad, the same two roundings
+        grad *= config.learning_rate
+        np.subtract(getattr(model, name), grad, out=grad)
     for name, value in updated.items():
         finite = np.isfinite(value)
         if not finite.all():

@@ -228,6 +228,7 @@ class TestWavAgainstWave:
         ),
         fmt_extra=st.sampled_from([b"", b"\x00\x00"]),  # an 18-byte fmt chunk ends in a zero cbSize
     )
+    @example(ints=np.array([-32768, -1, 0, 1, 32767], dtype="<i2"), chunks=[], fmt_extra=b"").via("extremes and zero")
     def test_reader_returns_the_samples_wave_reads(self, ints, chunks, fmt_extra):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "w.wav"
@@ -805,6 +806,16 @@ class TestAugmentDataset:
         assert result.n_augmented == 3
         assert "empty-aug1" not in {e.id for e in read_manifest(tmp_path / "aug" / "manifest.jsonl")}
         assert not (tmp_path / "aug" / "finetune" / "L0" / "empty-aug1.wav").exists()
+
+    @pytest.mark.parametrize("out_dir", [".", "finetune/.."])
+    def test_output_manifest_over_input_rejected_before_writing(self, tmp_path, out_dir):
+        manifest = build_tiny_corpus(tmp_path / "corpus", self.LAYOUT)
+        before = {p: p.read_bytes() for p in manifest.parent.rglob("*") if p.is_file()}
+        out = tmp_path / "corpus" / out_dir
+        message = f"output manifest {out / 'manifest.jsonl'} would overwrite the input manifest {manifest}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            augment_dataset(manifest, out, AugmentSpec(seed=1), splits={"finetune"})
+        assert {p: p.read_bytes() for p in manifest.parent.rglob("*") if p.is_file()} == before
 
     def test_missing_manifest_rejected_before_writing(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"nope/manifest\.jsonl: cannot read manifest"):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_edit_distance
@@ -113,6 +113,19 @@ class TestEditDistanceProperties:
     @given(ref=st.text(alphabet="ABX", min_size=1, max_size=12), hyp=st.text(alphabet="ABX", max_size=12))
     def test_split_matches_three_way_min_oracle(self, ref, hyp):
         assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        prefix=st.text(alphabet="ABX", max_size=7),
+        ref_mid=st.text(alphabet="ABX", max_size=7),
+        hyp_mid=st.text(alphabet="ABX", max_size=7),
+        suffix=st.text(alphabet="ABX", max_size=6),
+    )
+    def test_shared_ends_match_oracle(self, prefix, ref_mid, hyp_mid, suffix):
+        ref, hyp = prefix + ref_mid + suffix, prefix + hyp_mid + suffix
+        assume(ref)
+        assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
+        assert edit_distance(list(ref), list(hyp)) == oracle_edit_distance(ref, hyp)
 
 
 class TestCorpusWer:

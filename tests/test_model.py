@@ -4,6 +4,7 @@ import copy
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -420,6 +421,46 @@ class TestTrainStep:
             train_step(m, batch, t, cfg, low_lang=2, inputs=(x, labels, sizes))
             for name, want in want_params.items():
                 assert same_bits(getattr(m, name), want), name
+
+    @staticmethod
+    def benchmark_batch(seed):
+        """A 16-utterance batch of about 1,100 rows cut by ``_SplitInputs``, the size of a benchmark step."""
+        rng = np.random.default_rng(seed)
+        config = ModelConfig(n_langs=3)
+        split = [fake_example(rng, lang, n_frames=int(rng.integers(60, 80))) for lang in rng.permutation([0, 1, 2] * 8)]
+        idx = rng.integers(0, len(split), size=16)
+        idx[0] = next(i for i, ex in enumerate(split) if ex.lang == 2)  # the low language weighs in every mode
+        m = init_model(config, seed=seed)
+        m.b1[:] = rng.normal(0, 0.5, size=m.b1.shape)
+        m.b2[:] = rng.normal(0, 0.5, size=m.b2.shape)
+        return m, [split[i] for i in idx], _SplitInputs(config, split).gather(idx)
+
+    @pytest.mark.parametrize("mode", ["constant", "linear", "dynamic"])
+    def test_matches_out_of_place_oracle_step_at_benchmark_size(self, mode, recorded):
+        m, batch, (x, labels, sizes) = self.benchmark_batch(73)
+        assert len(sizes) == 16 and len(labels) > 1_100
+        cfg = TrainConfig(total_steps=100, eval_every=100, batch_size=16, weighting=WEIGHTINGS[mode])
+        for t in range(5, 8):
+            frozen = copy.deepcopy(m)
+            train_step(m, batch, t, cfg, low_lang=2, inputs=(x, labels, sizes))
+            weight = recorded.weights[-1]
+            assert weight[0] == t
+            utt_weights = np.array([weight[1] if ex.lang == 2 else 1.0 for ex in batch])
+            want_params = oracle_sgd_update(frozen, x, labels, sizes, utt_weights, cfg.learning_rate)
+            for name, want in want_params.items():
+                assert same_bits(getattr(m, name), want), name
+
+    def test_step_peak_memory_below_three_hidden_arrays(self):
+        # hidden, d_z and the tanh derivative held at once would reach 3x; the derivative is built in hidden
+        m, batch, inputs = self.benchmark_batch(79)
+        cfg = TrainConfig(total_steps=100, eval_every=100, batch_size=16, weighting=WEIGHTINGS["dynamic"])
+        tracemalloc.start()
+        try:
+            train_step(m, batch, 5, cfg, low_lang=2, inputs=inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(inputs[1]) * m.config.hidden * 8
 
     def test_single_low_utterance_update_scales_with_weight(self):
         # the logit gradient train_step backpropagates is exactly linear in
