@@ -68,8 +68,13 @@ def group_means(losses: np.ndarray, groups: Sequence | np.ndarray) -> dict:
     groups = np.asarray(groups)
     if len(losses) != len(groups) or len(losses) == 0:
         raise ValueError(f"need one group label per loss, at least one of each; got {len(losses)} and {len(groups)}")
+    means = {}
     # sorting a set of the few labels is cheaper than np.unique on a batch this short
-    return {g: float(losses[groups == g].mean()) for g in sorted(set(groups.tolist()))}
+    for g in sorted(set(groups.tolist())):
+        sel = losses[groups == g]
+        # ndarray.mean's own sum and division, without its dispatch
+        means[g] = float(sel.sum() / len(sel))
+    return means
 
 
 def combine_sentence_losses(per_sentence: Sequence[float], utt_weights: Sequence[float] | np.ndarray) -> float:

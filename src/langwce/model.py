@@ -20,6 +20,7 @@ deterministic given the seeds.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -144,18 +145,30 @@ def init_model(config: ModelConfig, seed: int) -> AcousticModel:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _context_window(n_frames: int, context: int) -> np.ndarray:
+    """Frame indices of an ``n_frames``-frame utterance's context windows: read-only [n_frames x (2C+1)].
+
+    Row f holds frames f - C .. f + C, each clipped to [0, n_frames - 1]: a
+    window position before the utterance's first frame or after its last takes
+    that boundary frame of the same utterance, never a neighbouring
+    utterance's frame.
+    """
+    window = np.clip(np.arange(n_frames)[:, None] + np.arange(-context, context + 1), 0, n_frames - 1)
+    window.flags.writeable = False
+    return window
+
+
 def build_inputs(
     config: ModelConfig, features: Sequence[np.ndarray], languages: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model inputs of a batch of utterances, one row per frame.
 
     ``features[j]`` is utterance j's [frames x len(FREQ_GRID)] matrix and
-    ``languages[j]`` its language id. Each row holds the (2C+1)-frame context
-    window around its frame, then the language one-hot. A window position
-    before an utterance's first frame or after its last takes that boundary
-    frame of the same utterance, never a neighbouring utterance's frame.
-    Returns (inputs [N x d_in], sizes [B]): the utterances' rows in order and
-    each utterance's frame count.
+    ``languages[j]`` its language id, an integer of any type but bool. Each
+    row holds its frame's context window (``_context_window``), then the
+    language one-hot. Returns (inputs [N x d_in], sizes [B]): the utterances'
+    rows in order and each utterance's frame count.
     """
     if len(features) == 0:
         raise ValueError("empty batch")
@@ -165,24 +178,20 @@ def build_inputs(
     for f in feats:
         if f.ndim != 2 or f.shape[1] != len(FREQ_GRID) or f.shape[0] < 1:
             raise ValueError(f"features must be [frames x {len(FREQ_GRID)}], got {f.shape}")
-    langs = np.asarray(languages)
-    if langs.dtype.kind not in "iu" or langs.min() < 0 or langs.max() >= config.n_langs:
-        raise ValueError(f"unknown language id in {langs.tolist()}; model has {config.n_langs} languages")
-    sizes = np.array([f.shape[0] for f in feats])
-    frames = np.concatenate(feats)
-    n_frames = len(frames)
-    ends = np.cumsum(sizes)
-    first = np.repeat(ends - sizes, sizes)[:, None]
-    last = np.repeat(ends - 1, sizes)[:, None]
+    for lang in languages:
+        if not isinstance(lang, (int, np.integer)) or isinstance(lang, bool) or not 0 <= lang < config.n_langs:
+            raise ValueError(f"unknown language id in {np.asarray(languages).tolist()}; model has {config.n_langs} languages")
+    sizes = [len(f) for f in feats]
     c = config.context
-    window = np.arange(n_frames)[:, None] + np.arange(-c, c + 1)
-    np.maximum(window, first, out=window)
-    np.minimum(window, last, out=window)
     n_context = len(FREQ_GRID) * (2 * c + 1)
-    x = np.zeros((n_frames, config.d_in))
-    x[:, :n_context] = np.take(frames, window, axis=0).reshape(n_frames, n_context)
-    x[np.arange(n_frames), n_context + np.repeat(langs, sizes)] = 1.0
-    return x, sizes
+    x = np.zeros((sum(sizes), config.d_in))
+    start = 0
+    for f, lang, n in zip(feats, languages, sizes):
+        rows = x[start : start + n]
+        rows[:, :n_context] = f.take(_context_window(n, c).ravel(), axis=0).reshape(n, n_context)
+        rows[:, n_context + int(lang)] = 1.0  # int(): an int8 id would overflow in the sum
+        start += n
+    return x, np.array(sizes)
 
 
 class _SplitInputs:
@@ -316,6 +325,14 @@ def validation_losses(model: AcousticModel, split: _SplitInputs) -> dict[int, fl
     return loss_mod.group_means(losses, split.languages)
 
 
+@functools.lru_cache(maxsize=256)
+def _vote_offsets(n_frames: int) -> np.ndarray:
+    """Each frame's first vote cell in ``decode``: read-only [n_frames], its symbol block times ``len(SYMBOLS)``."""
+    offsets = np.arange(n_frames) // FRAMES_PER_SYMBOL * len(SYMBOLS)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
     """Majority-vote transcription assuming the clean synthesis geometry.
 
@@ -329,9 +346,9 @@ def decode(model: AcousticModel, features: np.ndarray, language: int) -> str:
     if n_frames < FRAMES_PER_SYMBOL or n_frames % FRAMES_PER_SYMBOL:
         raise ValueError(f"cannot decode {n_frames} frames: need a positive multiple of {FRAMES_PER_SYMBOL}")
     n_symbols = len(SYMBOLS)
-    cells = np.arange(n_frames) // FRAMES_PER_SYMBOL * n_symbols + forward(model, features, language).argmax(axis=1)
+    cells = _vote_offsets(n_frames) + forward(model, features, language).argmax(axis=1)
     votes = np.bincount(cells, minlength=n_frames // FRAMES_PER_SYMBOL * n_symbols).reshape(-1, n_symbols)
-    return "".join(SYMBOLS[i] for i in votes.argmax(axis=1))
+    return "".join([SYMBOLS[i] for i in votes.argmax(axis=1).tolist()])
 
 
 # ---------------------------------------------------------------------------

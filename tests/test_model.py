@@ -17,6 +17,7 @@ from conftest import TINY
 from helpers import example_inputs, oracle_layers, oracle_sgd_update, oracle_vote, oracle_window, same_bits
 from langwce import loss as loss_mod
 from langwce.model import (
+    _context_window,
     _layers,
     _SplitInputs,
     ModelConfig,
@@ -215,11 +216,47 @@ class TestBuildInputs:
             ([np.zeros((4, 8)), np.zeros((4, 8))], [0, 3], "unknown language id"),
             ([np.zeros((4, 8))], [-1], "unknown language id"),
             ([np.zeros((4, 8))], [0.0], "unknown language id"),
+            ([np.zeros((4, 8))], [True], "unknown language id"),
+            ([np.zeros((4, 8)), np.zeros((4, 8))], np.array([True, False]), "unknown language id"),
+            ([np.zeros((4, 8))], [np.float64(1.0)], "unknown language id"),
+            ([np.zeros((4, 8))], [1.5], "unknown language id"),
+            ([np.zeros((4, 8))], [np.int64(3)], "unknown language id"),
         ],
     )
     def test_bad_batch_rejected(self, features, languages, message):
         with pytest.raises(ValueError, match=message):
             build_inputs(TINY_MODEL, features, languages)
+
+    # at context 8 the language columns start past 127, beyond an int8 id's range
+    @pytest.mark.parametrize("context", [1, 8])
+    def test_every_integer_type_of_language_accepted(self, context):
+        config = ModelConfig(context=context, hidden=2, n_langs=3)
+        rng = np.random.default_rng(29)
+        features = [rng.normal(size=(n, len(FREQ_GRID))) for n in (3, 1, 5)]
+        languages = [2, 0, 1]
+        want, _ = build_inputs(config, features, languages)
+        for given_as in (
+            np.array(languages, dtype=np.int8),
+            np.array(languages, dtype=np.uint16),
+            np.array(languages, dtype=np.int64),
+            [np.int8(2), np.uint16(0), np.int64(1)],
+        ):
+            assert np.array_equal(build_inputs(config, features, given_as)[0], want)
+
+    @pytest.mark.parametrize("context", [0, 3])
+    def test_context_window_is_read_only(self, context):
+        window = _context_window(4, context)
+        assert window.shape == (4, 2 * context + 1) and not window.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            window[0, 0] = 1
+        assert _context_window.cache_info().maxsize is not None
+
+    def test_write_into_inputs_leaves_next_build_unchanged(self):
+        feats = np.arange(32, dtype=float).reshape(4, 8)
+        x, _ = build_inputs(TINY_MODEL, [feats], [1])
+        want = x.copy()
+        x[...] = -1.0
+        assert np.array_equal(build_inputs(TINY_MODEL, [feats], [1])[0], want)
 
 
 @st.composite
@@ -616,6 +653,20 @@ class TestDecode:
             logits = forward(m, feats, 0)
             assert logits.argmax(axis=1).tolist() == symbols
             assert decode(m, feats, 0) == oracle_vote(logits, 8, FRAMES_PER_SYMBOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        context=st.integers(0, 3),
+        n_blocks=st.integers(1, 12),
+        language=st.integers(0, TINY_MODEL.n_langs - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_initialised_model_matches_vote_cube_oracle(self, context, n_blocks, language, seed):
+        rng = np.random.default_rng(seed)
+        m = init_model(ModelConfig(context=context, hidden=8, n_langs=TINY_MODEL.n_langs), seed=seed)
+        feats = rng.normal(0, 1, size=(n_blocks * FRAMES_PER_SYMBOL, len(FREQ_GRID)))
+        want = oracle_vote(forward(m, feats, language), len(SYMBOLS), FRAMES_PER_SYMBOL)
+        assert decode(m, feats, language) == want
 
     def test_too_few_frames_rejected(self):
         m = self.make_passthrough_model()
