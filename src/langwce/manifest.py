@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .util import JSON_TYPE_NAMES, DataFormatError, json_type, read_file, require_keys, write_file
+from .util import JSON_TYPE_NAMES, DataFormatError, json_type, parse_json, read_file, require_keys, write_file
 
 FIELDS = {"id": str, "lang": str, "text": str, "wav": str, "split": str, "augmented": bool}
 
@@ -53,8 +53,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         if not line:
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
+            rec = parse_json(line)
+        except ValueError as e:  # a json.JSONDecodeError, or a repeated key
             raise DataFormatError(f"{path}:{lineno}: invalid JSON: {e}") from e
         try:
             require_keys("record", rec, FIELDS)

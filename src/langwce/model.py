@@ -33,7 +33,7 @@ from . import loss as loss_mod
 from .schedule import WeightMode, Weighting
 from .synthlang import FRAMES_PER_SYMBOL, FREQ_GRID, SYMBOLS, FrameExample, load_corpus_meta
 from .synthlang import load_examples  # unused here: kept only for the benchmark's tracer, which binds model.load_examples
-from .util import DataFormatError, DivergenceError, derive_seed, is_int, read_file, write_file
+from .util import DataFormatError, DivergenceError, derive_seed, is_int, parse_json, read_file, write_file
 from .util import require_finite_reals, require_ints, require_keys
 
 CHECKPOINT_VERSION = 2
@@ -362,7 +362,7 @@ def _check_meta(meta) -> None:
     """
     if not isinstance(meta, dict):
         raise ValueError(f"meta is {type(meta).__name__}, not a dict")
-    read_back = json.loads(json.dumps(meta, allow_nan=False))
+    read_back = parse_json(json.dumps(meta, allow_nan=False))
     if read_back != meta:
         raise ValueError(f"meta {meta!r} would load as {read_back!r}")
 
@@ -393,7 +393,7 @@ def load_checkpoint(path: str | Path, expect_config: ModelConfig | None = None) 
     """Read what ``save_checkpoint`` wrote; anything else raises ``DataFormatError`` naming the file."""
     path = Path(path)
     try:
-        payload = json.loads(read_file(path, "checkpoint"))
+        payload = parse_json(read_file(path, "checkpoint"))
         require_keys("top level", payload, ("version", "model_config", "params", "meta"))
         version = payload["version"]
         if not is_int(version):

@@ -14,12 +14,13 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, read_wav, write_wav
 from .manifest import ManifestEntry, read_manifest, write_manifest
-from .util import DataFormatError, derive_seed, read_file, require_finite_reals, require_ints, require_keys, write_file
+from .util import DataFormatError, derive_seed, parse_json, read_file, require_finite_reals, require_ints, require_keys, write_file
 
 SYMBOLS = "ABCDEFGH"
 FREQ_GRID = (500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0, 1900.0)
@@ -45,6 +46,7 @@ class LanguageSpec:
 
 @dataclass(frozen=True)
 class CorpusConfig:
+    sample_rate: ClassVar[int] = SAMPLE_RATE  # not a field; the benchmark reads config.sample_rate
     n_langs: int = 6
     low_lang: int = 5
     finetune_per_lang: int = 500
@@ -71,11 +73,6 @@ class CorpusConfig:
             raise ValueError(f"low_fraction must be in (0, 1], got {self.low_fraction}")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError("need 1 <= min_len <= max_len")
-
-    @property
-    def sample_rate(self) -> int:
-        """Always ``SAMPLE_RATE``; ``bench/workloads.py`` reads it to check augmented WAVs."""
-        return SAMPLE_RATE
 
     @property
     def low_pretrain_count(self) -> int:
@@ -193,7 +190,7 @@ def load_corpus_meta(corpus_dir: str | Path) -> tuple[CorpusConfig, list[Languag
     """
     path = Path(corpus_dir) / "corpus.json"
     try:
-        meta = json.loads(read_file(path, "corpus metadata"))
+        meta = parse_json(read_file(path, "corpus metadata"))
         require_keys("top level", meta, ("config",))
         require_keys("config", meta["config"], _CORPUS_CONFIG_KEYS)
         config = CorpusConfig(**meta["config"])

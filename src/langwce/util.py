@@ -7,6 +7,7 @@ whatever the locale, and a file that cannot be opened or decoded raises ``DataFo
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import numbers
 from pathlib import Path
@@ -92,6 +93,29 @@ def require_keys(what: str, obj, keys: Collection[str]) -> None:
         raise ValueError(f"{what}: missing keys {missing}")
     if len(obj) != len(keys):
         raise ValueError(f"{what}: unknown keys {sorted(obj.keys() - set(keys))}")
+
+
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; ``ValueError`` for a key that repeats an earlier one, which a dict would keep the last of."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# one decoder for every call: json.loads with a hook builds a new one each time, which doubled a manifest line's parse time
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+
+
+def parse_json(text: str):
+    """``json.loads`` of ``text``, but an object that repeats a key raises ``ValueError`` naming the key.
+
+    Every JSON read from disk goes through here, so no reader keeps the last
+    of two values for one key unseen.
+    """
+    return _DECODER.decode(text)
 
 
 def derive_seed(base: int, *tokens) -> int:

@@ -17,7 +17,7 @@ TINY = CorpusConfig(
 
 @pytest.fixture(scope="session")
 def tiny_corpus(tmp_path_factory):
-    """A few dozen short utterances across 3 languages; fast enough for CLI tests."""
+    """A few dozen short utterances across 3 languages, generated once per session."""
     root = tmp_path_factory.mktemp("corpus-tiny")
     generate_corpus(TINY, root)
     return root

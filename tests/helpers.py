@@ -1,5 +1,9 @@
 """Shared test utilities: tone synthesis and the oracles the tests measure against.
 
+Each package function has at most one oracle: a test that needs a reference
+implementation of a function uses the one here, if there is one, rather than
+writing a second.
+
 The oracles measure independently of the package: dominant frequency comes
 from a plain FFT and bin energy from a per-sample Goertzel recurrence, not
 from the package's own DSP. The exceptions are the bit-for-bit references,
@@ -15,7 +19,6 @@ import numpy as np
 
 from langwce import loss as loss_mod
 from langwce.audio import SAMPLE_RATE, AudioClip
-from langwce.model import build_inputs
 from langwce.synthlang import FRAME_SAMPLES, FREQ_GRID, SYMBOL_SAMPLES, SYMBOLS
 
 
@@ -192,19 +195,18 @@ def oracle_sgd_update(model, x, labels, sizes, utt_weights, learning_rate):
     return {name: getattr(model, name) - learning_rate * grad for name, grad in grads.items()}
 
 
-def example_inputs(config, examples):
-    """(inputs, labels, sizes) of ``examples`` in order, as ``train_step`` takes them."""
-    x, sizes = build_inputs(config, [ex.features for ex in examples], [ex.lang for ex in examples])
-    return x, np.concatenate([ex.labels for ex in examples]), sizes
-
-
-def oracle_window(sizes, context):
-    """[frames x (2C+1)] frame indices of ``build_inputs``' context windows, clamped by ``np.clip``."""
-    sizes = np.asarray(sizes)
-    ends = np.cumsum(sizes)
-    first = np.repeat(ends - sizes, sizes)[:, None]
-    last = np.repeat(ends - 1, sizes)[:, None]
-    return np.clip(np.arange(ends[-1])[:, None] + np.arange(-context, context + 1), first, last)
+def oracle_inputs(config, features, languages):
+    """``model.build_inputs``' rows, built frame by frame: each window position clamped to its utterance, then the one-hot."""
+    rows = []
+    for feats, lang in zip(features, languages):
+        last = len(feats) - 1
+        for f in range(len(feats)):
+            row = []
+            for offset in range(-config.context, config.context + 1):
+                row.extend(feats[min(max(f + offset, 0), last)])
+            row.extend(1.0 if i == lang else 0.0 for i in range(config.n_langs))
+            rows.append(row)
+    return np.array(rows)
 
 
 def oracle_vote(logits, n_symbols, frames_per_symbol):

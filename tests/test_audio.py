@@ -91,30 +91,10 @@ class TestAudioClip:
 
 
 class TestWavIO:
-    def test_zero_clip_round_trips_exactly(self, tmp_path):
-        clip = AudioClip(np.zeros(16000))
-        write_wav(tmp_path / "z.wav", clip)
-        back = read_wav(tmp_path / "z.wav")
-        assert back.sample_rate == 16000
-        assert np.array_equal(back.samples, clip.samples)
-        with wave.open(str(tmp_path / "z.wav"), "rb") as w:
-            assert w.getframerate() == 16000
-
-    def test_random_clip_round_trips_within_quantum(self, tmp_path):
-        rng = np.random.default_rng(0)
-        clip = AudioClip(rng.uniform(-1, 1, 8000))
-        write_wav(tmp_path / "r.wav", clip)
-        back = read_wav(tmp_path / "r.wav")
-        assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
-
-    def test_full_scale_values_survive(self, tmp_path):
-        clip = AudioClip(np.array([1.0, -1.0, 0.999999]))
-        write_wav(tmp_path / "f.wav", clip)
-        back = read_wav(tmp_path / "f.wav")
-        assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
-
     @settings(max_examples=200, deadline=None)
     @given(samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
+    @example(samples=[1.0, -1.0, 0.999999]).via("full scale, and a value that rounds up to it")
+    @example(samples=[0.0] * 16000).via("a second of silence")
     def test_reader_returns_writers_16_bit_quantization(self, samples):
         # the nearest multiple of 2^-15 (ties to even), the largest positive one 1 - 2^-15
         quantized = np.clip(np.round(np.array(samples) * 32768), -32768, 32767) / 32768
@@ -342,15 +322,6 @@ class TestTimeStretch:
         with pytest.raises(ValueError):
             time_stretch(make_tone(500), 2.5)
 
-    def test_deterministic(self):
-        clip = make_tone(1100)
-        assert np.array_equal(time_stretch(clip, 1.3).samples, time_stretch(clip, 1.3).samples)
-
-    def test_output_clipped(self):
-        rng = np.random.default_rng(5)
-        clip = AudioClip(np.clip(rng.normal(0, 0.7, 16000), -1, 1))
-        assert np.abs(time_stretch(clip, 0.8).samples).max() <= 1.0
-
 
 def oracle_time_stretch(clip, rate):
     """time_stretch with its search replaced by the per-candidate oracle, which ignores the precomputed norms."""
@@ -543,12 +514,6 @@ class TestAugmentClip:
         out = augment_clip(clip, AugmentSpec(), sample_seed=31)
         lo, hi = audio.STRETCH_RANGE
         assert len(clip) / hi - FRAME <= len(out) <= len(clip) / lo + FRAME
-
-    def test_output_respects_write_bound(self):
-        clip = make_tone(500, amplitude=0.9)
-        for seed in range(5):
-            out = augment_clip(clip, AugmentSpec(), sample_seed=seed)
-            assert np.abs(out.samples).max() <= 1.0
 
 
 @st.composite

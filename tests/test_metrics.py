@@ -3,7 +3,6 @@
 import hashlib
 import re
 import tempfile
-from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -29,24 +28,6 @@ from langwce.metrics import (
 from langwce.util import DataFormatError
 
 
-def levenshtein_oracle(ref, hyp):
-    """Independent top-down memoized unit-cost edit distance."""
-
-    @lru_cache(maxsize=None)
-    def d(i, j):
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        return min(
-            d(i - 1, j - 1) + (ref[i - 1] != hyp[j - 1]),
-            d(i, j - 1) + 1,
-            d(i - 1, j) + 1,
-        )
-
-    return d(len(ref), len(hyp))
-
-
 class TestEditDistance:
     def test_identity(self):
         assert edit_distance("ABC", "ABC") == 0
@@ -66,21 +47,7 @@ class TestEditDistance:
         for rl, hl in product(range(1, 4), range(0, 4)):
             for ref in product(alphabet, repeat=rl):
                 for hyp in product(alphabet, repeat=hl):
-                    assert edit_distance(ref, hyp) == levenshtein_oracle(ref, hyp)
-
-    def test_matches_oracle_on_random_pairs(self):
-        rng = np.random.default_rng(101)
-        for _ in range(1000):
-            ref = tuple(rng.integers(0, 5, size=rng.integers(1, 11)).tolist())
-            hyp = tuple(rng.integers(0, 5, size=rng.integers(0, 11)).tolist())
-            assert edit_distance(ref, hyp) == levenshtein_oracle(ref, hyp)
-
-    def test_total_distance_symmetric(self):
-        rng = np.random.default_rng(103)
-        for _ in range(200):
-            a = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
-            b = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
-            assert edit_distance(a, b) == edit_distance(b, a)
+                    assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
 
 
 tokens = st.text(alphabet="ABX", max_size=8)

@@ -1,6 +1,7 @@
 """Tests for the frame classifier: forward, gradients, decoding, checkpoints, phases."""
 
 import copy
+import json
 import math
 import re
 import tempfile
@@ -10,16 +11,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY
-from helpers import example_inputs, oracle_layers, oracle_sgd_update, oracle_vote, oracle_window, same_bits
+from helpers import oracle_inputs, oracle_layers, oracle_segment_nll, oracle_sgd_update, oracle_vote, same_bits
 from langwce import loss as loss_mod
 from langwce.model import (
     _context_window,
     _layers,
     _SplitInputs,
+    _vote_offsets,
     ModelConfig,
     TrainConfig,
     build_inputs,
@@ -144,12 +146,7 @@ class TestForward:
         feats = rng.normal(size=(5, 8))
         lang = 2
         got = forward(m, feats, lang)
-        c = m.config.context
-        for f in range(5):
-            window = []
-            for offset in range(-c, c + 1):
-                window.extend(feats[min(max(f + offset, 0), 4)])
-            window.extend(1.0 if i == lang else 0.0 for i in range(m.config.n_langs))
+        for f, window in enumerate(oracle_inputs(m.config, [feats], [lang])):
             hidden = [
                 math.tanh(sum(window[d] * m.W1[d, h] for d in range(m.config.d_in)) + m.b1[h])
                 for h in range(m.config.hidden)
@@ -157,14 +154,6 @@ class TestForward:
             for v in range(len(SYMBOLS)):
                 expected = sum(hidden[h] * m.W2[h, v] for h in range(m.config.hidden)) + m.b2[v]
                 assert got[f, v] == pytest.approx(expected, abs=1e-12)
-
-    def test_edge_frames_replicate_boundary(self):
-        feats = np.arange(16, dtype=float).reshape(2, 8)
-        x, _ = build_inputs(TINY_MODEL, [feats], [0])
-        # frame 0 context: [f0, f0, f1]
-        np.testing.assert_array_equal(x[0, :8], feats[0])
-        np.testing.assert_array_equal(x[0, 8:16], feats[0])
-        np.testing.assert_array_equal(x[0, 16:24], feats[1])
 
 
 @st.composite
@@ -177,33 +166,26 @@ def input_batches(draw):
     return config, [rng.normal(size=(n, len(FREQ_GRID))) for n in sizes], languages
 
 
+def numbered_frames(sizes):
+    """Utterances of ``sizes`` frames whose every feature is the frame's row number in the batch."""
+    rows = np.repeat(np.arange(sum(sizes), dtype=float)[:, None], len(FREQ_GRID), axis=1)
+    return np.split(rows, np.cumsum(sizes)[:-1])
+
+
 class TestBuildInputs:
     @settings(max_examples=200, deadline=None)
     @given(batch=input_batches())
+    # two frames at context 1: each edge frame's window repeats it
+    @example(batch=(TINY_MODEL, [np.arange(16, dtype=float).reshape(2, 8)], [0]))
+    # a window reaches past its utterance on both sides, but only into its own frames
+    @example(batch=(ModelConfig(context=0, hidden=2, n_langs=2), numbered_frames([1, 2, 5, 3, 1]), [0] * 5))
+    @example(batch=(ModelConfig(context=1, hidden=2, n_langs=2), numbered_frames([1, 2, 5, 3, 1]), [0] * 5))
+    @example(batch=(ModelConfig(context=2, hidden=2, n_langs=2), numbered_frames([1, 2, 5, 3, 1]), [0] * 5))
     def test_rows_match_per_frame_oracle(self, batch):
         config, features, languages = batch
         x, sizes = build_inputs(config, features, languages)
-        expected = []
-        for feats, lang in zip(features, languages):
-            last = len(feats) - 1
-            for f in range(len(feats)):
-                row = []
-                for offset in range(-config.context, config.context + 1):
-                    row.extend(feats[min(max(f + offset, 0), last)])
-                row.extend(1.0 if i == lang else 0.0 for i in range(config.n_langs))
-                expected.append(row)
         assert sizes.tolist() == [len(f) for f in features]
-        assert np.array_equal(x, np.array(expected))
-
-    @pytest.mark.parametrize("context", [0, 1, 2])
-    def test_window_matches_clip_oracle(self, context):
-        # each frame's features are its row number, so each window position's first column reads it back
-        sizes = [1, 2, 5, 3, 1]
-        config = ModelConfig(context=context, hidden=2, n_langs=2)
-        rows = np.repeat(np.arange(sum(sizes), dtype=float)[:, None], len(FREQ_GRID), axis=1)
-        x, _ = build_inputs(config, np.split(rows, np.cumsum(sizes)[:-1]), [0] * len(sizes))
-        n_context = len(FREQ_GRID) * (2 * context + 1)
-        assert np.array_equal(x[:, : n_context : len(FREQ_GRID)], oracle_window(sizes, context))
+        assert np.array_equal(x, oracle_inputs(config, features, languages))
 
     @pytest.mark.parametrize(
         "features, languages, message",
@@ -243,13 +225,21 @@ class TestBuildInputs:
         ):
             assert np.array_equal(build_inputs(config, features, given_as)[0], want)
 
-    @pytest.mark.parametrize("context", [0, 3])
-    def test_context_window_is_read_only(self, context):
-        window = _context_window(4, context)
-        assert window.shape == (4, 2 * context + 1) and not window.flags.writeable
+    # case -> (the cached helper, its arguments, the shape of what it returns); each hands one array to every caller
+    CACHED = {
+        "0": (_context_window, (4, 0), (4, 1)),
+        "3": (_context_window, (4, 3), (4, 7)),
+        "vote-offsets": (_vote_offsets, (20,), (20,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CACHED))
+    def test_context_window_is_read_only(self, case):
+        cached, args, shape = self.CACHED[case]
+        array = cached(*args)
+        assert array.shape == shape and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            window[0, 0] = 1
-        assert _context_window.cache_info().maxsize is not None
+            array[0] = 1
+        assert cached.cache_info().maxsize is not None
 
     def test_write_into_inputs_leaves_next_build_unchanged(self):
         feats = np.arange(32, dtype=float).reshape(4, 8)
@@ -291,16 +281,13 @@ class TestSplitInputs:
         cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2)
         m = init_model(TINY_MODEL, seed=5)
         with pytest.raises(ValueError, match="inputs hold 2 utterances but the batch has 3"):
-            train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(TINY_MODEL, batch[:2]))
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=_SplitInputs(TINY_MODEL, batch[:2]).inputs)
 
 
-def oracle_utterance_loss(model, ex):
-    """Mean over frames of a per-frame log-softmax NLL, written out in Python."""
-    frame_nll = [
-        math.log(sum(math.exp(z - max(row)) for z in row)) - (row[label] - max(row))
-        for row, label in zip(forward(model, ex.features, ex.lang).tolist(), ex.labels)
-    ]
-    return sum(frame_nll) / len(frame_nll)
+def utterance_loss(model, ex):
+    """One utterance's loss under ``model``: its frame logits through ``helpers.oracle_segment_nll``."""
+    losses, _ = oracle_segment_nll(forward(model, ex.features, ex.lang), ex.labels, [len(ex.labels)])
+    return float(losses[0])
 
 
 def weighted_objective(model, batch, weights):
@@ -310,7 +297,7 @@ def weighted_objective(model, batch, weights):
     """
     total = 0.0
     for ex in batch:
-        total += weights.get(ex.lang, 1.0) * oracle_utterance_loss(model, ex)
+        total += weights.get(ex.lang, 1.0) * utterance_loss(model, ex)
     return total / len(batch)
 
 
@@ -318,7 +305,7 @@ def analytic_gradients(model, batch, t, config, low_lang, recorded):
     """Recover train_step's gradient from the SGD update on a copy, and the low-resource weight it applied."""
     probe = copy.deepcopy(model)
     n_decided = len(recorded.weights)
-    train_step(probe, batch, t, config, low_lang, example_inputs(model.config, batch))
+    train_step(probe, batch, t, config, low_lang, _SplitInputs(model.config, batch).inputs)
     grads = {
         name: (getattr(model, name) - getattr(probe, name)) / config.learning_rate
         for name in ("W1", "b1", "W2", "b2")
@@ -393,7 +380,7 @@ class TestTrainStep:
             weighting=Weighting(WeightMode.DYNAMIC, dynamic=DynamicSchedule(alpha=1.5)),
         )
         m = init_model(TINY_MODEL, seed=5)
-        train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+        train_step(m, batch, 1, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
         assert recorded.weights == []
         assert len(recorded.means) == 1
 
@@ -404,10 +391,9 @@ class TestTrainStep:
         frozen = copy.deepcopy(m)
         cfg = TrainConfig(total_steps=10, eval_every=10, batch_size=2,
                           weighting=Weighting(WeightMode.CONSTANT, constant=3.0))
-        train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
-        # straight-line reference: per-frame log-softmax, mean over frames,
-        # weight 3 on language 2, divided by the batch size
-        per_sentence = [oracle_utterance_loss(frozen, ex) for ex in batch]
+        train_step(m, batch, 1, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
+        # reference: each utterance's loss from the kernel's oracle, weight 3 on language 2, divided by the batch size
+        per_sentence = [utterance_loss(frozen, ex) for ex in batch]
         weighted = sum((3.0 if ex.lang == 2 else 1.0) * l for ex, l in zip(batch, per_sentence)) / len(batch)
         assert recorded.means == [pytest.approx(weighted, abs=1e-12)]
         assert recorded.weights == [(1, 3.0)]
@@ -420,7 +406,7 @@ class TestTrainStep:
         rng = np.random.default_rng(len(langs))
         batch = fake_batch(rng, langs)
         m = init_model(TINY_MODEL, seed=17)
-        inputs = example_inputs(m.config, batch)
+        inputs = _SplitInputs(m.config, batch).inputs
         per_sentence, _ = loss_mod.segment_nll(_layers(m, inputs[0])[1], inputs[1], inputs[2])
         is_low = np.array(langs) == 2
         want_high = float(per_sentence[~is_low].mean()) if not is_low.all() else 0.0
@@ -450,7 +436,7 @@ class TestTrainStep:
                           weighting=Weighting(WeightMode.CONSTANT, constant=2.5))
         for t in range(1, 4):
             batch = fake_batch(rng, rng.integers(0, 3, size=6).tolist())
-            x, labels, sizes = example_inputs(config, batch)
+            x, labels, sizes = _SplitInputs(config, batch).inputs
             for got, want in zip(_layers(m, x), oracle_layers(m, x)):
                 assert same_bits(got, want)
             utt_weights = np.array([2.5 if ex.lang == 2 else 1.0 for ex in batch])
@@ -517,7 +503,7 @@ class TestTrainStep:
         batch = fake_batch(rng, [0, 1])
         cfg = TrainConfig(total_steps=100, eval_every=100, batch_size=2, learning_rate=1e307)
         m = init_model(TINY_MODEL, seed=13)
-        inputs = example_inputs(m.config, batch)
+        inputs = _SplitInputs(m.config, batch).inputs
         train_step(m, batch, 1, cfg, low_lang=2, inputs=inputs)
         before = copy.deepcopy(m)
         message = (
@@ -539,7 +525,7 @@ class TestTrainStep:
         m = init_model(TINY_MODEL, seed=19)
         before = copy.deepcopy(m)
         with pytest.raises(DivergenceError, match=r"^step 1: non-finite loss: weighted batch loss inf \(must be finite\)$"):
-            train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(m, name), getattr(before, name))
 
@@ -553,12 +539,12 @@ class TestTrainStep:
         )
         m = init_model(TINY_MODEL, seed=15)
         for t in (1, 2):
-            train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+            train_step(m, batch, t, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
         bad = copy.deepcopy(batch)
         bad[1].features[3, 2] = np.nan
         before = copy.deepcopy(m)
         with pytest.raises(DivergenceError, match=r"step 3: non-finite loss"):
-            train_step(m, bad, 3, cfg, low_lang=2, inputs=example_inputs(m.config, bad))
+            train_step(m, bad, 3, cfg, low_lang=2, inputs=_SplitInputs(m.config, bad).inputs)
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(m, name), getattr(before, name))
 
@@ -571,7 +557,7 @@ class TestTrainStep:
                           weighting=Weighting(WeightMode.CONSTANT, constant=200.0))
         m = init_model(TINY_MODEL, seed=17)
         bound = LOSS_EXPLOSION_FACTOR * math.log(len(SYMBOLS))
-        inputs = example_inputs(m.config, batch)
+        inputs = _SplitInputs(m.config, batch).inputs
         for t in range(1, 51):
             train_step(m, batch, t, cfg, low_lang=2, inputs=inputs)
         assert len(recorded.means) == 50
@@ -586,7 +572,7 @@ class TestTrainStep:
         m = init_model(TINY_MODEL, seed=19)
         before = copy.deepcopy(m)
         with pytest.raises(DivergenceError, match=r"step 1: non-finite parameter"):
-            train_step(m, batch, 1, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
+            train_step(m, batch, 1, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(m, name), getattr(before, name))
 
@@ -596,8 +582,8 @@ class TestTrainStep:
         cfg = TrainConfig(total_steps=500, eval_every=500, batch_size=4)
         m = init_model(ModelConfig(n_langs=3), seed=17)
         for t in range(1, 501):
-            train_step(m, batch, t, cfg, low_lang=2, inputs=example_inputs(m.config, batch))
-        assert sum(oracle_utterance_loss(m, ex) for ex in batch) / len(batch) < 0.05
+            train_step(m, batch, t, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
+        assert sum(utterance_loss(m, ex) for ex in batch) / len(batch) < 0.05
 
 
 class TestDecode:
@@ -689,27 +675,20 @@ JSON_VALUES = st.recursive(
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_identical(self, tmp_path):
-        m = init_model(TINY_MODEL, seed=19)
-        path = save_checkpoint(m, {"step": 12, "note": "x"}, tmp_path / "ckpt.json")
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"step": 12, "note": "x"}
-        assert loaded.config == m.config
-        for name in ("W1", "b1", "W2", "b2"):
-            assert np.array_equal(getattr(loaded, name), getattr(m, name))
-
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         b2=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(SYMBOLS), max_size=len(SYMBOLS)),
         meta=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
     )
+    @example(seed=19, b2=[0.0] * len(SYMBOLS), meta={"step": 12, "note": "x"})
     def test_reader_returns_what_writer_accepted(self, seed, b2, meta):
         m = init_model(TINY_MODEL, seed=seed)
         m.b2[:] = b2
         with tempfile.TemporaryDirectory() as tmp:
             loaded, loaded_meta = load_checkpoint(save_checkpoint(m, meta, Path(tmp) / "ckpt.json"), TINY_MODEL)
         assert loaded_meta == meta
+        assert loaded.config == m.config
         for name, value in m.parameters().items():
             assert same_bits(getattr(loaded, name), value)
 
@@ -729,8 +708,6 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("meta", [[1], "note", None])
     def test_non_object_meta_rejected(self, tmp_path, meta):
-        import json
-
         path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
         path.write_text(json.dumps({**json.loads(path.read_text()), "meta": meta}))
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: meta is"):
@@ -739,8 +716,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
     def test_non_finite_meta_rejected(self, tmp_path, value):
         # save_checkpoint refuses such a meta, so load_checkpoint must too
-        import json
-
         path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
         path.write_text(json.dumps({**json.loads(path.read_text()), "meta": {"a": value}}))
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: malformed checkpoint: "):
@@ -776,8 +751,6 @@ class TestCheckpoint:
         ],
     )
     def test_only_what_the_writer_writes_accepted(self, tmp_path, edit, message):
-        import json
-
         path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
         payload = json.loads(path.read_text())
         edit(payload)
@@ -786,8 +759,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import json
-
         m = init_model(TINY_MODEL, seed=19)
         path = save_checkpoint(m, {}, tmp_path / "ckpt.json")
         payload = json.loads(path.read_text())
@@ -798,8 +769,6 @@ class TestCheckpoint:
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         # version 1 also stored the input and output widths in the model config
-        import json
-
         path = save_checkpoint(init_model(TINY_MODEL, seed=19), {}, tmp_path / "ckpt.json")
         payload = json.loads(path.read_text())
         payload["version"] = 1
@@ -827,8 +796,6 @@ class TestCheckpoint:
 
     def test_bool_dimension_rejected(self, tmp_path):
         # JSON true reads as a bool, an int subclass: unchecked, it builds a one-unit model equal to ModelConfig(hidden=1)
-        import json
-
         config = ModelConfig(context=1, hidden=1, n_langs=3)
         path = save_checkpoint(init_model(config, seed=19), {}, tmp_path / "ckpt.json")
         payload = json.loads(path.read_text())
@@ -977,7 +944,7 @@ class TestRunPhase:
         valid_losses = {}
         for t in range(1, cfg.total_steps + 1):
             batch = [train[i] for i in rng.integers(0, len(train), size=cfg.batch_size)]
-            train_step(replay, batch, t, cfg, TINY.low_lang, example_inputs(replay.config, batch))
+            train_step(replay, batch, t, cfg, TINY.low_lang, _SplitInputs(replay.config, batch).inputs)
             if t % cfg.eval_every == 0:
                 valid_losses[t] = validation_losses(replay, valid_split)
         assert any(w > 1.0 for _, w in recorded.weights)

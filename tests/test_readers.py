@@ -18,7 +18,7 @@ from conftest import TINY
 from langwce.audio import read_wav
 from langwce.manifest import read_manifest
 from langwce.metrics import read_eval_csv
-from langwce.model import load_checkpoint
+from langwce.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from langwce.synthlang import load_corpus_meta
 from langwce.util import DataFormatError
 
@@ -46,6 +46,46 @@ def test_unreadable_file_refused(tmp_path, reader, case):
     path = tmp_path / name
     UNREADABLE[case](path)
     with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: cannot read {what}: "):
+        read(path)
+
+
+def _repeat_in_last_object(text, key, value):
+    """``text``, a JSON object whose last value is an object, with ``"key": value`` added to that inner object."""
+    assert text.endswith("}}")
+    return f"{text[:-2]}, {json.dumps(key)}: {json.dumps(value)}}}}}"
+
+
+# reader -> (write a file there in which one object repeats a key, the error's text after the file's name);
+# json.loads alone keeps the last value of a repeated key
+REPEATED_KEYS = {
+    "manifest": (
+        lambda path: path.write_text(
+            '{"id": "a", "lang": "L0", "text": "AB", "wav": "x.wav", "split": "test", "augmented": false, "id": "b"}\n'
+        ),
+        ":1: invalid JSON: repeated key 'id'",
+    ),
+    "corpus-meta": (
+        lambda path: path.write_text(_repeat_in_last_object(json.dumps({"config": asdict(TINY)}), "seed", TINY.seed + 1)),
+        ": repeated key 'seed'",
+    ),
+    "checkpoint": (
+        lambda path: path.write_text(
+            _repeat_in_last_object(
+                save_checkpoint(init_model(ModelConfig(n_langs=3), seed=1), {"step": 1}, path).read_text(), "step", 2
+            )
+        ),
+        ": malformed checkpoint: repeated key 'step'",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(REPEATED_KEYS))
+def test_repeated_key_refused(tmp_path, reader):
+    name, _, read = READERS[reader]
+    write, message = REPEATED_KEYS[reader]
+    path = tmp_path / name
+    write(path)
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path) + message)}$"):
         read(path)
 
 

@@ -69,6 +69,11 @@ REFUSALS = {
         ValueError,
         r"^{path}: cannot save checkpoint: meta \{'k': \(1, 2\)\} would load as \{'k': \[1, 2\]\}$",
     ),
+    "checkpoint-repeated-key-meta": (
+        lambda path: save_checkpoint(MODEL, {1: "a", "1": "b"}, path),
+        ValueError,
+        "^{path}: cannot save checkpoint: repeated key '1'$",
+    ),
     "corpus-fraction": (
         lambda path: generate_corpus(replace(TINY, low_fraction=Fraction(1, 10)), path),
         TypeError,
