@@ -91,6 +91,28 @@ class TestAudioClip:
 
 
 class TestWavIO:
+    def test_zero_clip_round_trips_exactly(self, tmp_path):
+        clip = AudioClip(np.zeros(16000))
+        write_wav(tmp_path / "z.wav", clip)
+        back = read_wav(tmp_path / "z.wav")
+        assert back.sample_rate == 16000
+        assert np.array_equal(back.samples, clip.samples)
+        with wave.open(str(tmp_path / "z.wav"), "rb") as w:
+            assert w.getframerate() == 16000
+
+    def test_random_clip_round_trips_within_quantum(self, tmp_path):
+        rng = np.random.default_rng(0)
+        clip = AudioClip(rng.uniform(-1, 1, 8000))
+        write_wav(tmp_path / "r.wav", clip)
+        back = read_wav(tmp_path / "r.wav")
+        assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
+
+    def test_full_scale_values_survive(self, tmp_path):
+        clip = AudioClip(np.array([1.0, -1.0, 0.999999]))
+        write_wav(tmp_path / "f.wav", clip)
+        back = read_wav(tmp_path / "f.wav")
+        assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768
+
     @settings(max_examples=200, deadline=None)
     @given(samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
     @example(samples=[1.0, -1.0, 0.999999]).via("full scale, and a value that rounds up to it")
@@ -321,6 +343,10 @@ class TestTimeStretch:
             time_stretch(make_tone(500), 0.4)
         with pytest.raises(ValueError):
             time_stretch(make_tone(500), 2.5)
+
+    def test_deterministic(self):
+        clip = make_tone(1100)
+        assert np.array_equal(time_stretch(clip, 1.3).samples, time_stretch(clip, 1.3).samples)
 
 
 def oracle_time_stretch(clip, rate):

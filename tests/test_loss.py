@@ -85,6 +85,12 @@ class TestSentenceCrossEntropy:
         assert losses[0] == pytest.approx(float(expected[0]), abs=1e-14)
         assert losses[1] == pytest.approx(float(expected[1]), abs=1e-14)
 
+    def test_loss_non_negative(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            logits, labels, sizes, _ = random_batch(rng, n_sentences=3)
+            assert np.all(segment_nll(logits, labels, sizes)[0] >= 0.0)
+
     def test_bad_segmentation_rejected(self):
         logits, labels = np.zeros((4, 3)), np.array([0, 1, 2, 0])
         for sizes in ([1, 2], [5], [4, 0]):
@@ -215,6 +221,11 @@ class TestLossGradient:
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
             assert float((np.abs(analytic - numeric) / denom).max()) < 1e-4
 
+    def test_scored_rows_sum_to_zero(self):
+        rng = np.random.default_rng(41)
+        g = gradient(*random_batch(rng, n_sentences=4, n_langs=2), {1: 2.0})
+        assert np.abs(g.sum(axis=1)).max() < 1e-12
+
     def test_probs_left_unchanged(self):
         rng = np.random.default_rng(43)
         logits, labels, sizes, languages = random_batch(rng)
@@ -251,16 +262,24 @@ def stack(utts):
 
 class TestKernelProperties:
     @settings(max_examples=200, deadline=None)
-    @given(utts=utterances(), weight=st.floats(1.0, 50.0), data=st.data())
-    def test_losses_and_gradient_of_a_batch_in_any_order(self, utts, weight, data):
-        # each utterance's loss is non-negative and the same in any batch, in any place; each gradient row sums to zero
+    @given(utts=utterances(), data=st.data())
+    def test_loss_independent_of_batch_and_order(self, utts, data):
         order = data.draw(st.permutations(range(len(utts))))
-        batch = stack([utts[i] for i in order])
-        batched, _ = segment_nll(*batch[:3])
-        assert np.all(batched >= 0.0)
+        batched, _ = segment_nll(*stack([utts[i] for i in order])[:3])
         for pos, i in enumerate(order):
             assert batched[pos] == nll(utts[i][0], utts[i][1])
-        assert np.abs(gradient(*batch, {0: weight}).sum(axis=1)).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(utts=utterances(), weight=st.floats(1.0, 50.0))
+    def test_gradient_rows_sum_to_zero(self, utts, weight):
+        g = gradient(*stack(utts), {0: weight})
+        assert np.abs(g.sum(axis=1)).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(utts=utterances())
+    def test_losses_non_negative(self, utts):
+        losses, _ = segment_nll(*stack(utts)[:3])
+        assert np.all(losses >= 0.0)
 
 
 special_logit = st.sampled_from([0.0, -0.0, 1e6, -1e6, math.nan])

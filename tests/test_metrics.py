@@ -49,6 +49,20 @@ class TestEditDistance:
                 for hyp in product(alphabet, repeat=hl):
                     assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
 
+    def test_matches_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(101)
+        for _ in range(1000):
+            ref = tuple(rng.integers(0, 5, size=rng.integers(1, 11)).tolist())
+            hyp = tuple(rng.integers(0, 5, size=rng.integers(0, 11)).tolist())
+            assert edit_distance(ref, hyp) == oracle_edit_distance(ref, hyp)
+
+    def test_total_distance_symmetric(self):
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            a = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
+            b = tuple(rng.integers(0, 4, size=rng.integers(1, 9)).tolist())
+            assert edit_distance(a, b) == edit_distance(b, a)
+
 
 tokens = st.text(alphabet="ABX", max_size=8)
 non_empty = st.text(alphabet="ABX", min_size=1, max_size=8)

@@ -124,6 +124,16 @@ class TestDynamicWeight:
             for c in (0.01, 1.0, 100.0):
                 assert dynamic_weight(self.SCHED, c * low, c * high) == base
 
+    def test_always_at_least_one_and_floored(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            low = float(rng.uniform(0, 4))
+            high = float(rng.uniform(0, 4))
+            d = dynamic_weight(self.SCHED, low, high)
+            assert d.value >= 1.0
+            if d.branch in (Branch.RATIO_DOMINATES, Branch.ALPHA_FLOOR):
+                assert d.value >= self.SCHED.alpha
+
     def test_monotone_in_avg_low(self):
         values = [dynamic_weight(self.SCHED, low, 1.0).value for low in np.linspace(0, 15, 400)]
         assert all(b >= a for a, b in zip(values, values[1:]))
