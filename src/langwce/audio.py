@@ -2,23 +2,23 @@
 
 Four transforms: time stretch (windowed overlap-add), pitch shift (linear
 resample plus inverse stretch), gain in dB, and additive Gaussian noise. Each
-is a pure function of (clip, parameters, seed) and hard-clips its output, so
-that it is again an ``AudioClip``.
+is a pure function of (clip, parameters, seed) and returns an ``AudioClip``:
+gain and noise hard-clip their output, and an overlap-add of samples in
+[-1, 1] normalized by its window sums stays in range.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import ManifestEntry, read_manifest, repeated_id, write_manifest
+from .manifest import ManifestEntry, read_manifest, write_manifest
 from .util import DataFormatError, derive_seed, is_int, read_file, require_ints, write_file
 
 SAMPLE_RATE = 16000
@@ -339,7 +339,7 @@ def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
         analysis.append(ana)
         synthesis.append(syn)
         prev_ana, prev_syn = ana, syn
-    return AudioClip(_clipped(_overlap_add(x, np.array(analysis), np.array(synthesis), n_out)))
+    return AudioClip(_overlap_add(x, np.array(analysis), np.array(synthesis), n_out))
 
 
 def pitch_shift(clip: AudioClip, semitones: int) -> AudioClip:
@@ -398,20 +398,14 @@ def augment_dataset(
     splits: set[str] | None = None,
     multiplier: int = 1,
 ) -> AugmentResult:
-    """Write augmented copies of the selected manifest entries under out_dir.
+    """Write augmented copies of the selected manifest entries under out_dir, and a manifest listing only them.
 
-    Selection is by language and split (None means no filtering on that axis).
-    The output manifest, ``out_dir / "manifest.jsonl"``, lists every original
-    entry followed by the augmented entries. An original's path is the
-    relative path from the resolved ``out_dir`` to the resolved directory of
-    ``manifest_in``, joined to its path there, and each selected input is
-    read from that resolved directory. The two directories are resolved once
-    per call and the entries' own paths never, so a path that runs through a
-    symbolic link still runs through it.
-    Each file's seed is derived from (spec.seed, entry id), so reruns are
+    Selection is by language and split (None means no filtering on that axis);
+    each input is read as the manifest names it. Copy k of entry ``<id>`` is
+    ``<id>-aug<k>``, its seed derived from (spec.seed, that id), so reruns are
     byte-identical regardless of order. Inputs ``read_wav`` refuses are
     recorded as failures and skipped. A manifest ``read_manifest`` refuses, or
-    one holding an id a copy would get (``<id>-aug<k>``), raises
+    one that yields no copy (nothing selected, or every input refused), raises
     ``DataFormatError`` before anything is written; an output manifest that
     resolves to ``manifest_in`` raises ``ValueError``.
     """
@@ -426,26 +420,17 @@ def augment_dataset(
         (e for e in entries if (languages is None or e.lang in languages) and (splits is None or e.split in splits)),
         key=lambda e: e.id,
     )
-    new_ids = [[f"{e.id}-aug{copy}" for copy in range(1, multiplier + 1)] for e in selected]
-    # the entries' ids differ, and so do the new ones, so a repeat is a new id that an entry already has
-    repeat = repeated_id([*(e.id for e in entries), *(aug_id for ids in new_ids for aug_id in ids)])
-    if repeat:
-        raise DataFormatError(f"{manifest_in}: augmented id {repeat[0]!r} is already the id of an entry")
-
-    # originals keep pointing at their source files, re-relativized to out_dir
-    src_root = manifest_in.parent.resolve()
-    to_src = os.path.relpath(src_root, out_dir.resolve())
-    out_entries = [replace(e, wav=os.path.join(to_src, e.wav)) for e in entries]
 
     failures = []
     augmented = []
-    for e, ids in zip(selected, new_ids):
+    for e in selected:
         try:
-            clip = read_wav(src_root / e.wav)
+            clip = read_wav(manifest_in.parent / e.wav)
         except DataFormatError as err:
             failures.append((e.id, str(err)))
             continue
-        for aug_id in ids:
+        for copy in range(1, multiplier + 1):
+            aug_id = f"{e.id}-aug{copy}"
             out = augment_clip(clip, spec, derive_seed(spec.seed, aug_id))
             wav_rel = Path(e.split) / e.lang / f"{aug_id}.wav"
             write_wav(out_dir / wav_rel, out)
@@ -453,5 +438,7 @@ def augment_dataset(
                 ManifestEntry(id=aug_id, lang=e.lang, text=e.text, wav=str(wav_rel), split=e.split, augmented=True)
             )
 
-    write_manifest(out_dir / "manifest.jsonl", out_entries + augmented)
+    if not augmented:
+        raise DataFormatError(f"{manifest_in}: no copy made (selected: {len(selected)}, refused: {len(failures)})")
+    write_manifest(out_dir / "manifest.jsonl", augmented)
     return AugmentResult(n_augmented=len(augmented), failures=failures)

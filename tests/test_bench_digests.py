@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = {
     "paper-grid": "b7e17f551991b0f4fa58313be73175840300027a602dcbf4616143b1a7fc9072",
-    "augment-da": "9490509a682fa7c7be2315b56b539e906262b9c4e50062968f5ad32f752d9caf",
+    "augment-da": "b1804da36811e6e36ac3f3cd1f504ff8526136d7af918207bacc421b21c2fa91",
 }
 
 

@@ -49,6 +49,13 @@ def test_unreadable_file_refused(tmp_path, reader, case):
         read(path)
 
 
+def test_manifest_of_blank_lines_refused(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n \n\r\n")
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: empty manifest$"):
+        read_manifest(path)
+
+
 def _repeat_in_last_object(text, key, value):
     """``text``, a JSON object whose last value is an object, with ``"key": value`` added to that inner object."""
     assert text.endswith("}}")
