@@ -199,9 +199,9 @@ class _SplitInputs:
 
     ``inputs`` is the split's (inputs, labels, sizes), from one ``build_inputs``
     call, ``languages[j]`` the language id of its utterance j and ``starts[j]``
-    that utterance's first row. Every row depends only on its own utterance,
-    so the rows ``gather`` cuts for a batch equal what ``build_inputs`` builds
-    for it.
+    that utterance's first row; all five arrays are read-only. Every row
+    depends only on its own utterance, so the rows ``gather`` cuts for a batch
+    equal what ``build_inputs`` builds for it.
     """
 
     def __init__(self, config: ModelConfig, examples: Sequence[FrameExample]):
@@ -209,6 +209,8 @@ class _SplitInputs:
         x, sizes = build_inputs(config, [ex.features for ex in examples], self.languages)
         self.inputs = x, np.concatenate([ex.labels for ex in examples]), sizes
         self.starts = np.cumsum(sizes) - sizes
+        for array in (*self.inputs, self.languages, self.starts):
+            array.flags.writeable = False
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(inputs, labels, sizes) of the utterances ``idx``, in that order, with one row gather."""
@@ -217,6 +219,12 @@ class _SplitInputs:
         offsets = np.cumsum(batch_sizes) - batch_sizes
         rows = np.arange(offsets[-1] + batch_sizes[-1]) + np.repeat(self.starts[idx] - offsets, batch_sizes)
         return np.take(x, rows, axis=0), np.take(labels, rows), batch_sizes
+
+
+@functools.lru_cache(maxsize=2)
+def _split_inputs(config: ModelConfig, examples: tuple[FrameExample, ...]) -> _SplitInputs:
+    """``_SplitInputs(config, examples)``, built once per key and then shared; ``run_phase`` states the key and the bound."""
+    return _SplitInputs(config, examples)
 
 
 def _layers(model: AcousticModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,6 +455,12 @@ def run_phase(
     ``ValueError``, an empty one ``DataFormatError``. ``corpus_dir`` supplies
     only ``corpus.json``, for the low language and the language count. Only
     ``validation_losses`` every ``config.eval_every`` steps is kept.
+
+    Both splits' inputs come from ``_split_inputs``, a cache keyed by (model
+    config, tuple of example objects) and bounded at two entries, the fewest
+    that let repeated fine-tunes on one (train, valid) pair build nothing
+    after the first. Its arrays are read-only, like each ``FrameExample``'s,
+    so a cache hit trains on the very arrays a build would make.
     """
     if phase not in ("pretrain", "finetune"):
         raise ValueError(f"phase must be 'pretrain' or 'finetune', got {phase!r}")
@@ -474,8 +488,8 @@ def run_phase(
             f"but corpus has {len(languages)}"
         )
 
-    train_split = _SplitInputs(model.config, train_examples)
-    valid_split = _SplitInputs(model.config, valid_examples)
+    train_split = _split_inputs(model.config, tuple(train_examples))
+    valid_split = _split_inputs(model.config, tuple(valid_examples))
     rng = np.random.default_rng(derive_seed(config.seed, "batches", phase))
     n = len(train_examples)
     valid_losses = {}

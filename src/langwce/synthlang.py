@@ -270,15 +270,32 @@ def frame_labels(text: str, n_frames: int) -> np.ndarray:
 # featurized dataset loading
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameExample:
-    """A featurized utterance ready for training or decoding."""
+    """A featurized utterance ready for training or decoding: immutable, and equal only to itself.
+
+    ``features`` and ``labels`` are read-only: a writeable array is stored as
+    a read-only copy, a read-only one as given. Equality and hashing go by
+    identity, the key of ``model.run_phase``'s input cache, and
+    ``copy.deepcopy`` returns the example itself.
+    """
 
     utt_id: str
     lang: int
     text: str
     features: np.ndarray  # normalized [frames x 8]
     labels: np.ndarray  # [frames]
+
+    def __post_init__(self):
+        for name in ("features", "labels"):
+            value = np.asarray(getattr(self, name))
+            if value.flags.writeable:
+                value = value.copy()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSpec]) -> list[FrameExample]:
@@ -307,6 +324,9 @@ def load_examples(corpus_dir: str | Path, split: str, languages: list[LanguageSp
             labels = frame_labels(entry.text, feats.n_frames)
         except (DataFormatError, ValueError) as e:
             raise DataFormatError(f"{manifest_path}: entry {entry.id!r}: {e}") from e
+        # both arrays are this call's own, so marking them read-only spares FrameExample a copy
+        feats.values.flags.writeable = False
+        labels.flags.writeable = False
         examples.append(
             FrameExample(
                 utt_id=entry.id,

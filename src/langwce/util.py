@@ -39,8 +39,12 @@ def read_file(path: str | Path, what: str, text: bool = True) -> str | bytes:
 def write_file(path: str | Path, data: str | bytes) -> None:
     """Write ``data`` to ``path``, text with its line ends as given, making the parent directory if it is missing."""
     data = data.encode("utf-8") if isinstance(data, str) else data
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
+    try:
+        f = open(path, "wb")
+    except FileNotFoundError:  # the directory is made only when missing: most writes land in one that exists
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        f = open(path, "wb")
+    with f:
         f.write(data)
 
 

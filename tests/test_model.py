@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 from conftest import TINY
 from helpers import oracle_inputs, oracle_layers, oracle_segment_nll, oracle_sgd_update, oracle_vote, same_bits
 from langwce import loss as loss_mod
+from langwce import model as model_mod
 from langwce.model import (
     _context_window,
     _layers,
+    _split_inputs,
     _SplitInputs,
     _vote_offsets,
     ModelConfig,
@@ -235,20 +238,29 @@ class TestBuildInputs:
         ):
             assert np.array_equal(build_inputs(config, features, given_as)[0], want)
 
-    # case -> (the cached helper, its arguments, the shape of what it returns); each hands one array to every caller
+    # a split of a 4-frame and a 3-frame utterance, for the split-input cases
+    SPLIT = (TINY_MODEL, tuple(fake_example(np.random.default_rng(59), lang, n_frames=n) for lang, n in ((0, 4), (2, 3))))
+    # case -> (the bounded cached helper, its arguments, the array picked from what it returns, that array's shape);
+    # each hands one array to every caller
     CACHED = {
-        "0": (_context_window, (4, 0), (4, 1)),
-        "3": (_context_window, (4, 3), (4, 7)),
-        "vote-offsets": (_vote_offsets, (20,), (20,)),
+        "0": (_context_window, (4, 0), lambda a: a, (4, 1)),
+        "3": (_context_window, (4, 3), lambda a: a, (4, 7)),
+        "vote-offsets": (_vote_offsets, (20,), lambda a: a, (20,)),
+        "split-inputs": (_split_inputs, SPLIT, lambda s: s.inputs[0], (7, TINY_MODEL.d_in)),
+        "split-labels": (_split_inputs, SPLIT, lambda s: s.inputs[1], (7,)),
+        "split-sizes": (_split_inputs, SPLIT, lambda s: s.inputs[2], (2,)),
+        "split-languages": (_split_inputs, SPLIT, lambda s: s.languages, (2,)),
+        "split-starts": (_split_inputs, SPLIT, lambda s: s.starts, (2,)),
     }
 
     @pytest.mark.parametrize("case", sorted(CACHED))
     def test_context_window_is_read_only(self, case):
-        cached, args, shape = self.CACHED[case]
-        array = cached(*args)
+        cached, args, pick, shape = self.CACHED[case]
+        array = pick(cached(*args))
         assert array.shape == shape and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+        assert pick(cached(*args)) is array
         assert cached.cache_info().maxsize is not None
 
     def test_write_into_inputs_leaves_next_build_unchanged(self):
@@ -550,8 +562,9 @@ class TestTrainStep:
         m = init_model(TINY_MODEL, seed=15)
         for t in (1, 2):
             train_step(m, batch, t, cfg, low_lang=2, inputs=_SplitInputs(m.config, batch).inputs)
-        bad = copy.deepcopy(batch)
-        bad[1].features[3, 2] = np.nan
+        features = batch[1].features.copy()
+        features[3, 2] = np.nan
+        bad = [batch[0], replace(batch[1], features=features)]
         before = copy.deepcopy(m)
         with pytest.raises(DivergenceError, match=r"step 3: non-finite loss"):
             train_step(m, bad, 3, cfg, low_lang=2, inputs=_SplitInputs(m.config, bad).inputs)
@@ -874,6 +887,27 @@ class TestRunPhase:
             assert ft is not pre.model
             for name, value in reloaded.parameters().items():
                 assert same_bits(getattr(ft, name), value), name
+
+    def test_second_run_on_the_same_examples_builds_no_inputs(self, tiny_corpus, tiny_dataset, monkeypatch):
+        # the split inputs are cached by example object; freshly loaded examples are built anew and train the same bits
+        pre = init_model(ModelConfig(n_langs=3), seed=1)
+        cfg = TrainConfig(total_steps=10, batch_size=4, eval_every=5, seed=43)
+        run_phase("finetune", tiny_corpus, cfg, start_model=pre, dataset=tiny_dataset)
+        builds = []
+
+        def counted(*args):
+            builds.append(len(args[1]))
+            return build_inputs(*args)
+
+        monkeypatch.setattr(model_mod, "build_inputs", counted)
+        again = run_phase("finetune", tiny_corpus, cfg, start_model=pre, dataset=tiny_dataset)
+        assert builds == []
+        fresh = {split: load_examples(tiny_corpus, split, TINY_LANGS) for split in ("finetune", "valid")}
+        reloaded = run_phase("finetune", tiny_corpus, cfg, start_model=pre, dataset=fresh)
+        assert builds == [len(fresh["finetune"]), len(fresh["valid"])]
+        for name, value in reloaded.model.parameters().items():
+            assert same_bits(getattr(again.model, name), value), name
+        assert again.valid_losses == reloaded.valid_losses
 
     def test_language_count_mismatch_names_corpus_json(self, tiny_corpus, tiny_dataset):
         m = init_model(ModelConfig(n_langs=6), seed=1)

@@ -1,5 +1,6 @@
 """Tests for the tone-language corpus generator and Goertzel featurization."""
 
+import copy
 import hashlib
 import json
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import dominant_frequency, goertzel_power, oracle_featurize, oracle_synthesize, same_bits, write_wav_at_rate
 
 from conftest import TINY
+from langwce import synthlang
 from langwce.audio import AudioClip, write_wav
 from langwce.manifest import ManifestEntry, read_manifest, write_manifest
 from langwce.synthlang import (
@@ -27,6 +29,7 @@ from langwce.synthlang import (
     SYMBOL_SAMPLES,
     SYMBOLS,
     CorpusConfig,
+    FrameExample,
     LanguageSpec,
     featurize,
     frame_labels,
@@ -352,7 +355,46 @@ class TestGenerateCorpus:
         assert all(TINY.min_len <= len(e.text) <= TINY.max_len for e in entries)
 
 
+class TestFrameExample:
+    def test_arrays_refuse_writes_and_ignore_the_callers_original(self):
+        features, labels = np.zeros((3, 8)), np.array([0, 1, 1])
+        ex = FrameExample("u", 0, "AB", features, labels)
+        for array in (ex.features, ex.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        features[0, 0] = 5.0
+        labels[0] = 7
+        assert np.array_equal(ex.features, np.zeros((3, 8))) and ex.labels.tolist() == [0, 1, 1]
+
+    def test_read_only_arrays_kept_as_given(self):
+        features, labels = np.zeros((3, 8)), np.array([0, 1, 1])
+        features.flags.writeable = labels.flags.writeable = False
+        ex = FrameExample("u", 0, "AB", features, labels)
+        assert ex.features is features and ex.labels is labels
+
+    def test_deepcopy_and_equality_go_by_identity(self):
+        args = ("u", 0, "AB", np.zeros((3, 8)), np.array([0, 1, 1]))
+        ex, twin = FrameExample(*args), FrameExample(*args)
+        assert copy.deepcopy(ex) is ex and copy.deepcopy([ex])[0] is ex
+        assert ex == ex and ex != twin and len({ex, twin}) == 2
+
+
 class TestLoadExamples:
+    def test_examples_hold_featurize_output_read_only_without_a_copy(self, tiny_corpus, monkeypatch):
+        made = []
+
+        def recorded(clip):
+            made.append(featurize(clip))
+            return made[-1]
+
+        monkeypatch.setattr(synthlang, "featurize", recorded)
+        examples = load_examples(tiny_corpus, "valid", TINY_LANGS)
+        assert len(made) == len(examples)
+        by_values = {id(f.values) for f in made}
+        for ex in examples:
+            assert id(ex.features) in by_values
+            assert not ex.features.flags.writeable and not ex.labels.flags.writeable
+
     def test_examples_are_featurized_and_labeled(self, tiny_corpus):
         examples = load_examples(tiny_corpus, "test", TINY_LANGS)
         assert len(examples) == 3 * TINY.test_per_lang

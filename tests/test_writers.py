@@ -1,8 +1,12 @@
-"""Every writer refuses what its reader would refuse, before it creates any file or directory."""
+"""Every writer refuses what its reader would refuse, before it creates any file or directory.
+
+``util.write_file``, which every writer calls, makes the parent directory only when it is missing.
+"""
 
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from langwce.manifest import ManifestEntry, write_manifest
 from langwce.metrics import write_eval_csv
 from langwce.model import ModelConfig, init_model, save_checkpoint
 from langwce.synthlang import generate_corpus
+from langwce.util import write_file
 
 ENTRY = {"id": "a", "lang": "L0", "text": "AB", "wav": "x/a.wav", "split": "test"}
 MODEL = init_model(ModelConfig(context=1, hidden=4, n_langs=3), seed=19)
@@ -89,3 +94,18 @@ def test_refused_before_anything_is_written(tmp_path, case):
     with pytest.raises(error, match=message.replace("{path}", re.escape(str(target)))):
         write(target)
     assert not (tmp_path / "new").exists()
+
+
+def test_write_file_makes_a_missing_nested_directory(tmp_path):
+    target = tmp_path / "a" / "b" / "f.txt"
+    write_file(target, "x\r\n")
+    assert target.read_bytes() == b"x\r\n"
+
+
+def test_write_file_into_an_existing_directory_makes_none(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mkdir called for a parent that exists")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    write_file(tmp_path / "f.bin", b"\x00\xff")
+    assert (tmp_path / "f.bin").read_bytes() == b"\x00\xff"
